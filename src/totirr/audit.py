@@ -24,6 +24,8 @@ strictly decreased it.
 
 Report formats: CSV with one line per prediction per instance, and a JSON
 object with the suite metadata, per-formula stats, and the disagreement rows.
+The row builders (joint_row, edge_transform_row, arc_transform_row) also back
+the CLI's --report output, so the agreement rule lives only in _outcome.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .generators import (
     P_TABLE,
@@ -50,11 +52,10 @@ from .generators import (
     random_tree,
     star,
 )
-from .graphs import Digraph, EditOp, Graph, apply_edit, degree_multiset
+from .graphs import AnyGraph, DegreeMode, Digraph, EditOp, Graph, apply_edit, cut_side, degree_multiset
 from .irregularity import IrrPair, exact_delta_for_edit, irr_digraph, irr_naive
 from .partitions import arc_partition, joint_partition, transform_counts, transform_partition
 from .predictors import (
-    FORMULA_IS_DELTA,
     FormulaId,
     bipartite_closed_form,
     complete_closed_form,
@@ -63,7 +64,6 @@ from .predictors import (
     prop27,
     prop27_formula_id,
     prop47_formula_id,
-    prop47_predict,
     thm21_final,
     thm21_interim,
     thm33_formula_id,
@@ -195,11 +195,11 @@ def _row_as_obj(row: AuditRow) -> dict:
 def _outcome(fid: FormulaId, predicted: int, irr_before: int, irr_after: int) -> PredictionOutcome:
     if fid is FormulaId.LEMMA34:
         agrees = irr_after < irr_before
-    elif FORMULA_IS_DELTA[fid]:
+    elif fid.is_delta:
         agrees = predicted == irr_after - irr_before
     else:
         agrees = predicted == irr_after
-    return PredictionOutcome(fid.value, predicted, agrees, FORMULA_IS_DELTA[fid])
+    return PredictionOutcome(fid.value, predicted, agrees, fid.is_delta)
 
 
 def _mk_row(
@@ -213,6 +213,32 @@ def _mk_row(
 ) -> AuditRow:
     outcomes = tuple(_outcome(fid, val, irr_before, irr_after) for fid, val in preds)
     return AuditRow(instance_id, seed, operation, irr_before, irr_after, engine_delta, outcomes)
+
+
+def _measure(g: AnyGraph, op: EditOp, mode: DegreeMode = "undirected") -> tuple[int, int, int]:
+    """(oracle irr before, oracle irr after, engine delta) of op in one degree mode."""
+    irr_before = irr_naive(degree_multiset(g, mode))
+    irr_after = irr_naive(degree_multiset(apply_edit(g, op), mode))
+    engine = exact_delta_for_edit(g, op)
+    if mode != "undirected":
+        engine = engine[0] if mode == "in" else engine[1]
+    return irr_before, irr_after, engine
+
+
+def _run_seeded(suite: str, count: int, seed: int, witnesses: Sequence, draw: Callable, row: Callable) -> AuditReport:
+    """The loop shared by every seeded suite.
+
+    Instance iid is witnesses[iid] while they last, then draw(iid, rng) on the
+    iid-th child stream of seed; row(iid, child seed, instance) audits it.
+    """
+    root = SplitMix64(seed)
+    rows = []
+    for iid in range(count):
+        rng = root.child(iid)
+        instance = witnesses[iid] if iid < len(witnesses) else draw(iid, rng)
+        rows.append(row(iid, rng.seed, instance))
+    config = (("count", str(count)), ("seed", str(seed)))
+    return AuditReport(suite, seed, count, config, tuple(rows))
 
 
 # --- edge-joint suite -------------------------------------------------------
@@ -244,7 +270,7 @@ def _regular_component(rng: SplitMix64) -> tuple[Graph, str]:
     return complete_bipartite(k, k), f"biclique({k} {k})"
 
 
-def _random_joint_instance(rng: SplitMix64) -> tuple[Graph, str, Graph, str, int, int]:
+def _random_joint_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, Graph, str, int, int]:
     if rng.below(4) < 3:
         n1 = 1 + rng.below(40)
         p1 = rng.below(3)
@@ -260,8 +286,10 @@ def _random_joint_instance(rng: SplitMix64) -> tuple[Graph, str, Graph, str, int
     return g1, d1, g2, d2, u, v
 
 
-def joint_predictions(g1: Graph, g2: Graph, u: int, v: int) -> list[tuple[FormulaId, int]]:
-    """All formula predictions that apply to the edge joint of g1 and g2."""
+def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int]) -> AuditRow:
+    """Join g1 and g2 by a fresh edge from u in g1 to v in g2; score every joint formula."""
+    g1, d1, g2, d2, u, v = instance
+    before, after, engine = _measure(disjoint_union(g1, g2), EditOp.add_edge(u, g1.vertex_count + v))
     dm1 = degree_multiset(g1)
     dm2 = degree_multiset(g2)
     deg_u = g1.degree(u)
@@ -279,37 +307,13 @@ def joint_predictions(g1: Graph, g2: Graph, u: int, v: int) -> list[tuple[Formul
         else:
             value = prop27(g2.vertex_count, g1.vertex_count, deg_v, deg_u)
         preds.append((prop27_formula_id(deg_u, deg_v), value))
-    return preds
-
-
-def _joint_row(iid: int, seed: int, g1: Graph, d1: str, g2: Graph, d2: str, u: int, v: int) -> AuditRow:
-    dm1 = degree_multiset(g1)
-    dm2 = degree_multiset(g2)
-    union = disjoint_union(g1, g2)
-    op = EditOp.add_edge(u, g1.vertex_count + v)
-    irr_before = irr_naive(dm1.merge(dm2))
-    joined = apply_edit(union, op)
-    irr_after = irr_naive(degree_multiset(joined))
-    engine = exact_delta_for_edit(union, op)
-    preds = joint_predictions(g1, g2, u, v)
     operation = f"join left={d1} right={d2} u={u} v={v}"
-    return _mk_row(iid, seed, operation, irr_before, irr_after, engine, preds)
+    return _mk_row(iid, seed, operation, before, after, engine, preds)
 
 
 def run_edge_joint_suite(count: int, seed: int) -> AuditReport:
     """Audit edge joints: random and regular pairs, witnesses pinned first."""
-    root = SplitMix64(seed)
-    witnesses = _joint_witnesses()
-    rows = []
-    for iid in range(count):
-        rng = root.child(iid)
-        if iid < len(witnesses):
-            g1, d1, g2, d2, u, v = witnesses[iid]
-        else:
-            g1, d1, g2, d2, u, v = _random_joint_instance(rng)
-        rows.append(_joint_row(iid, rng.seed, g1, d1, g2, d2, u, v))
-    config = (("count", str(count)), ("seed", str(seed)))
-    return AuditReport("edge-joint", seed, count, config, tuple(rows))
+    return _run_seeded("edge-joint", count, seed, _joint_witnesses(), _random_joint_instance, joint_row)
 
 
 # --- edge-transform suite ---------------------------------------------------
@@ -324,68 +328,48 @@ def _edge_transform_witnesses() -> list[tuple[Graph, str, int, int, int]]:
     ]
 
 
-def _simple_edge_transform_row(iid: int, rng: SplitMix64, g: Graph, desc: str, u1: int, v1: int, u_i: int) -> AuditRow:
-    dm = degree_multiset(g)
-    irr_before = irr_naive(dm)
-    op = EditOp.retarget_edge(u1, v1, u_i)
-    edited = apply_edit(g, op)
-    irr_after = irr_naive(degree_multiset(edited))
-    engine = exact_delta_for_edit(g, op)
-    counts = transform_partition(g, u1, v1, u_i)
-    pred = thm33_predict(irr_before, counts)
-    fid = thm33_formula_id(counts.relation)
-    operation = f"edge-transform graph={desc} cut=({u1} {v1}) target={u_i}"
-    return _mk_row(iid, rng.seed, operation, irr_before, irr_after, engine, [(fid, pred)])
+def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int, int, int]:
+    """Every fifth instance is a multigraph with loops; the rest plant a cut edge."""
+    if iid % 5 == 4:
+        n = 3 + rng.below(15)
+        edge_count = n + rng.below(2 * n)
+        raw = [(rng.below(n), rng.below(n)) for _ in range(edge_count)]
+        g = Graph(n, tuple(raw), allow_parallel=True, allow_loops=True)
+        a, b = g.edges[rng.below(g.edge_count)]
+        moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
+        others = [t for t in range(n) if t != moved]
+        return g, f"multi(n={n} m={g.edge_count})", moved, kept, others[rng.below(len(others))]
+    n = 4 + rng.below(37)
+    g, (u1, v1) = random_connected_with_cut_edge(n, rng, min_master=2)
+    others = [w for w in cut_side(g, v1, u1) if w != u1]
+    return g, f"planted(n={n})", u1, v1, others[rng.below(len(others))]
 
 
-def _multigraph_transform_row(iid: int, rng: SplitMix64) -> AuditRow:
-    n = 3 + rng.below(15)
-    edge_count = n + rng.below(2 * n)
-    raw = [(rng.below(n), rng.below(n)) for _ in range(edge_count)]
-    g = Graph(n, tuple(raw), allow_parallel=True, allow_loops=True)
-    a, b = g.edges[rng.below(g.edge_count)]
-    moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
-    others = [t for t in range(n) if t != moved]
-    target = others[rng.below(len(others))]
-    op = EditOp.retarget_edge(moved, kept, target)
+def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
+    """Move the `moved` end of edge {moved, kept} onto target.
 
-    dm = degree_multiset(g)
-    irr_before = irr_naive(dm)
-    edited = apply_edit(g, op)
-    irr_after = irr_naive(degree_multiset(edited))
-    engine = exact_delta_for_edit(g, op)
-    counts = transform_counts(dm, g.degrees[moved], g.degrees[target])
-    pred = thm33_predict(irr_before, counts)
-    fid = thm33_formula_id(counts.relation)
-    operation = (
-        f"edge-transform graph=multi(n={n} m={g.edge_count}) "
-        f"edge=({a} {b}) moved={moved} target={target}"
-    )
-    return _mk_row(iid, rng.seed, operation, irr_before, irr_after, engine, [(fid, pred)])
+    A simple graph goes through transform_partition, which checks the cut-edge
+    preconditions; a multigraph has no cut edge to check, so its row drives
+    the multiset kernel directly.
+    """
+    g, desc, moved, kept, target = instance
+    before, after, engine = _measure(g, EditOp.retarget_edge(moved, kept, target))
+    if g.allow_parallel:
+        counts = transform_counts(degree_multiset(g), g.degrees[moved], g.degrees[target])
+        a, b = sorted((moved, kept))
+        operation = f"edge-transform graph={desc} edge=({a} {b}) moved={moved} target={target}"
+    else:
+        counts = transform_partition(g, moved, kept, target)
+        operation = f"edge-transform graph={desc} cut=({moved} {kept}) target={target}"
+    preds = [(thm33_formula_id(counts.relation), thm33_predict(before, counts))]
+    return _mk_row(iid, seed, operation, before, after, engine, preds)
 
 
 def run_edge_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit cut-edge retargets; every fifth random instance is a multigraph."""
-    root = SplitMix64(seed)
-    witnesses = _edge_transform_witnesses()
-    rows = []
-    for iid in range(count):
-        rng = root.child(iid)
-        if iid < len(witnesses):
-            g, desc, u1, v1, u_i = witnesses[iid]
-            rows.append(_simple_edge_transform_row(iid, rng, g, desc, u1, v1, u_i))
-        elif iid % 5 == 4:
-            rows.append(_multigraph_transform_row(iid, rng))
-        else:
-            n = 4 + rng.below(37)
-            g, (u1, v1) = random_connected_with_cut_edge(n, rng, min_master=2)
-            master = next(c for c in g.remove_edge(u1, v1).connected_components() if u1 in c)
-            others = [w for w in master if w != u1]
-            u_i = others[rng.below(len(others))]
-            desc = f"planted(n={n})"
-            rows.append(_simple_edge_transform_row(iid, rng, g, desc, u1, v1, u_i))
-    config = (("count", str(count)), ("seed", str(seed)))
-    return AuditReport("edge-transform", seed, count, config, tuple(rows))
+    return _run_seeded(
+        "edge-transform", count, seed, _edge_transform_witnesses(), _random_edge_transform_instance, edge_transform_row
+    )
 
 
 # --- arc-transform suite ----------------------------------------------------
@@ -402,33 +386,18 @@ def _arc_transform_witnesses() -> list[tuple[Digraph, str, tuple[int, int], str,
     ]
 
 
-def _arc_transform_row(
-    iid: int,
-    rng_seed: int,
-    d: Digraph,
-    desc: str,
-    arc: tuple[int, int],
-    end: str,
-    target: int,
-) -> AuditRow:
-    tail, head = arc
+def arc_transform_row(iid: int, seed: int, instance: tuple[Digraph, str, tuple[int, int], str, int]) -> AuditRow:
+    """Move the head (in-degrees) or the tail (out-degrees) of an arc onto target."""
+    d, desc, (tail, head), end, target = instance
     if end == "head":
-        op = EditOp.retarget_head(tail, head, target)
-        mode, marked = "in", head
+        op, mode, marked = EditOp.retarget_head(tail, head, target), "in", head
     else:
-        op = EditOp.retarget_tail(tail, head, target)
-        mode, marked = "out", tail
-    dm = degree_multiset(d, mode)
-    irr_before = irr_naive(dm)
-    edited = apply_edit(d, op)
-    irr_after = irr_naive(degree_multiset(edited, mode))
-    deltas = exact_delta_for_edit(d, op)
-    engine = deltas[0] if mode == "in" else deltas[1]
+        op, mode, marked = EditOp.retarget_tail(tail, head, target), "out", tail
+    before, after, engine = _measure(d, op, mode)
     counts = arc_partition(d, marked, target, mode)
-    pred = prop47_predict(irr_before, counts)
-    fid = prop47_formula_id(mode, counts.relation)
+    preds = [(prop47_formula_id(mode, counts.relation), thm33_predict(before, counts))]
     operation = f"arc-transform graph={desc} arc=({tail} {head}) end={end} target={target}"
-    return _mk_row(iid, rng_seed, operation, irr_before, irr_after, engine, [(fid, pred)])
+    return _mk_row(iid, seed, operation, before, after, engine, preds)
 
 
 def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, tuple[int, int], str, int]:
@@ -454,18 +423,7 @@ def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, tuple
 
 def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit arc retargets: head moves audit in-degrees, tail moves out."""
-    root = SplitMix64(seed)
-    witnesses = _arc_transform_witnesses()
-    rows = []
-    for iid in range(count):
-        rng = root.child(iid)
-        if iid < len(witnesses):
-            d, desc, arc, end, target = witnesses[iid]
-        else:
-            d, desc, arc, end, target = _random_arc_instance(iid, rng)
-        rows.append(_arc_transform_row(iid, rng.seed, d, desc, arc, end, target))
-    config = (("count", str(count)), ("seed", str(seed)))
-    return AuditReport("arc-transform", seed, count, config, tuple(rows))
+    return _run_seeded("arc-transform", count, seed, _arc_transform_witnesses(), _random_arc_instance, arc_transform_row)
 
 
 # --- closed-form suite ------------------------------------------------------
@@ -574,7 +532,7 @@ def _branch_candidates(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _random_branch_instance(rng: SplitMix64) -> tuple[Graph, str, int, int, int]:
+def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int, int, int]:
     if rng.below(2) == 0:
         n0 = 2 + rng.below(25)
         g0 = random_tree(n0, rng)
@@ -592,29 +550,16 @@ def _random_branch_instance(rng: SplitMix64) -> tuple[Graph, str, int, int, int]
     return g, f"{desc}+3p", u, root, v
 
 
+def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
+    g, desc, u, root, v = instance
+    before, after, engine = _measure(g, EditOp.move_branch(u, root, v))
+    operation = f"move-branch graph={desc} u={u} root={root} v={v}"
+    return _mk_row(iid, seed, operation, before, after, engine, [(FormulaId.LEMMA34, before)])
+
+
 def lemma34_suite(count: int, seed: int) -> AuditReport:
     """Check that every valid branch move strictly decreases irr."""
-    root_stream = SplitMix64(seed)
-    witnesses = _lemma34_witnesses()
-    rows = []
-    for iid in range(count):
-        rng = root_stream.child(iid)
-        if iid < len(witnesses):
-            g, desc, u, broot, v = witnesses[iid]
-        else:
-            g, desc, u, broot, v = _random_branch_instance(rng)
-        op = EditOp.move_branch(u, broot, v)
-        dm = degree_multiset(g)
-        irr_before = irr_naive(dm)
-        edited = apply_edit(g, op)
-        irr_after = irr_naive(degree_multiset(edited))
-        engine = exact_delta_for_edit(g, op)
-        operation = f"move-branch graph={desc} u={u} root={broot} v={v}"
-        rows.append(
-            _mk_row(iid, rng.seed, operation, irr_before, irr_after, engine, [(FormulaId.LEMMA34, irr_before)])
-        )
-    config = (("count", str(count)), ("seed", str(seed)))
-    return AuditReport("lemma34", seed, count, config, tuple(rows))
+    return _run_seeded("lemma34", count, seed, _lemma34_witnesses(), _random_branch_instance, _lemma34_row)
 
 
 # --- derivative walk --------------------------------------------------------

@@ -14,7 +14,10 @@ import sys
 from typing import Optional, Sequence
 
 from .audit import (
-    joint_predictions,
+    AuditRow,
+    arc_transform_row,
+    edge_transform_row,
+    joint_row,
     lemma34_suite,
     run_arc_transform_suite,
     run_closed_form_suite,
@@ -37,17 +40,9 @@ from .generators import (
     random_tree,
     star,
 )
-from .graphs import Digraph, EditOp, Graph, apply_edit, degree_multiset
-from .irregularity import exact_delta_for_edit, irr_digraph, irr_graph, irr_naive
-from .partitions import arc_partition, transform_partition
-from .predictors import (
-    FORMULA_IS_DELTA,
-    prop47_formula_id,
-    prop47_predict,
-    thm33_formula_id,
-    thm33_predict,
-)
-from .transforms import disjoint_union, edge_joint
+from .graphs import Digraph, Graph
+from .irregularity import irr_digraph, irr_graph
+from .transforms import arc_transformation, edge_joint, edge_transformation
 
 _RANDOM_SUITE_DEFAULT = 1000
 _CLOSED_FORM_DEFAULT = 64
@@ -55,7 +50,17 @@ _CLOSED_FORM_DEFAULT = 64
 
 def _parse_seed(text: str) -> int:
     # base 0 accepts 0x... hex spellings
-    return int(text, 0)
+    seed = int(text, 0)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} outside 0..2**64-1")
+    return seed
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _flag(value: bool) -> str:
@@ -72,6 +77,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_report(row: AuditRow, before_key: str) -> None:
+    print(f"{before_key}={row.irr_before}")
+    print(f"oracle_irr={row.irr_after_oracle}")
+    print(f"engine_delta={row.engine_delta}")
+    for p in row.predictions:
+        print(f"formula={p.formula_id} predicted={p.predicted} agrees={_flag(p.agrees)}")
+
+
 def _cmd_joint(args: argparse.Namespace) -> int:
     g1 = read_graph_file(args.left)
     g2 = read_graph_file(args.right)
@@ -81,20 +94,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_graph_file(args.out, joined)
     if args.report:
-        union_irr = irr_naive(degree_multiset(g1).merge(degree_multiset(g2)))
-        oracle = irr_naive(degree_multiset(joined))
-        union = disjoint_union(g1, g2)
-        op = EditOp.add_edge(args.u, g1.vertex_count + args.v)
-        engine = exact_delta_for_edit(union, op)
-        print(f"union_irr={union_irr}")
-        print(f"oracle_irr={oracle}")
-        print(f"engine_delta={engine}")
-        for fid, predicted in joint_predictions(g1, g2, args.u, args.v):
-            if FORMULA_IS_DELTA[fid]:
-                agrees = predicted == oracle - union_irr
-            else:
-                agrees = predicted == oracle
-            print(f"formula={fid.value} predicted={predicted} agrees={_flag(agrees)}")
+        _print_report(joint_row(0, 0, (g1, args.left, g2, args.right, args.u, args.v)), "union_irr")
     return 0
 
 
@@ -103,39 +103,17 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     a, b = args.cut
     if isinstance(g, Digraph):
         end = args.end or "head"
-        if end == "head":
-            op = EditOp.retarget_head(a, b, args.target)
-            mode, marked = "in", b
-        else:
-            op = EditOp.retarget_tail(a, b, args.target)
-            mode, marked = "out", a
-        irr_before = irr_naive(degree_multiset(g, mode))
-        edited = apply_edit(g, op)
-        oracle = irr_naive(degree_multiset(edited, mode))
-        deltas = exact_delta_for_edit(g, op)
-        engine = deltas[0] if mode == "in" else deltas[1]
-        counts = arc_partition(g, marked, args.target, mode)
-        predicted = prop47_predict(irr_before, counts)
-        fid = prop47_formula_id(mode, counts.relation)
+        edited = arc_transformation(g, (a, b), args.target, end)
+        row, instance = arc_transform_row, (g, args.input, (a, b), end, args.target)
     else:
         if args.end is not None:
             raise ValueError("--end only applies to directed inputs")
-        op = EditOp.retarget_edge(a, b, args.target)
-        irr_before = irr_naive(degree_multiset(g))
-        edited = apply_edit(g, op)
-        oracle = irr_naive(degree_multiset(edited))
-        engine = exact_delta_for_edit(g, op)
-        counts = transform_partition(g, a, b, args.target)
-        predicted = thm33_predict(irr_before, counts)
-        fid = thm33_formula_id(counts.relation)
+        edited = edge_transformation(g, a, b, args.target)
+        row, instance = edge_transform_row, (g, args.input, a, b, args.target)
     if args.out is not None:
         write_graph_file(args.out, edited)
     if args.report:
-        agrees = predicted == oracle
-        print(f"irr_before={irr_before}")
-        print(f"oracle_irr={oracle}")
-        print(f"engine_delta={engine}")
-        print(f"formula={fid.value} predicted={predicted} agrees={_flag(agrees)}")
+        _print_report(row(0, 0, instance), "irr_before")
     return 0
 
 
@@ -258,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("edge-joint", "edge-transform", "arc-transform", "closed-forms", "lemma34"),
     )
-    p.add_argument("--instances", type=int, help="instance count; vertex cap for closed-forms")
+    p.add_argument("--instances", type=_positive_int, help="instance count; vertex cap for closed-forms")
     p.add_argument("--seed", type=_parse_seed, default=0xC0FFEE, help="decimal or 0x-prefixed")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)

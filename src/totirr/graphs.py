@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Union
 
 
 class GraphError(ValueError):
@@ -94,9 +94,6 @@ class Graph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return _normalize(a, b) in self._edge_counts
-
-    def edge_multiplicity(self, a: int, b: int) -> int:
-        return self._edge_counts.get(_normalize(a, b), 0)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -202,9 +199,6 @@ class Digraph:
 
     def has_arc(self, tail: int, head: int) -> bool:
         return (tail, head) in self._arc_set
-
-    def reverse_all(self) -> "Digraph":
-        return Digraph(self.vertex_count, tuple((h, t) for t, h in self.arcs))
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -402,19 +396,15 @@ def _branch_component(g: Graph, attachment: int, root: int) -> list[int]:
     """Vertices of the branch at `root` after cutting one copy of {attachment, root}.
 
     Raises EditError unless the cut edge is a bridge and the branch side is a
-    tree. Loops and parallel edges on the branch side both fail the tree test.
+    tree. Loops and parallel edges on the branch side both fail the tree test:
+    the side's degrees count the cut edge once and every internal edge twice.
     """
-    cut = g.remove_edge(attachment, root)
-    for comp in cut.connected_components():
-        if root in comp:
-            if attachment in comp:
-                raise EditError(f"edge ({attachment}, {root}) is not a bridge; branch is not hanging")
-            members = set(comp)
-            internal = sum(1 for x, y in cut.edges if x in members and y in members)
-            if internal != len(comp) - 1:
-                raise EditError(f"branch at {root} is not a tree")
-            return comp
-    raise EditError(f"vertex {root} not found after cut")  # pragma: no cover
+    side = cut_side(g, attachment, root)
+    if side is None:
+        raise EditError(f"edge ({attachment}, {root}) is not a bridge; branch is not hanging")
+    if sum(g.degrees[v] for v in side) - 1 != 2 * (len(side) - 1):
+        raise EditError(f"branch at {root} is not a tree")
+    return side
 
 
 def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -555,44 +545,33 @@ def edit_degree_changes(g: AnyGraph, op: EditOp):
     raise EditError(f"unsupported value {type(g).__name__}")
 
 
-def is_cut_edge(g: Graph, edge: tuple[int, int]) -> bool:
-    """True iff removing one copy of edge increases the component count."""
-    a, b = edge
+def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
+    """Sorted vertices on b's side once one copy of {a, b} is removed.
+
+    None when that copy is not a bridge: a loop, one of several parallel
+    copies, or an edge on a cycle. The search runs from b over g's adjacency,
+    steps over the removed copy, and stops as soon as it reaches a, so it
+    costs at most the size of b's side.
+    """
     if not g.has_edge(a, b):
         raise GraphError(f"edge ({a}, {b}) not present")
-    if a == b:
-        return False
-    before = len(g.connected_components())
-    after = len(g.remove_edge(a, b).connected_components())
-    return after > before
+    if a == b or g._edge_counts[_normalize(a, b)] > 1:
+        return None
+    adjacency = g._adjacency
+    seen = {b}
+    stack = [b]
+    while stack:
+        v = stack.pop()
+        for w in adjacency[v]:
+            if w in seen or (v == b and w == a):
+                continue
+            if w == a:
+                return None
+            seen.add(w)
+            stack.append(w)
+    return sorted(seen)
 
 
-@dataclass(frozen=True)
-class ComponentPart:
-    """One side of a cut edge, relabeled to dense ids.
-
-    original_ids[i] is the id that vertex i of `graph` had in the source
-    graph; marked is the local id of the cut-edge endpoint on this side.
-    """
-
-    graph: Graph
-    original_ids: tuple[int, ...]
-    marked: int
-
-
-def split_at_cut_edge(g: Graph, edge: tuple[int, int]) -> tuple[ComponentPart, ComponentPart]:
-    """Split g at a cut edge into (side of edge[0], side of edge[1])."""
-    u1, v1 = edge
-    if not is_cut_edge(g, edge):
-        raise GraphError(f"edge ({u1}, {v1}) is not a cut edge")
-    cut = g.remove_edge(u1, v1)
-    parts = []
-    for anchor in (u1, v1):
-        comp = next(c for c in cut.connected_components() if anchor in c)
-        local = {orig: i for i, orig in enumerate(comp)}
-        edges = tuple(
-            (local[x], local[y]) for x, y in cut.edges if x in local and y in local
-        )
-        sub = Graph(len(comp), edges, g.allow_parallel, g.allow_loops)
-        parts.append(ComponentPart(sub, tuple(comp), local[anchor]))
-    return parts[0], parts[1]
+def is_cut_edge(g: Graph, edge: tuple[int, int]) -> bool:
+    """True iff removing one copy of edge increases the component count."""
+    return cut_side(g, *edge) is not None

@@ -83,18 +83,6 @@ def irr_digraph(d: Digraph) -> IrrPair:
     )
 
 
-def union_cross_term(dm1: DegreeMultiset, dm2: DegreeMultiset) -> int:
-    """Sum of |d(u) - d(v)| over pairs with u from dm1 and v from dm2.
-
-    irr of a disjoint union is irr(dm1) + irr(dm2) + this term.
-    """
-    total = 0
-    for v1, m1 in dm1.entries:
-        for v2, m2 in dm2.entries:
-            total += m1 * m2 * (v1 - v2 if v1 >= v2 else v2 - v1)
-    return total
-
-
 def delta_for_degree_change(dm: DegreeMultiset, old_degree: int, direction: int) -> int:
     """Exact irr change when one vertex of old_degree steps by direction (+1/-1).
 

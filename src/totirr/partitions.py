@@ -20,8 +20,8 @@ from .graphs import (
     Digraph,
     Graph,
     GraphError,
+    cut_side,
     degree_multiset,
-    is_cut_edge,
 )
 
 
@@ -128,13 +128,6 @@ class TransformPartitionCounts:
             raise GraphError("transform counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ArcPartitionCounts(TransformPartitionCounts):
-    """Directed analogue; mode records which degree notion was classified."""
-
-    mode: str
-
-
 def transform_counts(
     dm: DegreeMultiset,
     source_degree: int,
@@ -188,10 +181,9 @@ def transform_partition(g: Graph, u1: int, v1: int, u_i: int) -> TransformPartit
         raise GraphError("target coincides with the moved end")
     if not g.has_edge(u1, v1):
         raise GraphError(f"edge ({u1}, {v1}) not present")
-    if not is_cut_edge(g, (u1, v1)):
+    master = cut_side(g, v1, u1)
+    if master is None:
         raise GraphError(f"edge ({u1}, {v1}) is not a cut edge")
-    cut = g.remove_edge(u1, v1)
-    master = next(c for c in cut.connected_components() if u1 in c)
     if u_i not in master:
         raise GraphError(f"target {u_i} is not in the component of {u1}")
     counts = transform_counts(degree_multiset(g), g.degree(u1), g.degree(u_i))
@@ -200,7 +192,7 @@ def transform_partition(g: Graph, u1: int, v1: int, u_i: int) -> TransformPartit
     return counts
 
 
-def arc_partition(d: Digraph, v1: int, v_i: int, mode: str) -> ArcPartitionCounts:
+def arc_partition(d: Digraph, v1: int, v_i: int, mode: str) -> TransformPartitionCounts:
     """Counts for an arc end moving off v1 onto v_i, in the given degree mode.
 
     mode "in" classifies in-degrees (v1 about to lose an arc head), "out"
@@ -212,17 +204,5 @@ def arc_partition(d: Digraph, v1: int, v_i: int, mode: str) -> ArcPartitionCount
     d._check_vertex(v_i)
     if v_i == v1:
         raise GraphError("target coincides with the marked vertex")
-    dm = degree_multiset(d, mode)
     degs = d.in_degrees if mode == "in" else d.out_degrees
-    base = transform_counts(dm, degs[v1], degs[v_i])
-    return ArcPartitionCounts(
-        h=base.h,
-        s=base.s,
-        t=base.t,
-        m=base.m,
-        l=base.l,
-        m1=base.m1,
-        l1=base.l1,
-        relation=base.relation,
-        mode=mode,
-    )
+    return transform_counts(degree_multiset(d, mode), degs[v1], degs[v_i])

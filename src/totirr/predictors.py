@@ -10,13 +10,12 @@ so nothing here is allowed to consult a graph. Counts in, numbers out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
 from .graphs import GraphError
 from .irregularity import IrrPair
-from .partitions import ArcPartitionCounts, JointPartitionCounts, Relation, TransformPartitionCounts
+from .partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
 
 class FormulaId(str, Enum):
@@ -40,41 +39,16 @@ class FormulaId(str, Enum):
     PROP49 = "Prop49"
     LEMMA34 = "Lemma34"
 
-
-# Delta-valued formulas predict irr(after) - irr(before the new edge, i.e. of
-# the disjoint union); absolute ones predict irr(after) outright. LEMMA34 is
-# the odd one out: its "prediction" is the strict pre-edit upper bound.
-FORMULA_IS_DELTA = {
-    FormulaId.THM21_INTERIM: True,
-    FormulaId.THM21_FINAL_A: True,
-    FormulaId.THM21_FINAL_B: True,
-    FormulaId.PROP27_EQUAL: False,
-    FormulaId.PROP27_GREATER: False,
-    FormulaId.THM33_CASE1: False,
-    FormulaId.THM33_CASE2: False,
-    FormulaId.THM33_CASE3: False,
-    FormulaId.PROP47_IN_CASE1: False,
-    FormulaId.PROP47_IN_CASE2: False,
-    FormulaId.PROP47_IN_CASE3: False,
-    FormulaId.PROP47_OUT_CASE1: False,
-    FormulaId.PROP47_OUT_CASE2: False,
-    FormulaId.PROP47_OUT_CASE3: False,
-    FormulaId.PROP43: False,
-    FormulaId.PROP44: False,
-    FormulaId.LEMMA48: False,
-    FormulaId.PROP49: False,
-    FormulaId.LEMMA34: False,
-}
-
-
-@dataclass(frozen=True)
-class Prediction:
-    formula_id: FormulaId
-    value: int
-
     @property
     def is_delta(self) -> bool:
-        return FORMULA_IS_DELTA[self.formula_id]
+        """True for delta-valued formulas, False for absolute ones.
+
+        Delta-valued formulas predict irr(after) - irr(before the new edge,
+        i.e. of the disjoint union); absolute ones predict irr(after)
+        outright. LEMMA34 is the odd one out: its "prediction" is the strict
+        pre-edit upper bound.
+        """
+        return self in (FormulaId.THM21_INTERIM, FormulaId.THM21_FINAL_A, FormulaId.THM21_FINAL_B)
 
 
 def thm21_interim(p: JointPartitionCounts) -> int:
@@ -108,7 +82,10 @@ def prop27_formula_id(deg_u: int, deg_v: int) -> FormulaId:
 
 
 def thm33_predict(base_irr: int, p: TransformPartitionCounts) -> int:
-    """Absolute irr claimed after an edge end moves, keyed on the relation."""
+    """Absolute irr claimed after an edge or arc end moves, keyed on the relation.
+
+    Prop 4.7's directed cases are this formula on in- or out-degree counts.
+    """
     if p.relation is Relation.EQUAL:
         return base_irr
     if p.relation is Relation.ABOVE:
@@ -122,11 +99,6 @@ def thm33_formula_id(relation: Relation) -> FormulaId:
         Relation.ABOVE: FormulaId.THM33_CASE2,
         Relation.BELOW: FormulaId.THM33_CASE3,
     }[relation]
-
-
-def prop47_predict(base_irr: int, p: ArcPartitionCounts) -> int:
-    """Directed analogue of thm33_predict, in the counts' degree mode."""
-    return thm33_predict(base_irr, p)
 
 
 def prop47_formula_id(mode: str, relation: Relation) -> FormulaId:

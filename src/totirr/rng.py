@@ -56,10 +56,6 @@ class SplitMix64:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
-    def chance(self, numerator: int, denominator: int) -> bool:
-        """Bernoulli draw with probability numerator/denominator."""
-        return self.below(denominator) < numerator
-
     def child(self, key: int) -> "SplitMix64":
         """Derive the key-th independent substream of this stream's seed."""
         return SplitMix64(mix64((self.seed + (key + 1) * _GAMMA) & _MASK))

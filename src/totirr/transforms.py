@@ -8,7 +8,7 @@ operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import Digraph, EditOp, Graph, GraphError, apply_edit, is_cut_edge
+from .graphs import Digraph, EditOp, Graph, GraphError, apply_edit, cut_side
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -43,9 +43,9 @@ def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
     """
     if not g.has_edge(u1, v1):
         raise GraphError(f"edge ({u1}, {v1}) not present")
-    if not is_cut_edge(g, (u1, v1)):
+    master = cut_side(g, v1, u1)
+    if master is None:
         raise GraphError(f"edge ({u1}, {v1}) is not a cut edge")
-    master = next(c for c in g.remove_edge(u1, v1).connected_components() if u1 in c)
     if u_i not in master:
         raise GraphError(f"target {u_i} is not on the side of {u1}")
     return apply_edit(g, EditOp.retarget_edge(u1, v1, u_i))

@@ -199,3 +199,47 @@ def test_generate_left_right_requires_bipartite(tmp_path, capsys):
         "--orient", "left-right", "--out", str(tmp_path / "x.txt"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--suite", "edge-joint", "--instances", "-3"),
+        ("--suite", "closed-forms", "--instances", "0"),
+        ("--suite", "lemma34", "--instances", "0"),
+        ("--suite", "edge-joint", "--seed", "-1"),
+        ("--suite", "edge-joint", "--seed", "0x10000000000000000"),
+    ],
+)
+def test_audit_bad_count_or_seed_is_usage_error(tmp_path, capsys, flags):
+    out_file = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", *flags, "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_commands_without_report_skip_the_oracle(tmp_path, capsys, monkeypatch):
+    def refuse(dm):
+        raise AssertionError("irr_naive called without --report")
+
+    monkeypatch.setattr("totirr.irregularity.irr_naive", refuse)
+    monkeypatch.setattr("totirr.audit.irr_naive", refuse)
+    p4 = write(tmp_path, "p4.txt", "U 4\n0 1\n1 2\n2 3\n")
+    ring = write(tmp_path, "ring.txt", "D 4\n0 1\n1 2\n2 3\n3 0\n")
+    k1 = write(tmp_path, "k1.txt", "U 1\n")
+    cases = [
+        (["transform", "--input", p4, "--cut", "1", "0", "--target", "2"], "U 4\n0 2\n1 2\n2 3\n"),
+        (["transform", "--input", ring, "--cut", "0", "1", "--target", "2", "--end", "head"],
+         "D 4\n0 2\n1 2\n2 3\n3 0\n"),
+        (["transform", "--input", ring, "--cut", "0", "1", "--target", "3", "--end", "tail"],
+         "D 4\n1 2\n2 3\n3 0\n3 1\n"),
+        (["joint", "--left", k1, "--right", p4, "--u", "0", "--v", "1"], "U 5\n0 2\n1 2\n2 3\n3 4\n"),
+    ]
+    for i, (argv, want) in enumerate(cases):
+        out_file = tmp_path / f"out{i}.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        assert out == ""
+        assert out_file.read_text(encoding="utf-8") == want

@@ -14,8 +14,8 @@ from totirr import (
     degree_multiset,
     edit_degree_changes,
     is_cut_edge,
-    split_at_cut_edge,
 )
+from totirr.graphs import _branch_component, cut_side
 
 from strategies import digraphs, graphs
 
@@ -49,8 +49,7 @@ def test_loops_and_parallels_allowed_when_flagged():
     assert g.edge_count == 3
     # a loop contributes 2 to its endpoint
     assert g.degrees == (2, 4, 0)
-    assert g.edge_multiplicity(0, 1) == 2
-    assert g.edge_multiplicity(1, 1) == 1
+    assert g.edges == ((0, 1), (0, 1), (1, 1))
 
 
 def test_digraph_rejects_self_arcs_and_duplicates():
@@ -154,17 +153,45 @@ def test_cut_edge_detection():
     assert is_cut_edge(loopy, (0, 1))
 
 
-def test_split_at_cut_edge():
+@st.composite
+def multigraphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=2 * n + 2))
+    return Graph(n, tuple(edges), allow_parallel=True, allow_loops=True)
+
+
+def _side_by_components(g, a, b):
+    """Reference cut side: drop one copy of {a, b}, sweep every component."""
+    comp = next(c for c in g.remove_edge(a, b).connected_components() if b in c)
+    return None if a in comp else comp
+
+
+@settings(max_examples=300)
+@given(multigraphs())
+def test_cut_side_matches_component_sweep(g):
+    for x, y in set(g.edges):
+        for a, b in ((x, y), (y, x)):
+            want = _side_by_components(g, a, b)
+            assert cut_side(g, a, b) == want
+            assert is_cut_edge(g, (a, b)) == (want is not None)
+            is_tree = want is not None and sum(
+                1 for p, q in g.remove_edge(a, b).edges if p in want and q in want
+            ) == len(want) - 1
+            if is_tree:
+                assert _branch_component(g, a, b) == want
+            else:
+                with pytest.raises(EditError):
+                    _branch_component(g, a, b)
+
+
+def test_cut_side_fixed_cases():
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    left, right = split_at_cut_edge(g, (1, 2))
-    assert left.original_ids == (0, 1)
-    assert right.original_ids == (2, 3, 4)
-    assert left.marked == 1  # dense id of original vertex 1
-    assert right.marked == 0  # dense id of original vertex 2
-    assert left.graph.edges == ((0, 1),)
-    assert right.graph.edges == ((0, 1), (1, 2))
+    assert cut_side(g, 1, 2) == [2, 3, 4]
+    assert cut_side(g, 2, 1) == [0, 1]
+    assert cut_side(Graph(3, ((0, 1), (1, 2), (0, 2))), 0, 1) is None
     with pytest.raises(GraphError):
-        split_at_cut_edge(Graph(3, ((0, 1), (1, 2), (0, 2))), (0, 1))
+        cut_side(g, 0, 4)
 
 
 # --- edits ------------------------------------------------------------------
@@ -358,10 +385,3 @@ def test_digraph_degree_changes_match_application(d, data):
         assert edited.in_degrees[v] - d.in_degrees[v] == in_changes.get(v, 0)
         assert edited.out_degrees[v] - d.out_degrees[v] == out_changes.get(v, 0)
 
-
-def test_reverse_all():
-    d = Digraph(3, ((0, 1), (1, 2)))
-    r = d.reverse_all()
-    assert r.arcs == ((1, 0), (2, 1))
-    assert r.in_degrees == d.out_degrees
-    assert r.out_degrees == d.in_degrees

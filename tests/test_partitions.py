@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from totirr import (
-    ArcPartitionCounts,
     DegreeMultiset,
     Digraph,
     Graph,
@@ -135,7 +134,6 @@ def test_arc_partition_chain_in_mode():
     chain = Digraph(4, ((0, 1), (1, 2), (2, 3)))
     p = arc_partition(chain, 1, 3, "in")
     assert p.h == 2
-    assert p.mode == "in"
 
 
 def test_arc_partition_tournament_out_mode():

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from totirr import (
-    FORMULA_IS_DELTA,
-    ArcPartitionCounts,
     DegreeMultiset,
     Digraph,
     FormulaId,
@@ -24,7 +22,6 @@ from totirr import (
     prop27,
     prop27_formula_id,
     prop47_formula_id,
-    prop47_predict,
     thm21_final,
     thm21_interim,
     thm33_formula_id,
@@ -97,14 +94,11 @@ def test_transform_formula_ids():
     assert thm33_formula_id(Relation.BELOW) is FormulaId.THM33_CASE3
 
 
-def _acounts(mode, relation, h=0, s=0, t=0, m=0, l=0, m1=0, l1=0):
-    return ArcPartitionCounts(h=h, s=s, t=t, m=m, l=l, m1=m1, l1=l1, relation=relation, mode=mode)
-
-
 def test_arc_prediction_cases():
-    assert prop47_predict(5, _acounts("in", Relation.EQUAL, h=1)) == 5
-    assert prop47_predict(3, _acounts("out", Relation.ABOVE, h=1, s=2, m=2)) == 7
-    assert prop47_predict(9, _acounts("in", Relation.BELOW, h=2, t=1, m1=0, l1=1)) == 3
+    # the directed cases reuse thm33_predict on in- or out-degree counts
+    assert thm33_predict(5, _tcounts(Relation.EQUAL, h=1)) == 5
+    assert thm33_predict(3, _tcounts(Relation.ABOVE, h=1, s=2, m=2)) == 7
+    assert thm33_predict(9, _tcounts(Relation.BELOW, h=2, t=1, m1=0, l1=1)) == 3
 
 
 def test_arc_formula_ids():
@@ -213,6 +207,5 @@ def test_formula_id_wire_values():
 
 
 def test_delta_flags():
-    deltas = {fid for fid, is_delta in FORMULA_IS_DELTA.items() if is_delta}
+    deltas = {fid for fid in FormulaId if fid.is_delta}
     assert deltas == {FormulaId.THM21_INTERIM, FormulaId.THM21_FINAL_A, FormulaId.THM21_FINAL_B}
-    assert set(FORMULA_IS_DELTA) == set(FormulaId)

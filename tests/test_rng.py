@@ -87,9 +87,3 @@ def test_children_of_distinct_keys_differ():
     seeds = {parent.child(k).seed for k in range(1000)}
     assert len(seeds) == 1000
 
-
-def test_chance_rate_tracks_ratio():
-    rng = SplitMix64(42)
-    hits = sum(1 for _ in range(10000) if rng.chance(2, 10))
-    # 0.2 nominal; generous deterministic envelope
-    assert 1700 <= hits <= 2300
