@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .generators import (
     P_TABLE,
@@ -53,7 +53,7 @@ from .generators import (
     star,
 )
 from .graphs import AnyGraph, DegreeMode, Digraph, EditOp, Graph, apply_edit, cut_side, degree_multiset
-from .irregularity import IrrPair, exact_delta_for_edit, irr_digraph, irr_naive
+from .irregularity import exact_delta_for_edit, irr_digraph, irr_naive
 from .partitions import arc_partition, joint_partition, transform_counts, transform_partition
 from .predictors import (
     FormulaId,
@@ -231,6 +231,8 @@ def _run_seeded(suite: str, count: int, seed: int, witnesses: Sequence, draw: Ca
     Instance iid is witnesses[iid] while they last, then draw(iid, rng) on the
     iid-th child stream of seed; row(iid, child seed, instance) audits it.
     """
+    if count < 1:
+        raise ValueError(f"{suite} suite needs at least 1 instance, got {count}")
     root = SplitMix64(seed)
     rows = []
     for iid in range(count):
@@ -435,6 +437,8 @@ def run_closed_form_suite(max_n: int = 64) -> AuditReport:
     Family caps: complete, path, and cycle orientations go up to max_n
     vertices; bipartite sides go up to max_n // 2. Deterministic, no seed.
     """
+    if max_n < 1:
+        raise ValueError(f"closed-forms suite needs max_n of at least 1, got {max_n}")
     rows: list[AuditRow] = []
 
     def emit(operation, irr_before, irr_after, engine, fid, predicted):
@@ -560,27 +564,3 @@ def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]
 def lemma34_suite(count: int, seed: int) -> AuditReport:
     """Check that every valid branch move strictly decreases irr."""
     return _run_seeded("lemma34", count, seed, _lemma34_witnesses(), _random_branch_instance, _lemma34_row)
-
-
-# --- derivative walk --------------------------------------------------------
-
-
-def root_derivative_walk(
-    root: Graph,
-    labeling: Sequence[int],
-    edits: Iterable[EditOp],
-) -> list[IrrPair]:
-    """Orient a root graph, then track (in, out) irr across arc edits.
-
-    Returns the trajectory starting at the freshly oriented digraph, one
-    entry per edit, maintained incrementally through the delta engine.
-    """
-    current = orient_by_labeling(root, labeling)
-    pair = irr_digraph(current)
-    trajectory = [pair]
-    for op in edits:
-        d_in, d_out = exact_delta_for_edit(current, op)
-        current = apply_edit(current, op)
-        pair = IrrPair(pair.irr_in + d_in, pair.irr_out + d_out)
-        trajectory.append(pair)
-    return trajectory

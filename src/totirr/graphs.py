@@ -2,15 +2,19 @@
 
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
-bookkeeping from ever sharing mutable state. A loop contributes 2 to the
-degree of its vertex. Degree multisets are the sole input to every
-irregularity computation, so they get a dedicated value type with counting
-helpers instead of being passed around as raw lists.
+bookkeeping from ever sharing mutable state. Their validating constructors
+are the only way to build a value, edits included: apply_edit splices the
+parent's sorted edge tuple and hands it to the constructor. Membership tests
+bisect that sorted tuple, so a value carries no hash index of its edges. A
+loop contributes 2 to the degree of its vertex. Degree multisets are the sole
+input to every irregularity computation, so they get a dedicated value type
+with counting helpers instead of being passed around as raw lists; each value
+caches one multiset per degree mode, always counted from its own edges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +35,11 @@ DegreeMode = Literal["undirected", "in", "out"]
 
 def _normalize(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> int:
+    """Copies of item in the sorted tuple items."""
+    return bisect_right(items, item) - bisect_left(items, item)
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,11 @@ class Graph:
         return self.degrees[v]
 
     @cached_property
-    def _edge_counts(self) -> Counter:
-        return Counter(self.edges)
+    def _degree_multiset(self) -> "DegreeMultiset":
+        return DegreeMultiset.from_degrees(self.degrees)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _normalize(a, b) in self._edge_counts
+        return _multiplicity(self.edges, _normalize(a, b)) > 0
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -194,11 +203,15 @@ class Digraph:
         return self.out_degrees[v]
 
     @cached_property
-    def _arc_set(self) -> frozenset:
-        return frozenset(self.arcs)
+    def _in_multiset(self) -> "DegreeMultiset":
+        return DegreeMultiset.from_degrees(self.in_degrees)
+
+    @cached_property
+    def _out_multiset(self) -> "DegreeMultiset":
+        return DegreeMultiset.from_degrees(self.out_degrees)
 
     def has_arc(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._arc_set
+        return _multiplicity(self.arcs, (tail, head)) > 0
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):
@@ -297,12 +310,12 @@ def degree_multiset(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMulti
     if isinstance(g, Graph):
         if mode != "undirected":
             raise GraphError(f"mode {mode!r} is invalid for an undirected graph")
-        return DegreeMultiset.from_degrees(g.degrees)
+        return g._degree_multiset
     if isinstance(g, Digraph):
         if mode == "in":
-            return DegreeMultiset.from_degrees(g.in_degrees)
+            return g._in_multiset
         if mode == "out":
-            return DegreeMultiset.from_degrees(g.out_degrees)
+            return g._out_multiset
         raise GraphError(f"mode {mode!r} is invalid for a digraph; use 'in' or 'out'")
     raise GraphError(f"unsupported value {type(g).__name__}")
 
@@ -493,21 +506,24 @@ def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], l
     raise EditError(f"unknown edit kind {op.kind}")  # pragma: no cover
 
 
+def _splice(items: tuple, removed: list, added: list) -> tuple:
+    """The sorted tuple items less one copy of each removed entry, plus each added one."""
+    out = list(items)
+    for x in removed:
+        del out[bisect_left(out, x)]
+    for x in added:
+        insort(out, x)
+    return tuple(out)
+
+
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """Return a new value with op applied; the input is never mutated."""
     if isinstance(g, Graph):
         removed, added = _graph_edit_plan(g, op)
-        counts = Counter(g.edges)
-        for e in removed:
-            counts[e] -= 1
-            if counts[e] == 0:
-                del counts[e]
-        edges = list(counts.elements()) + added
-        return Graph(g.vertex_count, tuple(edges), g.allow_parallel, g.allow_loops)
+        return Graph(g.vertex_count, _splice(g.edges, removed, added), g.allow_parallel, g.allow_loops)
     if isinstance(g, Digraph):
         removed, added = _digraph_edit_plan(g, op)
-        arcs = [arc for arc in g.arcs if arc not in set(removed)] + added
-        return Digraph(g.vertex_count, tuple(arcs))
+        return Digraph(g.vertex_count, _splice(g.arcs, removed, added))
     raise EditError(f"unsupported value {type(g).__name__}")
 
 
@@ -555,7 +571,7 @@ def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
     """
     if not g.has_edge(a, b):
         raise GraphError(f"edge ({a}, {b}) not present")
-    if a == b or g._edge_counts[_normalize(a, b)] > 1:
+    if a == b or _multiplicity(g.edges, _normalize(a, b)) > 1:
         return None
     adjacency = g._adjacency
     seen = {b}

@@ -5,22 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from totirr import (
-    EditOp,
     Graph,
-    IrrPair,
-    apply_edit,
     degree_multiset,
-    irr_digraph,
     irr_naive,
     lemma34_suite,
-    root_derivative_walk,
     run_arc_transform_suite,
     run_closed_form_suite,
     run_edge_joint_suite,
     run_edge_transform_suite,
 )
 from totirr.audit import CSV_HEADER
-from totirr.generators import complete, orient_by_labeling, path
 
 SEED = 0xC0FFEE
 
@@ -96,6 +90,13 @@ def test_engine_matches_oracle_on_every_suite():
     assert run_arc_transform_suite(60, SEED).engine_ok
     assert lemma34_suite(30, SEED).engine_ok
     assert run_closed_form_suite(12).engine_ok
+    # every suite rejects a count below one instead of writing an empty report
+    for bad in (0, -3):
+        for run in (run_edge_joint_suite, run_edge_transform_suite, run_arc_transform_suite, lemma34_suite):
+            with pytest.raises(ValueError):
+                run(bad, SEED)
+        with pytest.raises(ValueError):
+            run_closed_form_suite(bad)
 
 
 def test_closed_form_suite_full_agreement():
@@ -202,27 +203,3 @@ def test_formula_stats_are_sorted_and_consistent():
     assert ids == sorted(ids)
     for s in rep.formula_stats:
         assert 0 <= s.agree <= s.total
-
-
-# --- derivative walk --------------------------------------------------------
-
-
-def test_walk_on_complete_graph():
-    assert root_derivative_walk(complete(4), (0, 1, 2, 3), []) == [IrrPair(10, 10)]
-
-
-def test_walk_tracks_edits_incrementally():
-    edits = [EditOp.reverse_arc(0, 1), EditOp.reverse_arc(1, 2), EditOp.reverse_arc(1, 0)]
-    walk = root_derivative_walk(path(4), (0, 1, 2, 3), edits)
-    assert len(walk) == 4
-    assert walk[0] == IrrPair(3, 3)
-    # cross-check the trajectory against scratch recomputation
-    current = orient_by_labeling(path(4), (0, 1, 2, 3))
-    for step, op in zip(walk[1:], edits):
-        current = apply_edit(current, op)
-        assert irr_digraph(current) == step
-
-
-def test_walk_rejects_bad_labeling():
-    with pytest.raises(Exception):
-        root_derivative_walk(complete(3), (0, 1), [])

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,110 @@ def test_branch_move_delta_matches_recompute(g, data):
     before = irr_naive(degree_multiset(g))
     after = irr_naive(degree_multiset(apply_edit(g, op)))
     assert exact_delta_for_edit(g, op) == after - before
+
+
+WALK_STEPS = 32
+
+
+def _norm(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _graph_moves(n, counts, parallel, loops):
+    """Every valid (op, removed, added) on the multigraph whose edge counts are counts."""
+    def free(e):
+        return (e[0] != e[1] or loops) and (parallel or not counts[e])
+
+    moves = []
+    for a in range(n):
+        for b in range(a, n):
+            if counts[(a, b)]:
+                moves.append((EditOp.remove_edge(a, b), [(a, b)], []))
+            if free((a, b)):
+                moves.append((EditOp.add_edge(a, b), [], [(a, b)]))
+    for a, b in sorted(counts):
+        for moved, kept in {(a, b), (b, a)}:
+            for t in range(n):
+                if t != moved and free(_norm(t, kept)):
+                    moves.append((EditOp.retarget_edge(moved, kept, t), [(a, b)], [_norm(t, kept)]))
+    return moves
+
+
+def _digraph_moves(n, arcs):
+    """Every valid (op, removed, added) on the digraph whose arc set is arcs."""
+    moves = []
+    for t, h in sorted(arcs):
+        if (h, t) not in arcs:
+            moves.append((EditOp.reverse_arc(t, h), [(t, h)], [(h, t)]))
+        for x in range(n):
+            if x not in (t, h) and (x, h) not in arcs:
+                moves.append((EditOp.retarget_tail(t, h, x), [(t, h)], [(x, h)]))
+            if x not in (t, h) and (t, x) not in arcs:
+                moves.append((EditOp.retarget_head(t, h, x), [(t, h)], [(t, x)]))
+    return moves
+
+
+@st.composite
+def walk_starts(draw, kind):
+    """(value, its edge Counter) for a simple graph, a multigraph or a digraph."""
+    n = draw(st.integers(3, 8))
+    if kind == "digraph":
+        # one antiparallel pair always, and never every arc, so some edit stays valid
+        pool = [(i, j) for i in range(n) for j in range(n) if i != j]
+        arcs = {(0, 1), (1, 0)} | set(draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
+        return Digraph(n, tuple(arcs)), Counter(arcs)
+    parallel, loops = (False, False)
+    if kind == "multigraph":
+        parallel, loops = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    pool = [(i, j) for i in range(n) for j in range(i if loops else i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=not parallel, max_size=2 * n))
+    return Graph(n, tuple(edges), parallel, loops), Counter(edges)
+
+
+@pytest.mark.parametrize("kind", ["simple", "multigraph", "digraph"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_long_edit_walk_matches_own_bookkeeping(kind, data):
+    # the test keeps its own edge Counter and counts degrees from it, so the
+    # oracle sees nothing the engine computed
+    value, counts = data.draw(walk_starts(kind))
+    n = value.vertex_count
+    directed = kind == "digraph"
+
+    def own_irr():
+        if directed:
+            din, dout = [0] * n, [0] * n
+            for (t, h), c in counts.items():
+                dout[t] += c
+                din[h] += c
+            return (irr_naive(DegreeMultiset.from_degrees(din)), irr_naive(DegreeMultiset.from_degrees(dout)))
+        deg = [0] * n
+        for (a, b), c in counts.items():
+            deg[a] += c
+            deg[b] += c
+        return irr_naive(DegreeMultiset.from_degrees(deg))
+
+    running = own_irr()
+    for _ in range(WALK_STEPS):
+        if directed:
+            moves = _digraph_moves(n, counts)
+        else:
+            moves = _graph_moves(n, counts, value.allow_parallel, value.allow_loops)
+        op, removed, added = data.draw(st.sampled_from(moves))
+        delta = exact_delta_for_edit(value, op)
+        value = apply_edit(value, op)
+        counts.subtract(removed)
+        counts.update(added)
+        counts = +counts
+        if directed:
+            running = (running[0] + delta[0], running[1] + delta[1])
+            assert value == Digraph(n, tuple(counts.elements()))
+            assert all(value.has_arc(t, h) == (counts[(t, h)] > 0) for t in range(n) for h in range(n))
+        else:
+            running += delta
+            assert value == Graph(n, tuple(counts.elements()), value.allow_parallel, value.allow_loops)
+            assert all(value.has_edge(a, b) == (counts[_norm(a, b)] > 0) for a in range(n) for b in range(n))
+        assert running == own_irr()
 
 
 def test_wide_values_do_not_overflow():
