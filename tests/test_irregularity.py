@@ -233,7 +233,7 @@ def _graph_moves(n, counts, parallel, loops):
             if free((a, b)):
                 moves.append((EditOp.add_edge(a, b), [], [(a, b)]))
     for a, b in sorted(counts):
-        for moved, kept in {(a, b), (b, a)}:
+        for moved, kept in ((a, b), (b, a)) if a != b else ((a, a),):
             for t in range(n):
                 if t != moved and free(_norm(t, kept)):
                     moves.append((EditOp.retarget_edge(moved, kept, t), [(a, b)], [_norm(t, kept)]))
