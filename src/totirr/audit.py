@@ -54,7 +54,7 @@ from .generators import (
 )
 from .graphs import AnyGraph, DegreeMode, Digraph, EditOp, Graph, apply_edit, cut_side, degree_multiset
 from .irregularity import exact_delta_for_edit, irr_digraph, irr_naive
-from .partitions import arc_partition, joint_partition, transform_counts, transform_partition
+from .partitions import joint_partition, transform_counts
 from .predictors import (
     FormulaId,
     bipartite_closed_form,
@@ -70,7 +70,7 @@ from .predictors import (
     thm33_predict,
 )
 from .rng import SplitMix64
-from .transforms import disjoint_union
+from .transforms import branch_transformation, disjoint_union, edge_transformation
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -215,10 +215,14 @@ def _mk_row(
     return AuditRow(instance_id, seed, operation, irr_before, irr_after, engine_delta, outcomes)
 
 
-def _measure(g: AnyGraph, op: EditOp, mode: DegreeMode = "undirected") -> tuple[int, int, int]:
-    """(oracle irr before, oracle irr after, engine delta) of op in one degree mode."""
+def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undirected") -> tuple[int, int, int]:
+    """(oracle irr before, oracle irr after, engine delta) of op in one degree mode.
+
+    edited is g after op, built by the caller so that the operation's own
+    structural checks run on every audited instance.
+    """
     irr_before = irr_naive(degree_multiset(g, mode))
-    irr_after = irr_naive(degree_multiset(apply_edit(g, op), mode))
+    irr_after = irr_naive(degree_multiset(edited, mode))
     engine = exact_delta_for_edit(g, op)
     if mode != "undirected":
         engine = engine[0] if mode == "in" else engine[1]
@@ -291,7 +295,9 @@ def _random_joint_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, Graph
 def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int]) -> AuditRow:
     """Join g1 and g2 by a fresh edge from u in g1 to v in g2; score every joint formula."""
     g1, d1, g2, d2, u, v = instance
-    before, after, engine = _measure(disjoint_union(g1, g2), EditOp.add_edge(u, g1.vertex_count + v))
+    union = disjoint_union(g1, g2)
+    op = EditOp.add_edge(u, g1.vertex_count + v)
+    before, after, engine = _measure(union, op, apply_edit(union, op))
     dm1 = degree_multiset(g1)
     dm2 = degree_multiset(g2)
     deg_u = g1.degree(u)
@@ -350,19 +356,22 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
 def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
     """Move the `moved` end of edge {moved, kept} onto target.
 
-    A simple graph goes through transform_partition, which checks the cut-edge
-    preconditions; a multigraph has no cut edge to check, so its row drives
-    the multiset kernel directly.
+    A simple graph is edited by edge_transformation, which checks that the
+    edge is a cut edge and that target lies on the moved end's side; a
+    multigraph has no cut edge to check, so it takes the plain edit. Both
+    count partitions on the degrees before the move.
     """
     g, desc, moved, kept, target = instance
-    before, after, engine = _measure(g, EditOp.retarget_edge(moved, kept, target))
+    op = EditOp.retarget_edge(moved, kept, target)
     if g.allow_parallel:
-        counts = transform_counts(degree_multiset(g), g.degrees[moved], g.degrees[target])
+        edited = apply_edit(g, op)
         a, b = sorted((moved, kept))
         operation = f"edge-transform graph={desc} edge=({a} {b}) moved={moved} target={target}"
     else:
-        counts = transform_partition(g, moved, kept, target)
+        edited = edge_transformation(g, moved, kept, target)
         operation = f"edge-transform graph={desc} cut=({moved} {kept}) target={target}"
+    before, after, engine = _measure(g, op, edited)
+    counts = transform_counts(degree_multiset(g), g.degrees[moved], g.degrees[target])
     preds = [(thm33_formula_id(counts.relation), thm33_predict(before, counts))]
     return _mk_row(iid, seed, operation, before, after, engine, preds)
 
@@ -395,8 +404,9 @@ def arc_transform_row(iid: int, seed: int, instance: tuple[Digraph, str, tuple[i
         op, mode, marked = EditOp.retarget_head(tail, head, target), "in", head
     else:
         op, mode, marked = EditOp.retarget_tail(tail, head, target), "out", tail
-    before, after, engine = _measure(d, op, mode)
-    counts = arc_partition(d, marked, target, mode)
+    before, after, engine = _measure(d, op, apply_edit(d, op), mode)
+    degrees = d.in_degrees if mode == "in" else d.out_degrees
+    counts = transform_counts(degree_multiset(d, mode), degrees[marked], degrees[target])
     preds = [(prop47_formula_id(mode, counts.relation), thm33_predict(before, counts))]
     operation = f"arc-transform graph={desc} arc=({tail} {head}) end={end} target={target}"
     return _mk_row(iid, seed, operation, before, after, engine, preds)
@@ -441,64 +451,47 @@ def run_closed_form_suite(max_n: int = 64) -> AuditReport:
         raise ValueError(f"closed-forms suite needs max_n of at least 1, got {max_n}")
     rows: list[AuditRow] = []
 
-    def emit(operation, irr_before, irr_after, engine, fid, predicted):
-        rows.append(_mk_row(len(rows), 0, operation, irr_before, irr_after, engine, [(fid, predicted)]))
+    def emit(operation, before_pair, after_pair, delta_pair, fid, want_pair):
+        """Append the mode=in row, then the mode=out row, of one instance."""
+        for i, mode in enumerate(("in", "out")):
+            preds = [(fid, want_pair[i])]
+            row = _mk_row(len(rows), 0, f"{operation} mode={mode}", before_pair[i], after_pair[i], delta_pair[i], preds)
+            rows.append(row)
 
     for k in range(1, max_n + 1):
         got = irr_digraph(orient_by_labeling(complete(k), tuple(range(k))))
         want = complete_closed_form(k)
-        for mode, value in (("in", got.irr_in), ("out", got.irr_out)):
-            emit(f"complete-orient n={k} mode={mode}", value, value, 0, FormulaId.LEMMA48, want)
+        emit(f"complete-orient n={k}", got, got, (0, 0), FormulaId.LEMMA48, (want, want))
 
     side_cap = max(1, max_n // 2)
     for m in range(1, side_cap + 1):
         for k in range(1, side_cap + 1):
             got = irr_digraph(orient_left_right(m, k))
-            want = bipartite_closed_form(m, k)
-            emit(f"bipartite-orient m={m} n={k} mode=in", got.irr_in, got.irr_in, 0, FormulaId.PROP49, want.irr_in)
-            emit(f"bipartite-orient m={m} n={k} mode=out", got.irr_out, got.irr_out, 0, FormulaId.PROP49, want.irr_out)
+            emit(f"bipartite-orient m={m} n={k}", got, got, (0, 0), FormulaId.PROP49, bipartite_closed_form(m, k))
 
     for k in range(2, max_n + 1):
         base = orient_by_labeling(path(k), tuple(range(k)))
         base_pair = irr_digraph(base)
-        want = path_closed_form(k)
-        emit(f"path-orient n={k} reverse=none mode=in", base_pair.irr_in, base_pair.irr_in, 0, FormulaId.PROP43, want.irr_in)
-        emit(f"path-orient n={k} reverse=none mode=out", base_pair.irr_out, base_pair.irr_out, 0, FormulaId.PROP43, want.irr_out)
+        emit(f"path-orient n={k} reverse=none", base_pair, base_pair, (0, 0), FormulaId.PROP43, path_closed_form(k))
         for pos in range(1, k):
             op = EditOp.reverse_arc(pos - 1, pos)
             after_pair = irr_digraph(apply_edit(base, op))
             deltas = exact_delta_for_edit(base, op)
             want = path_closed_form(k, pos)
-            emit(
-                f"path-orient n={k} reverse={pos} mode=in",
-                base_pair.irr_in, after_pair.irr_in, deltas[0], FormulaId.PROP43, want.irr_in,
-            )
-            emit(
-                f"path-orient n={k} reverse={pos} mode=out",
-                base_pair.irr_out, after_pair.irr_out, deltas[1], FormulaId.PROP43, want.irr_out,
-            )
+            emit(f"path-orient n={k} reverse={pos}", base_pair, after_pair, deltas, FormulaId.PROP43, want)
 
     for k in range(3, max_n + 1):
         # a consistent ring orientation, not the lower-to-higher labeling one
         base = Digraph(k, tuple((i, (i + 1) % k) for i in range(k)))
         base_pair = irr_digraph(base)
-        want = cycle_closed_form(k)
-        emit(f"cycle-orient n={k} reverse=none mode=in", base_pair.irr_in, base_pair.irr_in, 0, FormulaId.PROP44, want.irr_in)
-        emit(f"cycle-orient n={k} reverse=none mode=out", base_pair.irr_out, base_pair.irr_out, 0, FormulaId.PROP44, want.irr_out)
+        emit(f"cycle-orient n={k} reverse=none", base_pair, base_pair, (0, 0), FormulaId.PROP44, cycle_closed_form(k))
         for pos in range(1, k + 1):
             tail, head = pos - 1, pos % k
             op = EditOp.reverse_arc(tail, head)
             after_pair = irr_digraph(apply_edit(base, op))
             deltas = exact_delta_for_edit(base, op)
             want = cycle_closed_form(k, reverse=True)
-            emit(
-                f"cycle-orient n={k} reverse={pos} mode=in",
-                base_pair.irr_in, after_pair.irr_in, deltas[0], FormulaId.PROP44, want.irr_in,
-            )
-            emit(
-                f"cycle-orient n={k} reverse={pos} mode=out",
-                base_pair.irr_out, after_pair.irr_out, deltas[1], FormulaId.PROP44, want.irr_out,
-            )
+            emit(f"cycle-orient n={k} reverse={pos}", base_pair, after_pair, deltas, FormulaId.PROP44, want)
 
     config = (("max_n", str(max_n)),)
     return AuditReport("closed-forms", 0, len(rows), config, tuple(rows))
@@ -555,8 +548,14 @@ def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int,
 
 
 def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
+    """Move the branch at root from u onto pendant v.
+
+    branch_transformation checks Lemma 3.4's hypotheses (deg(u) >= 3, v a
+    pendant outside the branch) on every instance, not only by construction.
+    """
     g, desc, u, root, v = instance
-    before, after, engine = _measure(g, EditOp.move_branch(u, root, v))
+    edited = branch_transformation(g, u, v, root)
+    before, after, engine = _measure(g, EditOp.move_branch(u, root, v), edited)
     operation = f"move-branch graph={desc} u={u} root={root} v={v}"
     return _mk_row(iid, seed, operation, before, after, engine, [(FormulaId.LEMMA34, before)])
 

@@ -70,17 +70,6 @@ class Graph:
                 raise GraphError(f"parallel edge ({a}, {b}) requires allow_parallel")
             prev = (a, b)
 
-    @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int]],
-        *,
-        allow_parallel: bool = False,
-        allow_loops: bool = False,
-    ) -> "Graph":
-        return cls(vertex_count, tuple(edges), allow_parallel, allow_loops)
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

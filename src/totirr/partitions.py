@@ -1,10 +1,11 @@
 """Vertex partition counts consumed by the prediction formulas.
 
 Every count here is a pure function of degree multisets plus the degrees of
-the marked vertices; no adjacency is consulted. The graph-level entry points
-only validate structure (cut edge, component membership) and then delegate
-to the multiset kernels, so an audit can also drive the kernels directly on
-multigraphs where no cut edge exists.
+the marked vertices; no adjacency is consulted. The structural precondition
+of each operation (cut edge, side membership, a fresh target) is checked
+once, by `transforms` and the edit it applies; callers pass the degrees read
+before that edit, so the same kernel serves simple graphs, multigraphs and
+both digraph modes.
 
 Degrees of marked vertices are always read in the whole graph, with the edge
 about to be moved still present.
@@ -15,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import (
-    DegreeMultiset,
-    Digraph,
-    Graph,
-    GraphError,
-    cut_side,
-    degree_multiset,
-)
+from .graphs import DegreeMultiset, GraphError
 
 
 class Relation(Enum):
@@ -133,9 +127,10 @@ def transform_counts(
     source_degree: int,
     target_degree: int,
 ) -> TransformPartitionCounts:
-    """Multiset kernel shared by the undirected and directed partitions.
+    """Counts for an edge or arc end moving off a vertex of source_degree.
 
-    The source vertex must exist in dm; its degree places it in the h class
+    dm is the undirected, in- or out-degree multiset the move changes. The
+    source vertex must exist in dm; its degree places it in the h class
     by convention and it is excluded from the > theta class. The target also
     must exist and is counted reflexively inside its own <= split.
     """
@@ -166,43 +161,6 @@ def transform_counts(
     m1 = dm.count_le(min(theta - 1, target_degree))
     l1 = t - m1
 
-    return TransformPartitionCounts(h=h, s=s, t=t, m=m, l=l, m1=m1, l1=l1, relation=relation)
-
-
-def transform_partition(g: Graph, u1: int, v1: int, u_i: int) -> TransformPartitionCounts:
-    """Counts for retargeting the u1 end of cut edge {u1, v1} onto u_i.
-
-    u_i must lie in the component of u1 once the cut edge is removed, and
-    must differ from u1. Degrees are taken in g with the cut edge present.
-    """
-    for v in (u1, v1, u_i):
-        g._check_vertex(v)
-    if u_i == u1:
-        raise GraphError("target coincides with the moved end")
-    if not g.has_edge(u1, v1):
-        raise GraphError(f"edge ({u1}, {v1}) not present")
-    master = cut_side(g, v1, u1)
-    if master is None:
-        raise GraphError(f"edge ({u1}, {v1}) is not a cut edge")
-    if u_i not in master:
-        raise GraphError(f"target {u_i} is not in the component of {u1}")
-    counts = transform_counts(degree_multiset(g), g.degree(u1), g.degree(u_i))
-    if counts.h + counts.s + counts.t != g.vertex_count:
+    if h + s + t != dm.vertex_count:
         raise GraphError("transform counts do not cover the vertex set")  # pragma: no cover
-    return counts
-
-
-def arc_partition(d: Digraph, v1: int, v_i: int, mode: str) -> TransformPartitionCounts:
-    """Counts for an arc end moving off v1 onto v_i, in the given degree mode.
-
-    mode "in" classifies in-degrees (v1 about to lose an arc head), "out"
-    classifies out-degrees (v1 about to lose an arc tail).
-    """
-    if mode not in ("in", "out"):
-        raise GraphError(f"mode {mode!r} must be 'in' or 'out'")
-    d._check_vertex(v1)
-    d._check_vertex(v_i)
-    if v_i == v1:
-        raise GraphError("target coincides with the marked vertex")
-    degs = d.in_degrees if mode == "in" else d.out_degrees
-    return transform_counts(degree_multiset(d, mode), degs[v1], degs[v_i])
+    return TransformPartitionCounts(h=h, s=s, t=t, m=m, l=l, m1=m1, l1=l1, relation=relation)

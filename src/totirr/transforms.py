@@ -65,12 +65,6 @@ def branch_transformation(g: Graph, u: int, v: int, branch_root: int) -> Graph:
     return apply_edit(g, EditOp.move_branch(u, branch_root, v))
 
 
-def reverse_arc(d: Digraph, arc: tuple[int, int]) -> Digraph:
-    """Flip one arc; rejected if the flipped arc already exists."""
-    tail, head = arc
-    return apply_edit(d, EditOp.reverse_arc(tail, head))
-
-
 def arc_transformation(d: Digraph, arc: tuple[int, int], target: int, end: str) -> Digraph:
     """Move one end of an arc to a new vertex.
 

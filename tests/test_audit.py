@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from totirr import (
     Graph,
+    GraphError,
     degree_multiset,
     irr_naive,
     lemma34_suite,
@@ -14,7 +15,7 @@ from totirr import (
     run_edge_joint_suite,
     run_edge_transform_suite,
 )
-from totirr.audit import CSV_HEADER
+from totirr.audit import CSV_HEADER, _lemma34_row, edge_transform_row
 
 SEED = 0xC0FFEE
 
@@ -79,6 +80,19 @@ def test_lemma34_witness_rows():
     assert spider.predictions[0].formula_id == "Lemma34"
     assert spider.predictions[0].agrees
     assert rep.rows[1].irr_after_oracle < rep.rows[1].irr_before
+
+
+def test_row_builders_check_operation_preconditions():
+    # each edit below is valid for apply_edit; only the operation's own check rejects it
+    triangle_tail = Graph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
+    with pytest.raises(GraphError, match="not a cut edge"):
+        edge_transform_row(0, 0, (triangle_tail, "triangle-tail", 0, 1, 3))
+    chain = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    with pytest.raises(GraphError, match="needs >= 3"):
+        _lemma34_row(0, 0, (chain, "path(5)", 1, 0, 4))  # deg(u) = 2
+    broom = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
+    with pytest.raises(GraphError, match="needs a pendant"):
+        _lemma34_row(0, 0, (broom, "broom", 0, 1, 3))  # deg(v) = 2
 
 
 # --- suite-level guarantees -------------------------------------------------

@@ -9,11 +9,9 @@ from totirr import (
     GraphError,
     Relation,
     TransformPartitionCounts,
-    arc_partition,
     degree_multiset,
     joint_partition,
     transform_counts,
-    transform_partition,
 )
 
 from strategies import multisets
@@ -71,9 +69,18 @@ def test_joint_invariants(m1, m2, data):
 # --- transform partition ----------------------------------------------------
 
 
+def edge_counts(g, moved, target):
+    return transform_counts(degree_multiset(g), g.degree(moved), g.degree(target))
+
+
+def arc_counts(d, marked, target, mode):
+    degrees = d.in_degrees if mode == "in" else d.out_degrees
+    return transform_counts(degree_multiset(d, mode), degrees[marked], degrees[target])
+
+
 def test_transform_path_witness():
     g = Graph(4, ((0, 1), (1, 2), (2, 3)))  # v1=0, u1=1, chain beyond
-    p = transform_partition(g, 1, 0, 2)
+    p = edge_counts(g, 1, 2)
     assert (p.h, p.s, p.t) == (3, 1, 0)
     assert p.relation is Relation.ABOVE
     assert (p.m, p.l) == (1, 0)
@@ -81,7 +88,7 @@ def test_transform_path_witness():
 
 def test_transform_star_witness():
     g = Graph(4, ((0, 1), (0, 2), (0, 3)))  # u1=0 center, v1=1 pendant
-    p = transform_partition(g, 0, 1, 2)
+    p = edge_counts(g, 0, 2)
     assert (p.h, p.s, p.t) == (1, 0, 3)
     assert p.relation is Relation.BELOW
     assert (p.m1, p.l1) == (3, 0)
@@ -89,19 +96,8 @@ def test_transform_star_witness():
 
 def test_transform_bridged_triangles_witness():
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)))
-    p = transform_partition(g, 0, 3, 1)
+    p = edge_counts(g, 0, 1)
     assert p.relation is Relation.EQUAL
-
-
-def test_transform_validation():
-    tri = Graph(3, ((0, 1), (1, 2), (0, 2)))
-    with pytest.raises(GraphError):
-        transform_partition(tri, 0, 1, 2)  # not a cut edge
-    chain = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    with pytest.raises(GraphError):
-        transform_partition(chain, 1, 0, 0)  # target in slave side
-    with pytest.raises(GraphError):
-        transform_partition(chain, 1, 0, 1)  # target equals u1
 
 
 @given(multisets(max_size=30), st.data())
@@ -132,27 +128,18 @@ def test_counts_dataclass_validation():
 
 def test_arc_partition_chain_in_mode():
     chain = Digraph(4, ((0, 1), (1, 2), (2, 3)))
-    p = arc_partition(chain, 1, 3, "in")
+    p = arc_counts(chain, 1, 3, "in")
     assert p.h == 2
 
 
 def test_arc_partition_tournament_out_mode():
     t5 = Digraph(5, tuple((i, (i + 1) % 5) for i in range(5)) + tuple((i, (i + 2) % 5) for i in range(5)))
-    p = arc_partition(t5, 0, 3, "out")
+    p = arc_counts(t5, 0, 3, "out")
     assert p.t == 0
 
 
 def test_arc_partition_ring_in_mode():
     ring = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    p = arc_partition(ring, 1, 3, "in")
+    p = arc_counts(ring, 1, 3, "in")
     assert (p.h, p.s, p.t) == (1, 3, 0)
 
-
-def test_arc_partition_validation():
-    ring = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    with pytest.raises(GraphError):
-        arc_partition(ring, 1, 1, "in")  # target equals marked vertex
-    with pytest.raises(GraphError):
-        arc_partition(ring, 1, 9, "in")
-    with pytest.raises(GraphError):
-        arc_partition(ring, 1, 3, "undirected")

@@ -6,9 +6,11 @@ from totirr import (
     DegreeMultiset,
     Digraph,
     EditError,
+    EditOp,
     Graph,
     GraphError,
     IrrPair,
+    apply_edit,
     arc_transformation,
     branch_transformation,
     degree_multiset,
@@ -18,7 +20,6 @@ from totirr import (
     irr_digraph,
     irr_graph,
     irr_naive,
-    reverse_arc,
 )
 
 from strategies import graphs
@@ -161,18 +162,18 @@ def test_branch_transformation_validation():
 
 def test_reverse_arc_round_trip():
     ring = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    once = reverse_arc(ring, (0, 1))
+    once = apply_edit(ring, EditOp.reverse_arc(0, 1))
     assert once.arc_count == 4
     assert irr_digraph(once) == IrrPair(6, 6)
-    assert reverse_arc(once, (1, 0)) == ring
+    assert apply_edit(once, EditOp.reverse_arc(1, 0)) == ring
     with pytest.raises(GraphError):
-        reverse_arc(ring, (1, 0))
+        apply_edit(ring, EditOp.reverse_arc(1, 0))
 
 
 def test_reverse_arc_on_chain():
     chain = Digraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    assert irr_digraph(reverse_arc(chain, (0, 1))).irr_in == 4
-    assert irr_digraph(reverse_arc(chain, (1, 2))).irr_in == 10
+    assert irr_digraph(apply_edit(chain, EditOp.reverse_arc(0, 1))).irr_in == 4
+    assert irr_digraph(apply_edit(chain, EditOp.reverse_arc(1, 2))).irr_in == 10
 
 
 def test_arc_transformation_head():
@@ -201,3 +202,5 @@ def test_arc_transformation_validation():
         arc_transformation(d, (0, 1), 2, "sideways")
     with pytest.raises(GraphError):
         arc_transformation(d, (1, 2), 0, "head")  # arc absent
+    with pytest.raises(GraphError):
+        arc_transformation(d, (0, 1), 9, "head")  # target out of range
