@@ -8,9 +8,10 @@ Layout, byte for byte:
     ...
 
 One edge or arc per line, two ids separated by a single space, LF line
-endings, trailing newline. Blank lines and lines starting with '#' are
-ignored on input and never produced on output. Serialization is canonical
-(edges sorted), so equal values produce identical bytes.
+endings, trailing newline. A number is an optional '-' followed by ASCII
+digits. Blank lines and lines starting with '#' are ignored on input and
+never produced on output. Serialization is canonical (edges sorted), so
+equal values produce identical bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ class FormatError(ValueError):
     """Malformed edge-list text."""
 
 
+# int() alone also takes '+', '_', whitespace and non-ASCII digits. Text that
+# holds none of them needs no check per number, because there int() accepts
+# exactly an optional '-' then ASCII digits; in other text a line of numbers
+# may hold only the characters of _EDGE_LINE, and int() rejects the rest.
+_INT_EXTRAS = "+_\t\v\f\r"
+_EDGE_LINE = "-0123456789 "
+
+
 def parse_graph_text(
     text: str,
     *,
@@ -33,6 +42,7 @@ def parse_graph_text(
 ) -> AnyGraph:
     header = None
     pairs: list[tuple[int, int]] = []
+    check = not text.isascii() or any(c in text for c in _INT_EXTRAS)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -42,6 +52,8 @@ def parse_graph_text(
             if len(fields) != 2 or fields[0] not in ("U", "D"):
                 raise FormatError(f"line {lineno}: expected header 'U <n>' or 'D <n>', got {line!r}")
             try:
+                if check and fields[1].strip(_EDGE_LINE):
+                    raise ValueError
                 n = int(fields[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
@@ -52,6 +64,8 @@ def parse_graph_text(
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected '<a> <b>', got {line!r}")
         try:
+            if check and line.strip(_EDGE_LINE):
+                raise ValueError
             a, b = int(fields[0]), int(fields[1])
         except ValueError:
             raise FormatError(f"line {lineno}: endpoints must be integers, got {line!r}") from None

@@ -2,14 +2,16 @@
 
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
-bookkeeping from ever sharing mutable state. Their validating constructors
-are the only way to build a value, edits included: apply_edit splices the
-parent's sorted edge tuple and hands it to the constructor. Membership tests
-bisect that sorted tuple, so a value carries no hash index of its edges. A
-loop contributes 2 to the degree of its vertex. Degree multisets are the sole
-input to every irregularity computation, so they get a dedicated value type
-with counting helpers instead of being passed around as raw lists; each value
-caches one multiset per degree mode, always counted from its own edges.
+bookkeeping from ever sharing mutable state. The public constructors validate
+and sort every edge. apply_edit does not call them: it checks the edit
+against the parent, splices the parent's sorted edge tuple and sets the
+child's fields directly, so an edit does not re-check the edges it leaves
+alone. Membership tests bisect that sorted tuple, so a value carries no hash
+index of its edges. A loop contributes 2 to the degree of its vertex. Degree
+multisets are the sole input to every irregularity computation, so they get a
+dedicated value type with counting helpers instead of being passed around as
+raw lists; each value caches one multiset per degree mode, always counted
+from its own edges.
 """
 
 from __future__ import annotations
@@ -505,14 +507,38 @@ def _splice(items: tuple, removed: list, added: list) -> tuple:
     return tuple(out)
 
 
+def _from_valid_fields(cls: type, **fields) -> AnyGraph:
+    """A cls value holding fields, built without running cls's validation.
+
+    Only for fields known to pass it: apply_edit's child keeps the validated
+    parent's flags and vertex count, _splice keeps its tuple sorted and
+    normalized, and the edit plan has checked every added entry.
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
-    """Return a new value with op applied; the input is never mutated."""
+    """Return a new value with op applied; the input is never mutated.
+
+    The edit plan checks op against g, and the child is built from g's
+    spliced tuple without the constructor's pass over every edge. The
+    child's degrees and degree multisets are counted lazily from its own
+    edges, never carried over from g.
+    """
     if isinstance(g, Graph):
         removed, added = _graph_edit_plan(g, op)
-        return Graph(g.vertex_count, _splice(g.edges, removed, added), g.allow_parallel, g.allow_loops)
+        return _from_valid_fields(
+            Graph,
+            vertex_count=g.vertex_count,
+            edges=_splice(g.edges, removed, added),
+            allow_parallel=g.allow_parallel,
+            allow_loops=g.allow_loops,
+        )
     if isinstance(g, Digraph):
         removed, added = _digraph_edit_plan(g, op)
-        return Digraph(g.vertex_count, _splice(g.arcs, removed, added))
+        return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added))
     raise EditError(f"unsupported value {type(g).__name__}")
 
 

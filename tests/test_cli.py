@@ -45,6 +45,26 @@ def test_compute_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("case", ["underscore-id", "not-utf8", "directory", "digraph-joint"])
+def test_input_errors_exit_2_without_traceback(tmp_path, capsys, case):
+    if case == "underscore-id":
+        argv = ["compute", "--input", write(tmp_path, "g.txt", "U 12\n0 1_0\n")]
+    elif case == "not-utf8":
+        target = tmp_path / "latin1.txt"
+        target.write_bytes(b"U 3\n0 1\n# caf\xe9\n")
+        argv = ["compute", "--input", str(target)]
+    elif case == "directory":
+        argv = ["compute", "--input", str(tmp_path)]
+    else:
+        d = write(tmp_path, "d.txt", "D 2\n0 1\n")
+        argv = ["joint", "--left", d, "--right", d, "--u", "0", "--v", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_joint_writes_k2_and_reports(tmp_path, capsys):
     k1 = write(tmp_path, "k1.txt", "U 1\n")
     out_file = tmp_path / "k2.txt"

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from totirr import (
     Digraph,
@@ -56,12 +57,56 @@ def test_parse_errors_report_line_numbers():
 def test_construction_errors_become_format_errors():
     with pytest.raises(FormatError):
         parse_graph_text("U 3\n0 3\n")  # vertex out of range
+    with pytest.raises(FormatError, match="outside vertex range"):
+        parse_graph_text("U 3\n-1 2\n")  # a negative id reaches the range check
     with pytest.raises(FormatError):
         parse_graph_text("U 3\n1 1\n")  # loop without flag
     with pytest.raises(FormatError):
         parse_graph_text("U 3\n0 1\n0 1\n")  # duplicate
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="nonnegative"):
         parse_graph_text("U -2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U 3\n\u0660 1\n1_0 2\n",  # Arabic-Indic zero, underscore separator
+        "U 3\n0 1_0\n",
+        "U 3\n+1 2\n",
+        "D 3\n0 \uff12\n",  # fullwidth two
+        "U 3\n0\t 1\n",
+        "U 3\n0\r 1\n",
+        "U 3\n0 \x0b1\n",
+        "U 3\n--1 2\n",
+        "U 3\n- 2\n",
+        "U 1_0\n",
+        "U +3\n",
+        "U \u0663\n",
+    ],
+)
+def test_numbers_are_ascii_digits_only(text):
+    with pytest.raises(FormatError, match="line"):
+        parse_graph_text(text)
+
+
+_numerals = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["", "-", "1_0", "+1", "\u0660", "0x1", "1\t", "9" * 5000]),
+)
+_lines = st.one_of(
+    st.text(max_size=8),
+    st.tuples(st.sampled_from(["U", "D", "#", "X"]), _numerals).map(" ".join),
+    st.tuples(_numerals, _numerals).map(" ".join),
+)
+
+
+@given(st.one_of(st.text(), st.lists(_lines, max_size=12).map("\n".join)), st.booleans(), st.booleans())
+def test_arbitrary_text_fails_only_with_format_error(text, parallel, loops):
+    try:
+        value = parse_graph_text(text, allow_parallel=parallel, allow_loops=loops)
+    except FormatError:
+        return
+    assert parse_graph_text(graph_to_text(value), allow_parallel=parallel, allow_loops=loops) == value
 
 
 def test_parse_flags_allow_multigraph():

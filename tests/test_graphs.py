@@ -291,6 +291,40 @@ def test_retarget_head_duplicate_rejected():
         apply_edit(d, EditOp.retarget_head(0, 1, 2))  # (0,2) already present
 
 
+def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
+    simple = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
+    multi = Graph(5, ((0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4)), allow_parallel=True, allow_loops=True)
+    d = Digraph(4, ((0, 1), (1, 0), (1, 2), (2, 3)))
+
+    def refuse(self):
+        raise AssertionError("an edit re-ran the validating constructor")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Digraph, "__post_init__", refuse)
+    cases = [
+        (simple, EditOp.add_edge(2, 1), ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4))),
+        (simple, EditOp.remove_edge(3, 0), ((0, 1), (0, 2), (3, 4))),
+        (simple, EditOp.retarget_edge(2, 0, 4), ((0, 1), (0, 3), (0, 4), (3, 4))),
+        (simple, EditOp.move_branch(0, 3, 1), ((0, 1), (0, 2), (1, 3), (3, 4))),
+        (multi, EditOp.add_edge(1, 0), ((0, 1), (0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4))),
+        (multi, EditOp.add_edge(4, 4), ((0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4), (4, 4))),
+        (multi, EditOp.remove_edge(0, 1), ((0, 1), (0, 2), (0, 3), (2, 2), (3, 4))),
+        (multi, EditOp.retarget_edge(0, 2, 2), ((0, 1), (0, 1), (0, 3), (2, 2), (2, 2), (3, 4))),
+        (multi, EditOp.move_branch(0, 3, 1), ((0, 1), (0, 1), (0, 2), (1, 3), (2, 2), (3, 4))),
+        (d, EditOp.reverse_arc(1, 2), ((0, 1), (1, 0), (2, 1), (2, 3))),
+        (d, EditOp.retarget_tail(2, 3, 0), ((0, 1), (0, 3), (1, 0), (1, 2))),
+        (d, EditOp.retarget_head(1, 0, 3), ((0, 1), (1, 2), (1, 3), (2, 3))),
+    ]
+    for parent, op, want in cases:
+        child = apply_edit(parent, op)
+        assert type(child) is type(parent) and child.vertex_count == parent.vertex_count
+        if isinstance(parent, Graph):
+            assert child.edges == want
+            assert (child.allow_parallel, child.allow_loops) == (parent.allow_parallel, parent.allow_loops)
+        else:
+            assert child.arcs == want
+
+
 def test_edit_kind_wire_values():
     assert EditKind.ADD_EDGE.value == "add-edge"
     assert EditKind.MOVE_BRANCH.value == "move-branch"

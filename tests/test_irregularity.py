@@ -201,10 +201,16 @@ def test_branch_move_delta_matches_recompute(g, data):
     valid = []
     for op in candidates:
         try:
-            apply_edit(g, op)
+            child = apply_edit(g, op)
         except EditError:
             continue
         valid.append(op)
+        # the child equals the validated value of edges the test splices itself
+        u, root = op.endpoints
+        edges = list(g.edges)
+        edges.remove(_norm(u, root))
+        edges.append(_norm(op.target, root))
+        assert child == Graph(g.vertex_count, tuple(edges), g.allow_parallel, g.allow_loops)
     if not valid:
         return
     op = data.draw(st.sampled_from(valid))
@@ -280,6 +286,8 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
     value, counts = data.draw(walk_starts(kind))
     n = value.vertex_count
     directed = kind == "digraph"
+    # flags come from the start value, so a child that loses them cannot compare equal
+    parallel, loops = (False, False) if directed else (value.allow_parallel, value.allow_loops)
 
     def own_irr():
         if directed:
@@ -299,7 +307,7 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
         if directed:
             moves = _digraph_moves(n, counts)
         else:
-            moves = _graph_moves(n, counts, value.allow_parallel, value.allow_loops)
+            moves = _graph_moves(n, counts, parallel, loops)
         op, removed, added = data.draw(st.sampled_from(moves))
         delta = exact_delta_for_edit(value, op)
         value = apply_edit(value, op)
@@ -312,7 +320,7 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
             assert all(value.has_arc(t, h) == (counts[(t, h)] > 0) for t in range(n) for h in range(n))
         else:
             running += delta
-            assert value == Graph(n, tuple(counts.elements()), value.allow_parallel, value.allow_loops)
+            assert value == Graph(n, tuple(counts.elements()), parallel, loops)
             assert all(value.has_edge(a, b) == (counts[_norm(a, b)] > 0) for a in range(n) for b in range(n))
         assert running == own_irr()
 
