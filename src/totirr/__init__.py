@@ -1,130 +1,40 @@
 """Total irregularity of graphs and digraphs: exact values, incremental
 deltas under edits, closed forms for standard families, and differential
-audits of the prediction formulas against a brute-force oracle."""
+audits of the prediction formulas against a brute-force oracle.
 
-from .audit import (
-    AuditReport,
-    AuditRow,
-    FormulaStat,
-    PredictionOutcome,
-    lemma34_suite,
-    run_arc_transform_suite,
-    run_closed_form_suite,
-    run_edge_joint_suite,
-    run_edge_transform_suite,
-)
+The root re-exports the names the README uses; everything else is imported
+from its submodule (`totirr.audit`, `totirr.predictors`, ...)."""
+
 from .fileio import FormatError, graph_to_text, parse_graph_text, read_graph_file, write_graph_file
-from .graphs import (
-    AnyGraph,
-    DegreeMultiset,
-    Digraph,
-    EditError,
-    EditKind,
-    EditOp,
-    Graph,
-    GraphError,
-    apply_edit,
-    cut_side,
-    degree_multiset,
-    edit_degree_changes,
-    is_cut_edge,
-)
-from .irregularity import (
-    IrrPair,
-    delta_for_degree_change,
-    exact_delta_for_edit,
-    irr_digraph,
-    irr_fast,
-    irr_graph,
-    irr_naive,
-)
-from .partitions import (
-    JointPartitionCounts,
-    Relation,
-    TransformPartitionCounts,
-    joint_partition,
-    transform_counts,
-)
-from .predictors import (
-    FormulaId,
-    bipartite_closed_form,
-    complete_closed_form,
-    cycle_closed_form,
-    path_closed_form,
-    prop27,
-    prop27_formula_id,
-    prop47_formula_id,
-    thm21_final,
-    thm21_interim,
-    thm33_formula_id,
-    thm33_predict,
-)
+from .graphs import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
+from .irregularity import exact_delta_for_edit, irr_fast, irr_graph, irr_naive
+from .partitions import joint_partition, transform_counts
 from .rng import SplitMix64
-from .transforms import (
-    arc_transformation,
-    branch_transformation,
-    disjoint_union,
-    edge_joint,
-    edge_transformation,
-)
-
-__version__ = "0.1.0"
+from .transforms import arc_transformation, branch_transformation, edge_joint, edge_transformation
 
 __all__ = [
-    "AnyGraph",
-    "AuditReport",
-    "AuditRow",
     "DegreeMultiset",
     "Digraph",
     "EditError",
-    "EditKind",
     "EditOp",
     "FormatError",
-    "FormulaId",
-    "FormulaStat",
     "Graph",
     "GraphError",
-    "IrrPair",
-    "JointPartitionCounts",
-    "PredictionOutcome",
-    "Relation",
     "SplitMix64",
-    "TransformPartitionCounts",
     "apply_edit",
     "arc_transformation",
-    "bipartite_closed_form",
     "branch_transformation",
-    "complete_closed_form",
     "cut_side",
-    "cycle_closed_form",
-    "degree_multiset",
-    "delta_for_degree_change",
-    "disjoint_union",
     "edge_joint",
     "edge_transformation",
-    "edit_degree_changes",
     "exact_delta_for_edit",
     "graph_to_text",
-    "irr_digraph",
     "irr_fast",
     "irr_graph",
     "irr_naive",
-    "is_cut_edge",
     "joint_partition",
-    "lemma34_suite",
     "parse_graph_text",
-    "path_closed_form",
-    "prop27",
-    "prop27_formula_id",
-    "prop47_formula_id",
     "read_graph_file",
-    "run_arc_transform_suite",
-    "run_closed_form_suite",
-    "run_edge_joint_suite",
-    "run_edge_transform_suite",
-    "thm21_final",
-    "thm21_interim",
-    "thm33_formula_id",
-    "thm33_predict",
     "transform_counts",
+    "write_graph_file",
 ]

@@ -52,7 +52,18 @@ from .generators import (
     random_tree,
     star,
 )
-from .graphs import AnyGraph, DegreeMode, Digraph, EditOp, Graph, apply_edit, cut_side, degree_multiset
+from .graphs import (
+    AnyGraph,
+    DegreeMode,
+    Digraph,
+    EditError,
+    EditOp,
+    Graph,
+    _branch_component,
+    apply_edit,
+    cut_side,
+    degree_multiset,
+)
 from .irregularity import exact_delta_for_edit, irr_digraph, irr_naive
 from .partitions import joint_partition, transform_counts
 from .predictors import (
@@ -97,10 +108,6 @@ class AuditRow:
     def engine_ok(self) -> bool:
         return self.engine_delta == self.irr_after_oracle - self.irr_before
 
-    @property
-    def has_disagreement(self) -> bool:
-        return any(not p.agrees for p in self.predictions)
-
 
 @dataclass(frozen=True)
 class FormulaStat:
@@ -139,7 +146,7 @@ class AuditReport:
 
     @property
     def disagreements(self) -> tuple[AuditRow, ...]:
-        return tuple(row for row in self.rows if row.has_disagreement or not row.engine_ok)
+        return tuple(row for row in self.rows if not row.engine_ok or not all(p.agrees for p in row.predictions))
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -511,8 +518,6 @@ def _lemma34_witnesses() -> list[tuple[Graph, str, int, int, int]]:
 
 def _branch_candidates(g: Graph) -> list[tuple[int, int, int]]:
     """All valid (attachment, branch root, pendant destination) triples."""
-    from .graphs import EditError, _branch_component
-
     out = []
     pendants = [v for v in range(g.vertex_count) if g.degrees[v] == 1]
     for u in range(g.vertex_count):

@@ -40,12 +40,9 @@ from .generators import (
     random_tree,
     star,
 )
-from .graphs import Digraph, Graph
+from .graphs import Digraph
 from .irregularity import irr_digraph, irr_graph
 from .transforms import arc_transformation, edge_joint, edge_transformation
-
-_RANDOM_SUITE_DEFAULT = 1000
-_CLOSED_FORM_DEFAULT = 64
 
 
 def _parse_seed(text: str) -> int:
@@ -117,20 +114,20 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
+# suite -> (default --instances, runner of (instances, seed)); like the family
+# builders, each runner looks its suite function up by name when it is called
+_SUITES = {
+    "edge-joint": (1000, lambda n, seed: run_edge_joint_suite(n, seed)),
+    "edge-transform": (1000, lambda n, seed: run_edge_transform_suite(n, seed)),
+    "arc-transform": (1000, lambda n, seed: run_arc_transform_suite(n, seed)),
+    "closed-forms": (64, lambda max_n, seed: run_closed_form_suite(max_n)),
+    "lemma34": (1000, lambda n, seed: lemma34_suite(n, seed)),
+}
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
-    suite = args.suite
-    if suite == "closed-forms":
-        max_n = args.instances if args.instances is not None else _CLOSED_FORM_DEFAULT
-        report = run_closed_form_suite(max_n)
-    else:
-        count = args.instances if args.instances is not None else _RANDOM_SUITE_DEFAULT
-        runner = {
-            "edge-joint": run_edge_joint_suite,
-            "edge-transform": run_edge_transform_suite,
-            "arc-transform": run_arc_transform_suite,
-            "lemma34": lemma34_suite,
-        }[suite]
-        report = runner(count, args.seed)
+    default, run = _SUITES[args.suite]
+    report = run(args.instances if args.instances is not None else default, args.seed)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -140,63 +137,50 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.engine_ok else 1
 
 
-def _need_params(family: str, params: Sequence[int], want: int) -> None:
-    if len(params) != want:
-        raise ValueError(f"family {family} takes {want} parameter(s), got {len(params)}")
+# family -> (parameter count, builder of the graph from the parameters and the parsed flags)
+_FAMILIES = {
+    "path": (1, lambda p, args: path(*p)),
+    "cycle": (1, lambda p, args: cycle(*p)),
+    "complete": (1, lambda p, args: complete(*p)),
+    "star": (1, lambda p, args: star(*p)),
+    "complete-bipartite": (2, lambda p, args: complete_bipartite(*p)),
+    "empty": (1, lambda p, args: empty_graph(*p)),
+    "matching": (1, lambda p, args: matching(*p)),
+    "random": (1, lambda p, args: random_graph(*p, args.p_index, args.seed)),
+    "tree": (1, lambda p, args: random_tree(*p, args.seed)),
+    "connected": (1, lambda p, args: random_connected(*p, args.p_index, args.seed)),
+    "random-digraph": (1, lambda p, args: random_digraph(*p, args.p_index, args.seed)),
+}
 
-
-def _build_family(args: argparse.Namespace) -> Graph:
-    family = args.family
-    params = args.params
-    if family == "path":
-        _need_params(family, params, 1)
-        return path(params[0])
-    if family == "cycle":
-        _need_params(family, params, 1)
-        return cycle(params[0])
-    if family == "complete":
-        _need_params(family, params, 1)
-        return complete(params[0])
-    if family == "star":
-        _need_params(family, params, 1)
-        return star(params[0])
-    if family == "complete-bipartite":
-        _need_params(family, params, 2)
-        return complete_bipartite(params[0], params[1])
-    if family == "empty":
-        _need_params(family, params, 1)
-        return empty_graph(params[0])
-    if family == "matching":
-        _need_params(family, params, 1)
-        return matching(params[0])
-    if family == "random":
-        _need_params(family, params, 1)
-        return random_graph(params[0], args.p_index, args.seed)
-    if family == "tree":
-        _need_params(family, params, 1)
-        return random_tree(params[0], args.seed)
-    if family == "connected":
-        _need_params(family, params, 1)
-        return random_connected(params[0], args.p_index, args.seed)
-    raise ValueError(f"unknown family: {family}")
+# Vertex pairs examined by the quadratic generators, from nonnegative
+# parameters; generate refuses more than _MAX_PAIRS before building anything.
+_PAIRS = {
+    "complete": lambda n: n * (n - 1) // 2,
+    "complete-bipartite": lambda m, n: m * n,
+    "random": lambda n: n * (n - 1) // 2,
+    "connected": lambda n: n * (n - 1) // 2,
+    "random-digraph": lambda n: n * (n - 1),
+}
+_MAX_PAIRS = 2_000_000
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.family == "random-digraph":
-        _need_params(args.family, args.params, 1)
-        if args.orient != "none":
-            raise ValueError("random-digraph is already directed")
-        out: Graph | Digraph = random_digraph(args.params[0], args.p_index, args.seed)
-    else:
-        g = _build_family(args)
-        if args.orient == "none":
-            out = g
-        elif args.orient == "labeling":
-            out = orient_by_labeling(g, tuple(range(g.vertex_count)))
-        else:
-            if args.family != "complete-bipartite":
-                raise ValueError("left-right orientation only applies to complete-bipartite")
-            out = orient_left_right(args.params[0], args.params[1])
+    family, params = args.family, args.params
+    arity, build = _FAMILIES[family]
+    if len(params) != arity:
+        raise ValueError(f"family {family} takes {arity} parameter(s), got {len(params)}")
+    if family == "random-digraph" and args.orient != "none":
+        raise ValueError("random-digraph is already directed")
+    pairs = _PAIRS[family](*(max(x, 0) for x in params)) if family in _PAIRS else 0
+    if pairs > _MAX_PAIRS:
+        raise ValueError(f"family {family} would examine {pairs} vertex pairs, more than {_MAX_PAIRS}")
+    out = build(params, args)
+    if args.orient == "labeling":
+        out = orient_by_labeling(out, tuple(range(out.vertex_count)))
+    elif args.orient == "left-right":
+        if family != "complete-bipartite":
+            raise ValueError("left-right orientation only applies to complete-bipartite")
+        out = orient_left_right(*params)
     write_graph_file(args.out, out)
     return 0
 
@@ -231,11 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("audit", help="run a differential audit suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("edge-joint", "edge-transform", "arc-transform", "closed-forms", "lemma34"),
-    )
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p.add_argument("--instances", type=_positive_int, help="instance count; vertex cap for closed-forms")
     p.add_argument("--seed", type=_parse_seed, default=0xC0FFEE, help="decimal or 0x-prefixed")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -243,23 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("generate", help="write a generated graph in edge-list format")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=(
-            "path",
-            "cycle",
-            "complete",
-            "star",
-            "complete-bipartite",
-            "empty",
-            "matching",
-            "random",
-            "tree",
-            "connected",
-            "random-digraph",
-        ),
-    )
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--params", type=int, nargs="+", required=True)
     p.add_argument("--orient", choices=("none", "labeling", "left-right"), default="none")
     p.add_argument("--seed", type=_parse_seed, default=0)

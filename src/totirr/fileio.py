@@ -34,12 +34,7 @@ _INT_EXTRAS = "+_\t\v\f\r"
 _EDGE_LINE = "-0123456789 "
 
 
-def parse_graph_text(
-    text: str,
-    *,
-    allow_parallel: bool = False,
-    allow_loops: bool = False,
-) -> AnyGraph:
+def parse_graph_text(text: str) -> AnyGraph:
     header = None
     pairs: list[tuple[int, int]] = []
     check = not text.isascii() or any(c in text for c in _INT_EXTRAS)
@@ -75,7 +70,7 @@ def parse_graph_text(
     kind, n = header
     try:
         if kind == "U":
-            return Graph(n, tuple(pairs), allow_parallel, allow_loops)
+            return Graph(n, tuple(pairs))
         return Digraph(n, tuple(pairs))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
@@ -93,14 +88,9 @@ def graph_to_text(g: AnyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph_file(
-    path: Union[str, os.PathLike],
-    *,
-    allow_parallel: bool = False,
-    allow_loops: bool = False,
-) -> AnyGraph:
+def read_graph_file(path: Union[str, os.PathLike]) -> AnyGraph:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_graph_text(fh.read(), allow_parallel=allow_parallel, allow_loops=allow_loops)
+        return parse_graph_text(fh.read())
 
 
 def write_graph_file(path: Union[str, os.PathLike], g: AnyGraph) -> None:

@@ -39,6 +39,11 @@ def _normalize(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _check_vertex(g: "AnyGraph", v: int) -> None:
+    if not (0 <= v < g.vertex_count):
+        raise GraphError(f"vertex {v} outside range 0..{g.vertex_count - 1}")
+
+
 def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> int:
     """Copies of item in the sorted tuple items."""
     return bisect_right(items, item) - bisect_left(items, item)
@@ -85,7 +90,7 @@ class Graph:
         return tuple(deg)
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        _check_vertex(self, v)
         return self.degrees[v]
 
     @cached_property
@@ -104,41 +109,8 @@ class Graph:
         return tuple(tuple(sorted(s)) for s in nb)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
+        _check_vertex(self, v)
         return self._adjacency[v]
-
-    def connected_components(self) -> list[list[int]]:
-        """Vertex lists of the components, each sorted, ordered by minimum id."""
-        seen = [False] * self.vertex_count
-        comps = []
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        return self.vertex_count <= 1 or len(self.connected_components()) == 1
-
-    def add_edge(self, a: int, b: int) -> "Graph":
-        return apply_edit(self, EditOp.add_edge(a, b))
-
-    def remove_edge(self, a: int, b: int) -> "Graph":
-        return apply_edit(self, EditOp.remove_edge(a, b))
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
-            raise GraphError(f"vertex {v} outside range 0..{self.vertex_count - 1}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +157,6 @@ class Digraph:
             deg[t] += 1
         return tuple(deg)
 
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.in_degrees[v]
-
-    def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.out_degrees[v]
-
     @cached_property
     def _in_multiset(self) -> "DegreeMultiset":
         return DegreeMultiset.from_degrees(self.in_degrees)
@@ -203,10 +167,6 @@ class Digraph:
 
     def has_arc(self, tail: int, head: int) -> bool:
         return _multiplicity(self.arcs, (tail, head)) > 0
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.vertex_count):
-            raise GraphError(f"vertex {v} outside range 0..{self.vertex_count - 1}")
 
 
 AnyGraph = Union[Graph, Digraph]
@@ -277,12 +237,6 @@ class DegreeMultiset:
 
     def is_regular(self) -> bool:
         return len(self.entries) <= 1
-
-    def merge(self, other: "DegreeMultiset") -> "DegreeMultiset":
-        counts = Counter(dict(self.entries))
-        for value, mult in other.entries:
-            counts[value] += mult
-        return DegreeMultiset(tuple(sorted(counts.items())))
 
     def replace_one(self, old: int, new: int) -> "DegreeMultiset":
         """Move one vertex from degree old to degree new."""
@@ -369,25 +323,6 @@ class EditOp:
     def move_branch(cls, attachment: int, branch_root: int, destination: int) -> "EditOp":
         return cls(EditKind.MOVE_BRANCH, (attachment, branch_root), destination)
 
-    def inverse(self) -> "EditOp":
-        """The edit that undoes this one on the edited value."""
-        a, b = self.endpoints
-        if self.kind is EditKind.ADD_EDGE:
-            return EditOp.remove_edge(a, b)
-        if self.kind is EditKind.REMOVE_EDGE:
-            return EditOp.add_edge(a, b)
-        if self.kind is EditKind.RETARGET_EDGE_END:
-            return EditOp.retarget_edge(self.target, b, a)
-        if self.kind is EditKind.REVERSE_ARC:
-            return EditOp.reverse_arc(b, a)
-        if self.kind is EditKind.RETARGET_ARC_TAIL:
-            return EditOp.retarget_tail(self.target, b, a)
-        if self.kind is EditKind.RETARGET_ARC_HEAD:
-            return EditOp.retarget_head(a, self.target, b)
-        if self.kind is EditKind.MOVE_BRANCH:
-            return EditOp.move_branch(self.target, b, a)
-        raise EditError(f"unknown edit kind {self.kind}")
-
     def describe(self) -> str:
         """Compact single-line descriptor; never contains a comma."""
         a, b = self.endpoints
@@ -416,8 +351,8 @@ def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[
     if op.kind not in _GRAPH_KINDS:
         raise EditError(f"{op.kind.value} does not apply to an undirected graph")
     a, b = op.endpoints
-    g._check_vertex(a)
-    g._check_vertex(b)
+    _check_vertex(g, a)
+    _check_vertex(g, b)
 
     if op.kind is EditKind.ADD_EDGE:
         if a == b and not g.allow_loops:
@@ -433,7 +368,7 @@ def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[
 
     if op.kind is EditKind.RETARGET_EDGE_END:
         moved, kept, target = a, b, op.target
-        g._check_vertex(target)
+        _check_vertex(g, target)
         if not g.has_edge(moved, kept):
             raise EditError(f"edge ({moved}, {kept}) not present")
         if target == moved:
@@ -446,7 +381,7 @@ def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[
 
     # MOVE_BRANCH
     attachment, root, destination = a, b, op.target
-    g._check_vertex(destination)
+    _check_vertex(g, destination)
     if not g.has_edge(attachment, root):
         raise EditError(f"edge ({attachment}, {root}) not present")
     if destination == attachment:
@@ -464,8 +399,8 @@ def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], l
     if op.kind in _GRAPH_KINDS:
         raise EditError(f"{op.kind.value} does not apply to a digraph")
     tail, head = op.endpoints
-    d._check_vertex(tail)
-    d._check_vertex(head)
+    _check_vertex(d, tail)
+    _check_vertex(d, head)
     if not d.has_arc(tail, head):
         raise EditError(f"arc ({tail}, {head}) not present")
 
@@ -475,7 +410,7 @@ def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], l
         return [(tail, head)], [(head, tail)]
 
     target = op.target
-    d._check_vertex(target)
+    _check_vertex(d, target)
     if op.kind is EditKind.RETARGET_ARC_TAIL:
         if target == tail:
             raise EditError("new tail equals the current tail")
@@ -485,16 +420,14 @@ def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], l
             raise EditError(f"arc ({target}, {head}) already present")
         return [(tail, head)], [(target, head)]
 
-    if op.kind is EditKind.RETARGET_ARC_HEAD:
-        if target == head:
-            raise EditError("new head equals the current head")
-        if target == tail:
-            raise EditError(f"retarget would create self-arc at {tail}")
-        if d.has_arc(tail, target):
-            raise EditError(f"arc ({tail}, {target}) already present")
-        return [(tail, head)], [(tail, target)]
-
-    raise EditError(f"unknown edit kind {op.kind}")  # pragma: no cover
+    # RETARGET_ARC_HEAD
+    if target == head:
+        raise EditError("new head equals the current head")
+    if target == tail:
+        raise EditError(f"retarget would create self-arc at {tail}")
+    if d.has_arc(tail, target):
+        raise EditError(f"arc ({tail}, {target}) already present")
+    return [(tail, head)], [(tail, target)]
 
 
 def _splice(items: tuple, removed: list, added: list) -> tuple:
@@ -602,7 +535,3 @@ def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
             stack.append(w)
     return sorted(seen)
 
-
-def is_cut_edge(g: Graph, edge: tuple[int, int]) -> bool:
-    """True iff removing one copy of edge increases the component count."""
-    return cut_side(g, *edge) is not None

@@ -8,7 +8,7 @@ operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import Digraph, EditOp, Graph, GraphError, apply_edit, cut_side
+from .graphs import Digraph, EditOp, Graph, GraphError, _check_vertex, apply_edit, cut_side
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -28,8 +28,8 @@ def edge_joint(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
 
     u is a g1 id and v a g2 id; in the result v becomes v + g1.vertex_count.
     """
-    g1._check_vertex(u)
-    g2._check_vertex(v)
+    _check_vertex(g1, u)
+    _check_vertex(g2, v)
     union = disjoint_union(g1, g2)
     return apply_edit(union, EditOp.add_edge(u, g1.vertex_count + v))
 

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for graph-shaped test data."""
+"""Shared hypothesis strategies for graph-shaped test data, and the reference
+component sweep that the cut-edge search is checked against."""
 
 from hypothesis import strategies as st
 
@@ -37,3 +38,24 @@ def digraphs(draw, min_n=1, max_n=10):
     flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     arcs = tuple((b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips))
     return Digraph(n, arcs)
+
+
+def connected_components(g):
+    """Vertex lists of the components, each sorted, ordered by minimum id."""
+    seen = [False] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps

@@ -7,20 +7,9 @@ measured with time.perf_counter around the work they cover.
 
 import time
 
-from totirr import (
-    DegreeMultiset,
-    SplitMix64,
-    bipartite_closed_form,
-    complete_closed_form,
-    cycle_closed_form,
-    degree_multiset,
-    edge_joint,
-    irr_fast,
-    irr_graph,
-    irr_naive,
+from totirr import DegreeMultiset, SplitMix64, edge_joint, irr_fast, irr_graph, irr_naive
+from totirr.audit import (
     lemma34_suite,
-    path_closed_form,
-    prop27,
     run_arc_transform_suite,
     run_closed_form_suite,
     run_edge_joint_suite,
@@ -28,6 +17,8 @@ from totirr import (
 )
 from totirr.cli import main
 from totirr.generators import cycle, empty_graph, random_graph
+from totirr.graphs import degree_multiset
+from totirr.predictors import bipartite_closed_form, complete_closed_form, cycle_closed_form, path_closed_form, prop27
 
 SEED = 0xC0FFEE
 

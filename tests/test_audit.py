@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totirr import (
-    Graph,
-    GraphError,
-    degree_multiset,
-    irr_naive,
+from totirr import Graph, GraphError, irr_naive
+from totirr.audit import (
+    CSV_HEADER,
+    _lemma34_row,
+    edge_transform_row,
     lemma34_suite,
     run_arc_transform_suite,
     run_closed_form_suite,
     run_edge_joint_suite,
     run_edge_transform_suite,
 )
-from totirr.audit import CSV_HEADER, _lemma34_row, edge_transform_row
+from totirr.graphs import degree_multiset
 
 SEED = 0xC0FFEE
 

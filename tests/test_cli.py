@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from totirr import cli
 from totirr.cli import main
 
 
@@ -205,12 +207,56 @@ def test_generate_oriented_bipartite(tmp_path, capsys):
     assert out_file.read_text(encoding="utf-8") == "D 4\n0 2\n0 3\n1 2\n1 3\n"
 
 
-def test_generate_param_count_checked(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "generate", "--family", "path", "--params", "3", "4", "--out", str(tmp_path / "x.txt"),
-    )
-    assert code == 2
-    assert "error:" in err
+# every generate family at its README arity
+_README_PARAMS = {
+    "path": ["4"],
+    "cycle": ["5"],
+    "complete": ["4"],
+    "star": ["3"],
+    "complete-bipartite": ["2", "3"],
+    "empty": ["3"],
+    "matching": ["2"],
+    "random": ["6"],
+    "tree": ["6"],
+    "connected": ["6"],
+    "random-digraph": ["6"],
+}
+
+
+@pytest.mark.parametrize("family", list(_README_PARAMS))
+def test_generate_param_count_checked(tmp_path, capsys, family):
+    params = _README_PARAMS[family]
+    out_file = str(tmp_path / "x.txt")
+    assert run(capsys, "generate", "--family", family, "--params", *params, "--out", out_file) == (0, "", "")
+    code, out, err = run(capsys, "generate", "--family", family, "--params", *params, "7", "--out", out_file)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {family} takes {len(params)} parameter(s), got {len(params) + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "family, sizes, pairs",
+    [
+        ("complete", "100000", 4999950000),
+        ("complete", "2001", 2001000),
+        ("random", "2001", 2001000),
+        ("connected", "2001", 2001000),
+        ("random-digraph", "1415", 2000810),
+        ("complete-bipartite", "1000 2001", 2001000),
+    ],
+)
+def test_generate_refuses_more_than_the_pair_cap(tmp_path, capsys, monkeypatch, family, sizes, pairs):
+    def refuse(*args):
+        raise AssertionError("the graph was built before the pair cap was checked")
+
+    for name in ("complete", "complete_bipartite", "random_graph", "random_connected", "random_digraph"):
+        monkeypatch.setattr(cli, name, refuse)
+    out_file = tmp_path / "x.txt"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "--family", family, "--params", *sizes.split(), "--out", str(out_file))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: family {family} would examine {pairs} vertex pairs, more than 2000000\n"
+    assert not out_file.exists()
 
 
 def test_generate_left_right_requires_bipartite(tmp_path, capsys):

@@ -100,19 +100,13 @@ _lines = st.one_of(
 )
 
 
-@given(st.one_of(st.text(), st.lists(_lines, max_size=12).map("\n".join)), st.booleans(), st.booleans())
-def test_arbitrary_text_fails_only_with_format_error(text, parallel, loops):
+@given(st.one_of(st.text(), st.lists(_lines, max_size=12).map("\n".join)))
+def test_arbitrary_text_fails_only_with_format_error(text):
     try:
-        value = parse_graph_text(text, allow_parallel=parallel, allow_loops=loops)
+        value = parse_graph_text(text)
     except FormatError:
         return
-    assert parse_graph_text(graph_to_text(value), allow_parallel=parallel, allow_loops=loops) == value
-
-
-def test_parse_flags_allow_multigraph():
-    g = parse_graph_text("U 3\n0 1\n0 1\n1 1\n", allow_parallel=True, allow_loops=True)
-    assert g.edge_count == 3
-    assert g.degrees == (2, 4, 0)
+    assert parse_graph_text(graph_to_text(value)) == value
 
 
 def test_canonical_output():

@@ -1,6 +1,6 @@
 import pytest
 
-from totirr import Digraph, Graph, GraphError, SplitMix64, degree_multiset, irr_digraph
+from totirr import Digraph, EditOp, Graph, GraphError, SplitMix64, apply_edit, cut_side
 from totirr.generators import (
     P_TABLE,
     complete,
@@ -18,6 +18,10 @@ from totirr.generators import (
     random_tree,
     star,
 )
+from totirr.graphs import degree_multiset
+from totirr.irregularity import irr_digraph
+
+from strategies import connected_components
 
 
 # --- fixed families ---------------------------------------------------------
@@ -130,14 +134,14 @@ def test_random_tree_is_tree():
     for seed in range(10):
         t = random_tree(9, seed)
         assert t.edge_count == 8
-        assert t.is_connected()
+        assert len(connected_components(t)) == 1
     assert random_tree(1, 0) == Graph(1, ())
 
 
 def test_random_connected_is_connected():
     for seed in range(10):
         g = random_connected(11, 1, seed)
-        assert g.is_connected()
+        assert len(connected_components(g)) == 1
     with pytest.raises(GraphError):
         random_connected(0, 1, 0)
 
@@ -145,14 +149,12 @@ def test_random_connected_is_connected():
 def test_random_connected_with_cut_edge():
     for seed in range(20):
         g, (u1, v1) = random_connected_with_cut_edge(12, seed, min_master=2)
-        assert g.is_connected()
+        assert len(connected_components(g)) == 1
         assert g.has_edge(u1, v1)
-        from totirr import is_cut_edge
-
-        assert is_cut_edge(g, (u1, v1))
+        assert cut_side(g, u1, v1) is not None
         # master side keeps at least min_master vertices
-        cut = g.remove_edge(u1, v1)
-        master = next(c for c in cut.connected_components() if u1 in c)
+        cut = apply_edit(g, EditOp.remove_edge(u1, v1))
+        master = next(c for c in connected_components(cut) if u1 in c)
         assert len(master) >= 2
 
 

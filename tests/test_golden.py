@@ -1,4 +1,5 @@
-"""Golden bytes: audit reports and README CLI examples at pinned inputs.
+"""Golden bytes: audit reports, and the README's Python quick start and CLI
+examples, at pinned inputs.
 
 The digests are sha256 of each suite's CSV and JSON report at seed
 0xC0FFEE. Any refactor of the audit, partitions, predictors or graph layers
@@ -6,6 +7,8 @@ must leave every one of them, and the README's example stdout, unchanged.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from totirr.audit import (
 from totirr.cli import main
 
 SEED = 0xC0FFEE
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GOLDEN = {
     "edge-joint": (
@@ -93,3 +97,15 @@ def test_readme_transform_example(tmp_path, capsys):
         "engine_delta=2\n"
         "formula=Thm33Case2 predicted=6 agrees=true\n"
     )
+
+
+def test_readme_quick_start(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    exec(block, {})
+    assert capsys.readouterr().out == "4\n4\n2\n12\n"
+
+
+def test_readme_compute_example(tmp_path, capsys):
+    star = str(tmp_path / "star.g")
+    assert _cli(capsys, "generate", "--family", "star", "--params", "4", "--out", star) == (0, "")
+    assert _cli(capsys, "compute", "--input", star) == (0, "irr_t=12\n")

@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totirr import (
-    DegreeMultiset,
-    Digraph,
-    Graph,
-    GraphError,
-    Relation,
-    TransformPartitionCounts,
-    degree_multiset,
-    joint_partition,
-    transform_counts,
-)
+from totirr import DegreeMultiset, Digraph, Graph, GraphError, joint_partition, transform_counts
+from totirr.graphs import degree_multiset
+from totirr.partitions import Relation, TransformPartitionCounts
 
 from strategies import multisets
 

@@ -4,20 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totirr import (
-    DegreeMultiset,
-    Digraph,
+from totirr import DegreeMultiset, Digraph, Graph, GraphError, joint_partition
+from totirr.irregularity import IrrPair, irr_digraph
+from totirr.partitions import Relation, TransformPartitionCounts
+from totirr.predictors import (
     FormulaId,
-    Graph,
-    GraphError,
-    IrrPair,
-    Relation,
-    TransformPartitionCounts,
     bipartite_closed_form,
     complete_closed_form,
     cycle_closed_form,
-    irr_digraph,
-    joint_partition,
     path_closed_form,
     prop27,
     prop27_formula_id,
