@@ -355,7 +355,7 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
         others = [t for t in range(n) if t != moved]
         return g, f"multi(n={n} m={g.edge_count})", moved, kept, others[rng.below(len(others))]
     n = 4 + rng.below(37)
-    g, (u1, v1) = random_connected_with_cut_edge(n, rng, min_master=2)
+    g, (u1, v1) = random_connected_with_cut_edge(n, rng)
     others = [w for w in cut_side(g, v1, u1) if w != u1]
     return g, f"planted(n={n})", u1, v1, others[rng.below(len(others))]
 
@@ -448,7 +448,7 @@ def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
 # --- closed-form suite ------------------------------------------------------
 
 
-def run_closed_form_suite(max_n: int = 64) -> AuditReport:
+def run_closed_form_suite(max_n: int) -> AuditReport:
     """Compare generated families against their closed forms, per mode.
 
     Family caps: complete, path, and cycle orientations go up to max_n
@@ -476,29 +476,26 @@ def run_closed_form_suite(max_n: int = 64) -> AuditReport:
             got = irr_digraph(orient_left_right(m, k))
             emit(f"bipartite-orient m={m} n={k}", got, got, (0, 0), FormulaId.PROP49, bipartite_closed_form(m, k))
 
+    def reversals(family, base, fid, want_none, want_at):
+        """The reverse=none row, then one row per reversed arc (pos - 1, pos mod n), pos = 1..arc count."""
+        base_pair = irr_digraph(base)
+        emit(f"{family} reverse=none", base_pair, base_pair, (0, 0), fid, want_none)
+        for pos in range(1, base.arc_count + 1):
+            op = EditOp.reverse_arc(pos - 1, pos % base.vertex_count)
+            after_pair = irr_digraph(apply_edit(base, op))
+            emit(f"{family} reverse={pos}", base_pair, after_pair, exact_delta_for_edit(base, op), fid, want_at(pos))
+
     for k in range(2, max_n + 1):
         base = orient_by_labeling(path(k), tuple(range(k)))
-        base_pair = irr_digraph(base)
-        emit(f"path-orient n={k} reverse=none", base_pair, base_pair, (0, 0), FormulaId.PROP43, path_closed_form(k))
-        for pos in range(1, k):
-            op = EditOp.reverse_arc(pos - 1, pos)
-            after_pair = irr_digraph(apply_edit(base, op))
-            deltas = exact_delta_for_edit(base, op)
-            want = path_closed_form(k, pos)
-            emit(f"path-orient n={k} reverse={pos}", base_pair, after_pair, deltas, FormulaId.PROP43, want)
+        reversals(
+            f"path-orient n={k}", base, FormulaId.PROP43, path_closed_form(k), lambda pos: path_closed_form(k, pos)
+        )
 
     for k in range(3, max_n + 1):
         # a consistent ring orientation, not the lower-to-higher labeling one
-        base = Digraph(k, tuple((i, (i + 1) % k) for i in range(k)))
-        base_pair = irr_digraph(base)
-        emit(f"cycle-orient n={k} reverse=none", base_pair, base_pair, (0, 0), FormulaId.PROP44, cycle_closed_form(k))
-        for pos in range(1, k + 1):
-            tail, head = pos - 1, pos % k
-            op = EditOp.reverse_arc(tail, head)
-            after_pair = irr_digraph(apply_edit(base, op))
-            deltas = exact_delta_for_edit(base, op)
-            want = cycle_closed_form(k, reverse=True)
-            emit(f"cycle-orient n={k} reverse={pos}", base_pair, after_pair, deltas, FormulaId.PROP44, want)
+        ring = Digraph(k, tuple((i, (i + 1) % k) for i in range(k)))
+        want = cycle_closed_form(k, reverse=True)
+        reversals(f"cycle-orient n={k}", ring, FormulaId.PROP44, cycle_closed_form(k), lambda pos: want)
 
     config = (("max_n", str(max_n)),)
     return AuditReport("closed-forms", 0, len(rows), config, tuple(rows))

@@ -174,13 +174,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     pairs = _PAIRS[family](*(max(x, 0) for x in params)) if family in _PAIRS else 0
     if pairs > _MAX_PAIRS:
         raise ValueError(f"family {family} would examine {pairs} vertex pairs, more than {_MAX_PAIRS}")
-    out = build(params, args)
-    if args.orient == "labeling":
-        out = orient_by_labeling(out, tuple(range(out.vertex_count)))
-    elif args.orient == "left-right":
+    if args.orient == "left-right":
         if family != "complete-bipartite":
             raise ValueError("left-right orientation only applies to complete-bipartite")
         out = orient_left_right(*params)
+    else:
+        out = build(params, args)
+        if args.orient == "labeling":
+            out = orient_by_labeling(out, tuple(range(out.vertex_count)))
     write_graph_file(args.out, out)
     return 0
 

@@ -146,22 +146,18 @@ def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
     return Graph(n, tuple(tree) + tuple(extra))
 
 
-def random_connected_with_cut_edge(
-    n: int,
-    seed: SeedLike,
-    *,
-    min_master: int = 1,
-) -> tuple[Graph, tuple[int, int]]:
+def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple[int, int]]:
     """Two connected halves joined by one planted bridge.
 
     Returns (graph, (u1, v1)) where u1 lies in the first half and v1 in the
-    second; the planted edge is a cut edge by construction. min_master forces
-    the first half to hold at least that many vertices.
+    second; the planted edge is a cut edge by construction. The first half
+    holds at least 2 vertices, so it has a vertex besides u1 for an end of
+    the bridge to move onto.
     """
-    if n < min_master + 1 or n < 2:
-        raise GraphError(f"need at least {max(min_master + 1, 2)} vertices")
+    if n < 3:
+        raise GraphError("need at least 3 vertices")
     rng = _stream(seed)
-    n1 = min_master + rng.below(n - min_master)
+    n1 = 2 + rng.below(n - 2)
     n2 = n - n1
     p1 = rng.below(3)
     p2 = rng.below(3)

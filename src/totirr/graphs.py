@@ -223,9 +223,6 @@ class DegreeMultiset:
     def count_eq(self, x: int) -> int:
         return self.count_le(x) - self.count_lt(x)
 
-    def count_ge(self, x: int) -> int:
-        return self.vertex_count - self.count_lt(x)
-
     def count_gt(self, x: int) -> int:
         return self.vertex_count - self.count_le(x)
 
@@ -237,17 +234,6 @@ class DegreeMultiset:
 
     def is_regular(self) -> bool:
         return len(self.entries) <= 1
-
-    def replace_one(self, old: int, new: int) -> "DegreeMultiset":
-        """Move one vertex from degree old to degree new."""
-        if self.count_eq(old) == 0:
-            raise GraphError(f"no vertex of degree {old} to move")
-        counts = Counter(dict(self.entries))
-        counts[old] -= 1
-        if counts[old] == 0:
-            del counts[old]
-        counts[new] += 1
-        return DegreeMultiset(tuple(sorted(counts.items())))
 
 
 def degree_multiset(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
@@ -452,6 +438,15 @@ def _from_valid_fields(cls: type, **fields) -> AnyGraph:
     return value
 
 
+def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Validate op against g; return (entries removed, entries added) of g's edges or arcs."""
+    if isinstance(g, Graph):
+        return _graph_edit_plan(g, op)
+    if isinstance(g, Digraph):
+        return _digraph_edit_plan(g, op)
+    raise EditError(f"unsupported value {type(g).__name__}")
+
+
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """Return a new value with op applied; the input is never mutated.
 
@@ -460,8 +455,8 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     child's degrees and degree multisets are counted lazily from its own
     edges, never carried over from g.
     """
+    removed, added = _edit_plan(g, op)
     if isinstance(g, Graph):
-        removed, added = _graph_edit_plan(g, op)
         return _from_valid_fields(
             Graph,
             vertex_count=g.vertex_count,
@@ -469,44 +464,7 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
             allow_parallel=g.allow_parallel,
             allow_loops=g.allow_loops,
         )
-    if isinstance(g, Digraph):
-        removed, added = _digraph_edit_plan(g, op)
-        return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added))
-    raise EditError(f"unsupported value {type(g).__name__}")
-
-
-def edit_degree_changes(g: AnyGraph, op: EditOp):
-    """Net per-vertex degree changes of op, without applying it.
-
-    For a Graph returns one mapping {vertex: delta}; for a Digraph returns a
-    pair (in changes, out changes). Vertices with zero net change are omitted.
-    Validation matches apply_edit exactly.
-    """
-    if isinstance(g, Graph):
-        removed, added = _graph_edit_plan(g, op)
-        delta: Counter = Counter()
-        for a, b in removed:
-            delta[a] -= 1
-            delta[b] -= 1
-        for a, b in added:
-            delta[a] += 1
-            delta[b] += 1
-        return {v: c for v, c in sorted(delta.items()) if c != 0}
-    if isinstance(g, Digraph):
-        removed, added = _digraph_edit_plan(g, op)
-        din: Counter = Counter()
-        dout: Counter = Counter()
-        for t, h in removed:
-            dout[t] -= 1
-            din[h] -= 1
-        for t, h in added:
-            dout[t] += 1
-            din[h] += 1
-        return (
-            {v: c for v, c in sorted(din.items()) if c != 0},
-            {v: c for v, c in sorted(dout.items()) if c != 0},
-        )
-    raise EditError(f"unsupported value {type(g).__name__}")
+    return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added))
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:

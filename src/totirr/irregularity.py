@@ -17,26 +17,21 @@ Values are exact Python ints. The magnitude is bounded by max_degree * n^2 / 2,
 so anything up to n = 2**20 also fits 64-bit signed words for callers that
 serialize the results.
 
-Deltas: delta_for_degree_change prices a single +-1 degree step against the
-rest of the multiset in O(log distinct); exact_delta_for_edit composes those
-steps over the one or two vertices an edit touches, updating the multiset
-between steps so simultaneous changes are priced exactly, not approximated.
+Deltas: exact_delta_for_edit prices an edit from its plan, the edges or
+arcs it removes and adds, without building another multiset. Each end of a
+removed entry steps down by one degree and each end of an added entry steps
+up by one. With le(k) the number of vertices of degree <= k, a +1 step from
+degree d changes irr by 2 le(d) - 1 - n and a -1 step by n - 1 - 2 le(d - 1),
+so each step costs one O(log distinct) lookup in the parent's multiset plus
+the shifts earlier steps made to le, and steps that share a vertex or a
+degree are priced exactly, not approximated.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
-from .graphs import (
-    AnyGraph,
-    DegreeMultiset,
-    Digraph,
-    EditOp,
-    Graph,
-    GraphError,
-    degree_multiset,
-    edit_degree_changes,
-)
+from .graphs import AnyGraph, DegreeMultiset, Digraph, EditOp, Graph, _edit_plan, degree_multiset
 
 
 class IrrPair(NamedTuple):
@@ -83,36 +78,25 @@ def irr_digraph(d: Digraph) -> IrrPair:
     )
 
 
-def delta_for_degree_change(dm: DegreeMultiset, old_degree: int, direction: int) -> int:
-    """Exact irr change when one vertex of old_degree steps by direction (+1/-1).
+def _price_steps(dm: DegreeMultiset, degrees: Sequence[int], lowered: Iterable[int], raised: Iterable[int]) -> int:
+    """Exact irr change when each vertex in lowered steps down one degree, then each in raised up one.
 
-    For +1 the pair terms against vertices at or below the old degree grow by
-    one each and the terms against strictly higher vertices shrink by one;
-    -1 is symmetric. Only the other vertices count, hence the -1 corrections.
+    A step moves le(k) for one k only: a +1 step from d lowers le(d) by one
+    and a -1 step from d raises le(d - 1) by one. shift holds those moves on
+    top of dm.count_le, and current the degree each touched vertex has reached.
     """
-    if direction not in (1, -1):
-        raise GraphError(f"direction must be +1 or -1, got {direction}")
-    if dm.count_eq(old_degree) == 0:
-        raise GraphError(f"no vertex of degree {old_degree} in the multiset")
-    if direction == 1:
-        return (dm.count_le(old_degree) - 1) - dm.count_ge(old_degree + 1)
-    if old_degree == 0:
-        raise GraphError("cannot decrement a vertex of degree 0")
-    return (dm.count_ge(old_degree) - 1) - dm.count_le(old_degree - 1)
-
-
-def _walk_changes(dm: DegreeMultiset, degrees: Sequence[int], changes: Mapping[int, int]) -> int:
-    """Apply per-vertex net changes one unit step at a time; exact total delta."""
+    n = dm.vertex_count
+    shift: dict[int, int] = {}
+    current: dict[int, int] = {}
     total = 0
-    cur = dm
-    for v in sorted(changes):
-        remaining = changes[v]
-        step = 1 if remaining > 0 else -1
-        d = degrees[v]
-        for _ in range(abs(remaining)):
-            total += delta_for_degree_change(cur, d, step)
-            cur = cur.replace_one(d, d + step)
-            d += step
+    for step, ends in ((-1, lowered), (1, raised)):
+        for v in ends:
+            d = current.get(v, degrees[v])
+            k = d if step > 0 else d - 1
+            le = dm.count_le(k) + shift.get(k, 0)
+            total += 2 * le - 1 - n if step > 0 else n - 1 - 2 * le
+            shift[k] = shift.get(k, 0) - step
+            current[v] = d + step
     return total
 
 
@@ -120,14 +104,18 @@ def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]
     """irr change caused by op, without recomputing irr from scratch.
 
     Returns an int for a Graph edit and an (in delta, out delta) pair for a
-    Digraph edit. Validation is shared with apply_edit, so an op that cannot
-    be applied raises the same error here.
+    Digraph edit. The edit plan is the one apply_edit uses, so an op that
+    cannot be applied raises the same error here. Both ends of an edge step
+    in the degrees; an arc's head steps in the in-degrees and its tail in the
+    out-degrees. The steps are priced against g's own cached multisets; no
+    other multiset is built.
     """
-    changes = edit_degree_changes(g, op)
+    removed, added = _edit_plan(g, op)
     if isinstance(g, Graph):
-        return _walk_changes(degree_multiset(g), g.degrees, changes)
-    din, dout = changes
+        return _price_steps(
+            degree_multiset(g), g.degrees, [v for e in removed for v in e], [v for e in added for v in e]
+        )
     return (
-        _walk_changes(degree_multiset(g, "in"), g.in_degrees, din),
-        _walk_changes(degree_multiset(g, "out"), g.out_degrees, dout),
+        _price_steps(degree_multiset(g, "in"), g.in_degrees, [h for _, h in removed], [h for _, h in added]),
+        _price_steps(degree_multiset(g, "out"), g.out_degrees, [t for t, _ in removed], [t for t, _ in added]),
     )

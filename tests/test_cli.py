@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from totirr import cli
+from totirr import cli, graph_to_text
 from totirr.cli import main
+from totirr.generators import orient_left_right
 
 
 def run(capsys, *argv):
@@ -256,6 +257,23 @@ def test_generate_refuses_more_than_the_pair_cap(tmp_path, capsys, monkeypatch, 
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == f"error: family {family} would examine {pairs} vertex pairs, more than 2000000\n"
+    assert not out_file.exists()
+
+
+def test_generate_left_right_builds_only_the_orientation(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense family was built for a left-right orientation")
+
+    for name in ("complete", "complete_bipartite", "random_graph", "random_connected", "random_digraph"):
+        monkeypatch.setattr(cli, name, refuse)
+    out_file = tmp_path / "x.txt"
+    flags = ("--orient", "left-right", "--out", str(out_file))
+    assert run(capsys, "generate", "--family", "complete-bipartite", "--params", "2", "2", *flags) == (0, "", "")
+    assert out_file.read_bytes() == graph_to_text(orient_left_right(2, 2)).encode()
+    out_file.unlink()
+    code, out, err = run(capsys, "generate", "--family", "complete", "--params", "5", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: left-right orientation only applies to complete-bipartite\n"
     assert not out_file.exists()
 
 

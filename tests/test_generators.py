@@ -148,11 +148,11 @@ def test_random_connected_is_connected():
 
 def test_random_connected_with_cut_edge():
     for seed in range(20):
-        g, (u1, v1) = random_connected_with_cut_edge(12, seed, min_master=2)
+        g, (u1, v1) = random_connected_with_cut_edge(12, seed)
         assert len(connected_components(g)) == 1
         assert g.has_edge(u1, v1)
         assert cut_side(g, u1, v1) is not None
-        # master side keeps at least min_master vertices
+        # the master side keeps at least 2 vertices
         cut = apply_edit(g, EditOp.remove_edge(u1, v1))
         master = next(c for c in connected_components(cut) if u1 in c)
         assert len(master) >= 2

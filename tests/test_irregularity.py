@@ -17,7 +17,7 @@ from totirr import (
     irr_naive,
 )
 from totirr.graphs import degree_multiset
-from totirr.irregularity import IrrPair, delta_for_degree_change, irr_digraph
+from totirr.irregularity import IrrPair, irr_digraph
 
 from strategies import degree_lists, digraphs, graphs, multisets
 
@@ -61,22 +61,6 @@ def test_irr_graph_and_digraph():
     assert irr_digraph(chain) == IrrPair(4, 4)
 
 
-def test_degree_change_deltas():
-    assert delta_for_degree_change(dm(2, 2, 2), 2, +1) == 2
-    assert delta_for_degree_change(dm(3, 1, 1, 1), 1, +1) == 1
-    assert delta_for_degree_change(dm(5), 5, +1) == 0
-    assert delta_for_degree_change(dm(5), 5, -1) == 0
-
-
-def test_degree_change_validation():
-    with pytest.raises(GraphError):
-        delta_for_degree_change(dm(1, 2), 3, +1)
-    with pytest.raises(GraphError):
-        delta_for_degree_change(dm(0, 1), 0, -1)
-    with pytest.raises(GraphError):
-        delta_for_degree_change(dm(1, 2), 1, +2)
-
-
 def test_edit_delta_fixed_cases():
     star = Graph(4, ((0, 1), (0, 2), (0, 3)))
     assert exact_delta_for_edit(star, EditOp.add_edge(1, 2)) == 0
@@ -84,6 +68,91 @@ def test_edit_delta_fixed_cases():
     assert exact_delta_for_edit(two_triangles, EditOp.add_edge(0, 3)) == 8
     ring = Digraph(5, tuple((i, (i + 1) % 5) for i in range(5)))
     assert exact_delta_for_edit(ring, EditOp.reverse_arc(0, 1)) == (8, 8)
+
+    # each case: parent, op, and the child the test spells out itself
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)), allow_loops=True)
+    hooked = Graph(3, ((0, 1), (1, 1), (1, 2)), allow_loops=True)
+    path3 = Graph(3, ((0, 1), (1, 2)), allow_loops=True)
+    path5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+    chain = Digraph(4, ((0, 1), (2, 0), (3, 2)))
+    cases = [
+        # a loop takes vertex 1 from degree 1 to 3, past the absent degree 2
+        (star, EditOp.add_edge(1, 1), Graph(4, star.edges + ((1, 1),), allow_loops=True)),
+        (hooked, EditOp.remove_edge(1, 1), path3),
+        # vertex 1 loses the moved end and gains both ends of the loop
+        (path3, EditOp.retarget_edge(0, 1, 1), Graph(3, ((1, 1), (1, 2)), allow_loops=True)),
+        # both ends start at degree 1
+        (path5, EditOp.add_edge(0, 4), Graph(5, path5.edges + ((0, 4),))),
+        # tail 0 and head 1 both have in-degree 1
+        (chain, EditOp.reverse_arc(0, 1), Digraph(4, ((1, 0), (2, 0), (3, 2)))),
+    ]
+    for parent, op, child in cases:
+        assert apply_edit(parent, op) == child
+        if isinstance(parent, Digraph):
+            want = tuple(
+                irr_naive(degree_multiset(child, m)) - irr_naive(degree_multiset(parent, m)) for m in ("in", "out")
+            )
+        else:
+            want = irr_naive(degree_multiset(child)) - irr_naive(degree_multiset(parent))
+        assert exact_delta_for_edit(parent, op) == want
+
+
+def test_exact_delta_rejects_what_apply_edit_rejects():
+    g = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
+    loopy = Graph(3, ((0, 1), (1, 1), (1, 2)), allow_loops=True)
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 1)))
+    cases = [
+        (d, EditOp.add_edge(0, 2)),  # graph kind on a digraph
+        (g, EditOp.reverse_arc(0, 1)),  # digraph kind on a graph
+        (g, EditOp.remove_edge(0, 4)),  # absent edge
+        (d, EditOp.reverse_arc(1, 0)),  # absent arc
+        (g, EditOp.add_edge(4, 4)),  # loop without allow_loops
+        (g, EditOp.retarget_edge(3, 2, 2)),  # retarget onto a loop without allow_loops
+        (g, EditOp.add_edge(0, 1)),  # parallel edge
+        (g, EditOp.move_branch(0, 1, 4)),  # the edge lies on a cycle, not a bridge
+        (loopy, EditOp.move_branch(0, 1, 2)),  # the branch side holds a loop, not a tree
+        (g, EditOp.move_branch(2, 3, 4)),  # destination inside the branch
+        (d, EditOp.retarget_head(0, 1, 0)),  # self-arc
+        (d, EditOp.retarget_tail(0, 1, 3)),  # duplicate arc (3, 1)
+        (d, EditOp.reverse_arc(0, 9)),  # vertex out of range
+        (g, EditOp.add_edge(0, 9)),  # vertex out of range
+        ("not a graph", EditOp.add_edge(0, 1)),
+    ]
+    for value, op in cases:
+        with pytest.raises(GraphError) as applied:
+            apply_edit(value, op)
+        with pytest.raises(GraphError) as priced:
+            exact_delta_for_edit(value, op)
+        assert type(priced.value) is type(applied.value)
+        assert str(priced.value) == str(applied.value)
+
+
+def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 1)), allow_parallel=True, allow_loops=True)
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+    cases = [
+        (g, EditOp.add_edge(0, 4)),
+        (g, EditOp.remove_edge(1, 1)),
+        (g, EditOp.retarget_edge(0, 1, 1)),
+        (g, EditOp.move_branch(2, 3, 0)),
+        (d, EditOp.reverse_arc(1, 2)),
+        (d, EditOp.retarget_tail(1, 2, 0)),
+        (d, EditOp.retarget_head(1, 2, 3)),
+    ]
+    for value, modes in ((g, ("undirected",)), (d, ("in", "out"))):
+        for mode in modes:
+            degree_multiset(value, mode)
+    built = []
+    post_init = DegreeMultiset.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        post_init(self)
+
+    monkeypatch.setattr(DegreeMultiset, "__post_init__", counting)
+    for value, op in cases:
+        exact_delta_for_edit(value, op)
+    assert built == []
 
 
 # --- properties -------------------------------------------------------------
@@ -110,16 +179,6 @@ def test_zero_iff_regular(m):
 def test_union_identity(m1, m2):
     cross = sum(abs(x - y) for x in m1.expand() for y in m2.expand())
     assert irr_naive(DegreeMultiset.from_degrees(m1.expand() + m2.expand())) == irr_naive(m1) + irr_naive(m2) + cross
-
-
-@given(multisets(max_size=30), st.data())
-def test_degree_change_matches_recompute(m, data):
-    old = data.draw(st.sampled_from([deg for deg, _ in m.entries]))
-    direction = data.draw(st.sampled_from([+1, -1]))
-    if direction == -1 and old == 0:
-        direction = +1
-    got = delta_for_degree_change(m, old, direction)
-    assert got == irr_naive(m.replace_one(old, old + direction)) - irr_naive(m)
 
 
 def _all_valid_graph_edits(g):
