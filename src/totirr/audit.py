@@ -9,8 +9,8 @@ space before the random ones.
 Three quantities meet in every row:
 
   oracle   irr recomputed from scratch on the edited value. Random suites use
-           the O(n^2) definition (irr_naive); the closed-form suite uses the
-           fast path, whose equivalence is covered elsewhere.
+           the definition summed by degree class (irr_naive); the closed-form
+           suite uses the fast path, whose equivalence is covered elsewhere.
   engine   the incremental delta from exact_delta_for_edit. Engine versus
            oracle is the hard invariant: any mismatch marks the report as
            failed (engine_ok False), which the CLI maps to exit code 1.
@@ -25,7 +25,8 @@ strictly decreased it.
 Report formats: CSV with one line per prediction per instance, and a JSON
 object with the suite metadata, per-formula stats, and the disagreement rows.
 The row builders (joint_row, edge_transform_row, arc_transform_row) also back
-the CLI's --report output, so the agreement rule lives only in _outcome.
+the CLI's --report output, so the agreement rule lives only in _outcome; each
+takes the edited value its caller built through the operation's own checks.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .predictors import (
     thm33_predict,
 )
 from .rng import SplitMix64
-from .transforms import branch_transformation, disjoint_union, edge_transformation
+from .transforms import arc_transformation, branch_transformation, edge_joint, edge_transformation
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -236,11 +237,13 @@ def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undi
     return irr_before, irr_after, engine
 
 
-def _run_seeded(suite: str, count: int, seed: int, witnesses: Sequence, draw: Callable, row: Callable) -> AuditReport:
+def _run_seeded(
+    suite: str, count: int, seed: int, witnesses: Sequence, draw: Callable, edit: Callable, row: Callable
+) -> AuditReport:
     """The loop shared by every seeded suite.
 
     Instance iid is witnesses[iid] while they last, then draw(iid, rng) on the
-    iid-th child stream of seed; row(iid, child seed, instance) audits it.
+    iid-th child stream of seed; row(iid, child seed, instance, edit(*instance)) audits it.
     """
     if count < 1:
         raise ValueError(f"{suite} suite needs at least 1 instance, got {count}")
@@ -249,7 +252,7 @@ def _run_seeded(suite: str, count: int, seed: int, witnesses: Sequence, draw: Ca
     for iid in range(count):
         rng = root.child(iid)
         instance = witnesses[iid] if iid < len(witnesses) else draw(iid, rng)
-        rows.append(row(iid, rng.seed, instance))
+        rows.append(row(iid, rng.seed, instance, edit(*instance)))
     config = (("count", str(count)), ("seed", str(seed)))
     return AuditReport(suite, seed, count, config, tuple(rows))
 
@@ -299,12 +302,12 @@ def _random_joint_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, Graph
     return g1, d1, g2, d2, u, v
 
 
-def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int]) -> AuditRow:
-    """Join g1 and g2 by a fresh edge from u in g1 to v in g2; score every joint formula."""
+def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int], joined: Graph) -> AuditRow:
+    """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2."""
     g1, d1, g2, d2, u, v = instance
-    union = disjoint_union(g1, g2)
     op = EditOp.add_edge(u, g1.vertex_count + v)
-    before, after, engine = _measure(union, op, apply_edit(union, op))
+    union = apply_edit(joined, EditOp.remove_edge(*op.endpoints))  # joined less the fresh edge
+    before, after, engine = _measure(union, op, joined)
     dm1 = degree_multiset(g1)
     dm2 = degree_multiset(g2)
     deg_u = g1.degree(u)
@@ -328,7 +331,8 @@ def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, 
 
 def run_edge_joint_suite(count: int, seed: int) -> AuditReport:
     """Audit edge joints: random and regular pairs, witnesses pinned first."""
-    return _run_seeded("edge-joint", count, seed, _joint_witnesses(), _random_joint_instance, joint_row)
+    edit = lambda g1, d1, g2, d2, u, v: edge_joint(g1, g2, u, v)
+    return _run_seeded("edge-joint", count, seed, _joint_witnesses(), _random_joint_instance, edit, joint_row)
 
 
 # --- edge-transform suite ---------------------------------------------------
@@ -360,22 +364,21 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
     return g, f"planted(n={n})", u1, v1, others[rng.below(len(others))]
 
 
-def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
-    """Move the `moved` end of edge {moved, kept} onto target.
+def _edge_transformed(g: Graph, desc: str, moved: int, kept: int, target: int) -> Graph:
+    """edge_transformation checks the cut edge and target's side; a multigraph has no cut edge to check."""
+    if g.allow_parallel:
+        return apply_edit(g, EditOp.retarget_edge(moved, kept, target))
+    return edge_transformation(g, moved, kept, target)
 
-    A simple graph is edited by edge_transformation, which checks that the
-    edge is a cut edge and that target lies on the moved end's side; a
-    multigraph has no cut edge to check, so it takes the plain edit. Both
-    count partitions on the degrees before the move.
-    """
+
+def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int], edited: Graph) -> AuditRow:
+    """Score edited: g with the `moved` end of edge {moved, kept} on target; partitions count g's degrees."""
     g, desc, moved, kept, target = instance
     op = EditOp.retarget_edge(moved, kept, target)
     if g.allow_parallel:
-        edited = apply_edit(g, op)
         a, b = sorted((moved, kept))
         operation = f"edge-transform graph={desc} edge=({a} {b}) moved={moved} target={target}"
     else:
-        edited = edge_transformation(g, moved, kept, target)
         operation = f"edge-transform graph={desc} cut=({moved} {kept}) target={target}"
     before, after, engine = _measure(g, op, edited)
     counts = transform_counts(degree_multiset(g), g.degrees[moved], g.degrees[target])
@@ -385,9 +388,8 @@ def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int
 
 def run_edge_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit cut-edge retargets; every fifth random instance is a multigraph."""
-    return _run_seeded(
-        "edge-transform", count, seed, _edge_transform_witnesses(), _random_edge_transform_instance, edge_transform_row
-    )
+    witnesses, draw = _edge_transform_witnesses(), _random_edge_transform_instance
+    return _run_seeded("edge-transform", count, seed, witnesses, draw, _edge_transformed, edge_transform_row)
 
 
 # --- arc-transform suite ----------------------------------------------------
@@ -404,14 +406,16 @@ def _arc_transform_witnesses() -> list[tuple[Digraph, str, tuple[int, int], str,
     ]
 
 
-def arc_transform_row(iid: int, seed: int, instance: tuple[Digraph, str, tuple[int, int], str, int]) -> AuditRow:
-    """Move the head (in-degrees) or the tail (out-degrees) of an arc onto target."""
+def arc_transform_row(
+    iid: int, seed: int, instance: tuple[Digraph, str, tuple[int, int], str, int], edited: Digraph
+) -> AuditRow:
+    """Score edited: d with the head (in-degrees) or the tail (out-degrees) of an arc moved onto target."""
     d, desc, (tail, head), end, target = instance
     if end == "head":
         op, mode, marked = EditOp.retarget_head(tail, head, target), "in", head
     else:
         op, mode, marked = EditOp.retarget_tail(tail, head, target), "out", tail
-    before, after, engine = _measure(d, op, apply_edit(d, op), mode)
+    before, after, engine = _measure(d, op, edited, mode)
     degrees = d.in_degrees if mode == "in" else d.out_degrees
     counts = transform_counts(degree_multiset(d, mode), degrees[marked], degrees[target])
     preds = [(prop47_formula_id(mode, counts.relation), thm33_predict(before, counts))]
@@ -442,7 +446,10 @@ def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, tuple
 
 def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit arc retargets: head moves audit in-degrees, tail moves out."""
-    return _run_seeded("arc-transform", count, seed, _arc_transform_witnesses(), _random_arc_instance, arc_transform_row)
+    edit = lambda d, desc, arc, end, target: arc_transformation(d, arc, target, end)
+    return _run_seeded(
+        "arc-transform", count, seed, _arc_transform_witnesses(), _random_arc_instance, edit, arc_transform_row
+    )
 
 
 # --- closed-form suite ------------------------------------------------------
@@ -549,14 +556,9 @@ def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int,
     return g, f"{desc}+3p", u, root, v
 
 
-def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]) -> AuditRow:
-    """Move the branch at root from u onto pendant v.
-
-    branch_transformation checks Lemma 3.4's hypotheses (deg(u) >= 3, v a
-    pendant outside the branch) on every instance, not only by construction.
-    """
+def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int], edited: Graph) -> AuditRow:
+    """Score edited: g with the branch at root moved from u onto pendant v."""
     g, desc, u, root, v = instance
-    edited = branch_transformation(g, u, v, root)
     before, after, engine = _measure(g, EditOp.move_branch(u, root, v), edited)
     operation = f"move-branch graph={desc} u={u} root={root} v={v}"
     return _mk_row(iid, seed, operation, before, after, engine, [(FormulaId.LEMMA34, before)])
@@ -564,4 +566,7 @@ def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int]
 
 def lemma34_suite(count: int, seed: int) -> AuditReport:
     """Check that every valid branch move strictly decreases irr."""
-    return _run_seeded("lemma34", count, seed, _lemma34_witnesses(), _random_branch_instance, _lemma34_row)
+    # branch_transformation checks Lemma 3.4's hypotheses (deg(u) >= 3, v a
+    # pendant outside the branch) on every instance, not only by construction
+    edit = lambda g, desc, u, root, v: branch_transformation(g, u, v, root)
+    return _run_seeded("lemma34", count, seed, _lemma34_witnesses(), _random_branch_instance, edit, _lemma34_row)

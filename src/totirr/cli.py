@@ -91,7 +91,7 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_graph_file(args.out, joined)
     if args.report:
-        _print_report(joint_row(0, 0, (g1, args.left, g2, args.right, args.u, args.v)), "union_irr")
+        _print_report(joint_row(0, 0, (g1, args.left, g2, args.right, args.u, args.v), joined), "union_irr")
     return 0
 
 
@@ -110,7 +110,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_graph_file(args.out, edited)
     if args.report:
-        _print_report(row(0, 0, instance), "irr_before")
+        _print_report(row(0, 0, instance, edited), "irr_before")
     return 0
 
 

@@ -226,12 +226,6 @@ class DegreeMultiset:
     def count_gt(self, x: int) -> int:
         return self.vertex_count - self.count_le(x)
 
-    def expand(self) -> list[int]:
-        out: list[int] = []
-        for value, mult in self.entries:
-            out.extend([value] * mult)
-        return out
-
     def is_regular(self) -> bool:
         return len(self.entries) <= 1
 

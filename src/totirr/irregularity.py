@@ -7,8 +7,10 @@ a DegreeMultiset rather than a graph.
 
 Two independent routes compute the same number:
 
-  irr_naive   the definition, a literal pairwise double loop, O(n^2);
-              slow on purpose, kept as the audit oracle
+  irr_naive   the definition by degree class: each of the m_a * m_b pairs
+              between degrees v_a and v_b adds |v_a - v_b|; O(distinct^2),
+              which is O(m) as m edges allow O(sqrt(m)) distinct degrees;
+              the audit oracle, using no sorted positions or prefix sums
   irr_fast    prefix sums over the sorted entries, O(distinct);
               with degrees listed ascending d_1 <= ... <= d_n the pair sum
               collapses to sum_j (2j - n - 1) * d_j, evaluated per entry group
@@ -42,14 +44,12 @@ class IrrPair(NamedTuple):
 
 
 def irr_naive(dm: DegreeMultiset) -> int:
-    """Definitional total irregularity: double loop over expanded degrees."""
-    degs = dm.expand()
+    """Definitional total irregularity: m_i * m_j * |v_i - v_j| over every pair i < j of degree classes."""
+    entries = dm.entries
     total = 0
-    for i in range(1, len(degs)):
-        di = degs[i]
-        for j in range(i):
-            dj = degs[j]
-            total += di - dj if di >= dj else dj - di
+    for i, (vi, mi) in enumerate(entries):
+        for vj, mj in entries[i + 1 :]:
+            total += mi * mj * abs(vi - vj)
     return total
 
 

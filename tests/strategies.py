@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies for graph-shaped test data, and the reference
-component sweep that the cut-edge search is checked against."""
+"""Shared hypothesis strategies for graph-shaped test data, and the references
+the package is checked against: the component sweep behind the cut-edge
+search, and the vertex-pair loop behind the irr_naive oracle."""
 
 from hypothesis import strategies as st
 
@@ -38,6 +39,18 @@ def digraphs(draw, min_n=1, max_n=10):
     flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     arcs = tuple((b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips))
     return Digraph(n, arcs)
+
+
+def pairwise_irr(degrees):
+    """Total irregularity straight from the definition: |d(u) - d(v)| over all n(n-1)/2 vertex pairs."""
+    degs = list(degrees)
+    total = 0
+    for i in range(1, len(degs)):
+        di = degs[i]
+        for j in range(i):
+            dj = degs[j]
+            total += di - dj if di >= dj else dj - di
+    return total
 
 
 def connected_components(g):

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totirr import Graph, GraphError, irr_naive
+from totirr import Graph, GraphError, audit, irr_naive
 from totirr.audit import (
     CSV_HEADER,
-    _lemma34_row,
-    edge_transform_row,
     lemma34_suite,
     run_arc_transform_suite,
     run_closed_form_suite,
@@ -82,17 +80,25 @@ def test_lemma34_witness_rows():
     assert rep.rows[1].irr_after_oracle < rep.rows[1].irr_before
 
 
-def test_row_builders_check_operation_preconditions():
+def test_suites_check_operation_preconditions(monkeypatch):
     # each edit below is valid for apply_edit; only the operation's own check rejects it
+    def suite_on(witnesses_name, run, instance):
+        monkeypatch.setattr(audit, witnesses_name, lambda: [instance])
+        return run(1, SEED)
+
     triangle_tail = Graph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
     with pytest.raises(GraphError, match="not a cut edge"):
-        edge_transform_row(0, 0, (triangle_tail, "triangle-tail", 0, 1, 3))
+        suite_on("_edge_transform_witnesses", run_edge_transform_suite, (triangle_tail, "triangle-tail", 0, 1, 3))
     chain = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     with pytest.raises(GraphError, match="needs >= 3"):
-        _lemma34_row(0, 0, (chain, "path(5)", 1, 0, 4))  # deg(u) = 2
+        suite_on("_lemma34_witnesses", lemma34_suite, (chain, "path(5)", 1, 0, 4))  # deg(u) = 2
     broom = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
     with pytest.raises(GraphError, match="needs a pendant"):
-        _lemma34_row(0, 0, (broom, "broom", 0, 1, 3))  # deg(v) = 2
+        suite_on("_lemma34_witnesses", lemma34_suite, (broom, "broom", 0, 1, 3))  # deg(v) = 2
+    # u = 3 is not a vertex of the left triangle, though 3 is a vertex of the union
+    triangle = Graph(3, ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(GraphError, match="vertex 3 outside range 0..2"):
+        suite_on("_joint_witnesses", run_edge_joint_suite, (triangle, "cycle(3)", triangle, "cycle(3)", 3, 2))
 
 
 # --- suite-level guarantees -------------------------------------------------

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from totirr import cli, graph_to_text
+from totirr import Graph, cli, graph_to_text, transforms
 from totirr.cli import main
 from totirr.generators import orient_left_right
 
@@ -327,3 +327,37 @@ def test_commands_without_report_skip_the_oracle(tmp_path, capsys, monkeypatch):
         assert code == 0
         assert out == ""
         assert out_file.read_text(encoding="utf-8") == want
+
+
+def test_transform_report_on_a_long_path(tmp_path, capsys):
+    # path: two ends of degree 1, n - 2 inner vertices of degree 2, so irr = 2(n - 2);
+    # moving edge 1-0 onto 2 leaves degrees 1 x3, 2 x(n - 4), 3 x1, so irr = 4n - 10
+    n = 20_000
+    edges = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    f = write(tmp_path, "path.txt", f"U {n}\n{edges}")
+    code, out, _ = run(capsys, "transform", "--input", f, "--cut", "1", "0", "--target", "2", "--report")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == [f"irr_before={2 * (n - 2)}", f"oracle_irr={4 * n - 10}", f"engine_delta={2 * n - 6}"]
+
+
+def test_report_builds_the_edited_value_once(tmp_path, capsys, monkeypatch):
+    calls = {"cut_side": 0, "graph": 0}
+    real_cut_side, real_init = transforms.cut_side, Graph.__post_init__
+
+    def counting_cut_side(*args):
+        calls["cut_side"] += 1
+        return real_cut_side(*args)
+
+    def counting_init(self):
+        calls["graph"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(transforms, "cut_side", counting_cut_side)
+    monkeypatch.setattr(Graph, "__post_init__", counting_init)
+    p4 = write(tmp_path, "p4.txt", "U 4\n0 1\n1 2\n2 3\n")
+    assert run(capsys, "transform", "--input", p4, "--cut", "1", "0", "--target", "2", "--report")[0] == 0
+    assert calls == {"cut_side": 1, "graph": 1}  # the read; one cut-edge check
+    calls.update(cut_side=0, graph=0)
+    assert run(capsys, "joint", "--left", p4, "--right", p4, "--u", "0", "--v", "3", "--report")[0] == 0
+    assert calls == {"cut_side": 0, "graph": 3}  # two reads; one disjoint union

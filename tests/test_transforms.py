@@ -179,7 +179,7 @@ def test_arc_transformation_head():
     chain = Digraph(3, ((0, 1), (1, 2)))
     out = arc_transformation(chain, (1, 2), 0, "head")
     assert out.arcs == ((0, 1), (1, 0))
-    assert degree_multiset(out, "in").expand() == [0, 1, 1]
+    assert degree_multiset(out, "in").entries == ((0, 1), (1, 2))
     # head moves leave out-degrees alone
     assert degree_multiset(out, "out") == degree_multiset(chain, "out")
 
