@@ -9,14 +9,18 @@ Layout, byte for byte:
 
 One edge or arc per line, two ids separated by a single space, LF line
 endings, trailing newline. A number is an optional '-' followed by ASCII
-digits. Blank lines and lines starting with '#' are ignored on input and
-never produced on output. Serialization is canonical (edges sorted), so
-equal values produce identical bytes.
+digits: a stripped edge line matches `-?[0-9]+ -?[0-9]+`. Blank lines and
+lines starting with '#' are ignored on input and never produced on output.
+Serialization is canonical (edges sorted), so equal values produce
+identical bytes. Reading checks all edge lines in one regex search and
+converts all numbers in one pass; only a text that fails is walked line by
+line, to name its first bad line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Union
 
 from .graphs import AnyGraph, Digraph, Graph
@@ -26,54 +30,65 @@ class FormatError(ValueError):
     """Malformed edge-list text."""
 
 
-# int() alone also takes '+', '_', whitespace and non-ASCII digits. Text that
-# holds none of them needs no check per number, because there int() accepts
-# exactly an optional '-' then ASCII digits; in other text a line of numbers
-# may hold only the characters of _EDGE_LINE, and int() rejects the rest.
-_INT_EXTRAS = "+_\t\v\f\r"
-_EDGE_LINE = "-0123456789 "
+# int() alone would also take '+', '_', whitespace and non-ASCII digits.
+# _NOT_AN_EDGE matches at the newline before the first bad edge line; it keeps
+# no backtracking state per line, and its leading literal lets search() skip.
+_HEADER = re.compile("[UD] -?[0-9]+$", re.M)
+_NOT_AN_EDGE = re.compile("\n(?!-?[0-9]+ -?[0-9]+$)", re.M)
 
 
 def parse_graph_text(text: str) -> AnyGraph:
-    header = None
-    pairs: list[tuple[int, int]] = []
-    check = not text.isascii() or any(c in text for c in _INT_EXTRAS)
+    lines = filter(None, map(str.strip, text.split("\n")))
+    if "#" in text:
+        lines = (line for line in lines if line[0] != "#")
+    kept = "\n".join(lines)
+    try:
+        if not _HEADER.match(kept) or _NOT_AN_EDGE.search(kept):
+            raise ValueError
+        # The grammar left only ASCII; bytes tokens take less memory than str.
+        kind, *tokens = kept.encode().split()
+        n, *ends = map(int, tokens)  # refuses over 4,300 digits
+        del tokens  # before the constructor builds its copies
+        if n < 0:
+            raise ValueError
+    except ValueError:
+        raise _first_fault(text) from None
+    ends = iter(ends)
+    try:
+        return (Graph if kind == b"U" else Digraph)(n, list(zip(ends, ends)))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _first_fault(text: str) -> FormatError:
+    """The error naming the first bad line of text that parse_graph_text refused."""
+    header = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split(" ")
-        if header is None:
+        if not header:
             if len(fields) != 2 or fields[0] not in ("U", "D"):
-                raise FormatError(f"line {lineno}: expected header 'U <n>' or 'D <n>', got {line!r}")
-            try:
-                if check and fields[1].strip(_EDGE_LINE):
-                    raise ValueError
-                n = int(fields[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
-            if n < 0:
-                raise FormatError(f"line {lineno}: vertex count must be nonnegative")
-            header = (fields[0], n)
-            continue
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected '<a> <b>', got {line!r}")
-        try:
-            if check and line.strip(_EDGE_LINE):
-                raise ValueError
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: endpoints must be integers, got {line!r}") from None
-        pairs.append((a, b))
-    if header is None:
-        raise FormatError("missing header line")
-    kind, n = header
+                return FormatError(f"line {lineno}: expected header 'U <n>' or 'D <n>', got {line!r}")
+            if not _HEADER.match(line) or not _fits_int(fields[1]):
+                return FormatError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
+            if int(fields[1]) < 0:
+                return FormatError(f"line {lineno}: vertex count must be nonnegative")
+            header = True
+        elif len(fields) != 2:
+            return FormatError(f"line {lineno}: expected '<a> <b>', got {line!r}")
+        elif _NOT_AN_EDGE.match("\n" + line) or not all(map(_fits_int, fields)):
+            return FormatError(f"line {lineno}: endpoints must be integers, got {line!r}")
+    return FormatError("missing header line")
+
+
+def _fits_int(numeral: str) -> bool:
     try:
-        if kind == "U":
-            return Graph(n, tuple(pairs))
-        return Digraph(n, tuple(pairs))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        int(numeral)  # refuses over 4,300 digits
+    except ValueError:
+        return False
+    return True
 
 
 def graph_to_text(g: AnyGraph) -> str:

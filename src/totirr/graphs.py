@@ -2,8 +2,9 @@
 
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
-bookkeeping from ever sharing mutable state. The public constructors validate
-and sort every edge. apply_edit does not call them: it checks the edit
+bookkeeping from ever sharing mutable state. The public constructors sort
+every edge and validate them in bulk passes, walking edge by edge only to
+name the first bad one. apply_edit does not call them: it checks the edit
 against the parent, splices the parent's sorted edge tuple and sets the
 child's fields directly, so an edit does not re-check the edges it leaves
 alone. Membership tests bisect that sorted tuple, so a value carries no hash
@@ -21,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import starmap
+from operator import eq, itemgetter
 from typing import Iterable, Literal, Optional, Union
 
 
@@ -65,17 +68,24 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
-        norm = sorted(_normalize(a, b) for a, b in self.edges)
-        object.__setattr__(self, "edges", tuple(norm))
-        prev = None
-        for a, b in self.edges:
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise GraphError(f"edge ({a}, {b}) outside vertex range 0..{self.vertex_count - 1}")
-            if a == b and not self.allow_loops:
-                raise GraphError(f"loop at vertex {a} requires allow_loops")
-            if (a, b) == prev and not self.allow_parallel:
-                raise GraphError(f"parallel edge ({a}, {b}) requires allow_parallel")
-            prev = (a, b)
+        # Ordered pairs are kept as they are; unpacking rejects a non-pair.
+        edges = sorted([e if a <= b else (b, a) for e in map(tuple, self.edges) for a, b in [e]])
+        object.__setattr__(self, "edges", tuple(edges))
+        # The loop runs only when the bulk passes find a bad edge, to name the first.
+        if edges and (
+            not 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < self.vertex_count
+            or not self.allow_loops and any(starmap(eq, edges))
+            or not self.allow_parallel and any(map(eq, edges, edges[1:]))
+        ):
+            prev = None
+            for a, b in edges:
+                if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
+                    raise GraphError(f"edge ({a}, {b}) outside vertex range 0..{self.vertex_count - 1}")
+                if a == b and not self.allow_loops:
+                    raise GraphError(f"loop at vertex {a} requires allow_loops")
+                if (a, b) == prev and not self.allow_parallel:
+                    raise GraphError(f"parallel edge ({a}, {b}) requires allow_parallel")
+                prev = (a, b)
 
     @property
     def edge_count(self) -> int:
@@ -127,17 +137,25 @@ class Digraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise GraphError("vertex_count must be nonnegative")
-        norm = sorted(tuple(arc) for arc in self.arcs)
-        object.__setattr__(self, "arcs", tuple(norm))
-        prev = None
-        for t, h in self.arcs:
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                raise GraphError(f"arc ({t}, {h}) outside vertex range 0..{self.vertex_count - 1}")
-            if t == h:
-                raise GraphError(f"self-arc at vertex {t} not allowed")
-            if (t, h) == prev:
-                raise GraphError(f"duplicate arc ({t}, {h}) not allowed")
-            prev = (t, h)
+        arcs = sorted(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", tuple(arcs))
+        # As in Graph; the loop also fails to unpack a non-pair unless an earlier arc is bad.
+        if arcs and (
+            {*map(len, arcs)} != {2}
+            or not 0 <= arcs[0][0] <= arcs[-1][0] < self.vertex_count
+            or not 0 <= min(heads := list(map(itemgetter(1), arcs))) <= max(heads) < self.vertex_count
+            or any(starmap(eq, arcs))
+            or any(map(eq, arcs, arcs[1:]))
+        ):
+            prev = None
+            for t, h in arcs:
+                if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
+                    raise GraphError(f"arc ({t}, {h}) outside vertex range 0..{self.vertex_count - 1}")
+                if t == h:
+                    raise GraphError(f"self-arc at vertex {t} not allowed")
+                if (t, h) == prev:
+                    raise GraphError(f"duplicate arc ({t}, {h}) not allowed")
+                prev = (t, h)
 
     @property
     def arc_count(self) -> int:

@@ -48,6 +48,17 @@ def test_compute_missing_file(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    good = write(tmp_path, "p3.txt", "U 3\n0 1\n1 2\n")
+    bad = write(tmp_path, "bad.txt", "U 3\n0 9\n")
+    for argv in (["compute", "--input", good], ["compute", "--input", bad]):
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+    assert run(capsys, "compute", "--input", good) == (0, "irr_t=2\n", "")
+    assert run(capsys, "compute", "--input", bad)[0] == 2
+
+
 @pytest.mark.parametrize("case", ["underscore-id", "not-utf8", "directory", "digraph-joint"])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, case):
     if case == "underscore-id":

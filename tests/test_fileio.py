@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from totirr import (
     write_graph_file,
 )
 
-from strategies import digraphs, graphs
+from totirr.generators import random_tree
+
+from strategies import digraphs, graphs, read_lines
 
 
 def test_parse_undirected():
@@ -89,6 +93,26 @@ def test_numbers_are_ascii_digits_only(text):
         parse_graph_text(text)
 
 
+_HUGE = "9" * 5000  # past int()'s 4,300-digit limit, yet inside the grammar
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        (f"U {_HUGE}\n", 1),
+        (f"U 3\n0 {_HUGE}\n", 2),
+        (f"U 3\n0 1\n# note\n{_HUGE} 2\n1 2\n", 4),
+        ("U 3\n0 1\n+1 2\n0 1_0\n", 3),
+        (f"U 3\n0 1\n\n1 2 0\n{_HUGE} 2\n", 4),
+        ("U 3\n\u0660 1\n1_0 2\n", 2),
+        ("U 3\n0 1\n1 2\n0 \x0b1\n", 4),
+    ],
+)
+def test_bad_lines_are_named_exactly(text, lineno):
+    with pytest.raises(FormatError, match=f"^line {lineno}: "):
+        parse_graph_text(text)
+
+
 _numerals = st.one_of(
     st.integers(-2, 12).map(str),
     st.sampled_from(["", "-", "1_0", "+1", "\u0660", "0x1", "1\t", "9" * 5000]),
@@ -102,11 +126,28 @@ _lines = st.one_of(
 
 @given(st.one_of(st.text(), st.lists(_lines, max_size=12).map("\n".join)))
 def test_arbitrary_text_fails_only_with_format_error(text):
+    # ... and with the message of the line-by-line reference, or with its value
     try:
-        value = parse_graph_text(text)
-    except FormatError:
+        want = read_lines(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_graph_text(text)
+        assert str(got.value) == str(exc)
         return
+    value = parse_graph_text(text)
+    assert value == want
     assert parse_graph_text(graph_to_text(value)) == value
+
+
+def test_reader_peak_memory_is_bounded():
+    text = graph_to_text(random_tree(20_001, 7))
+    tracemalloc.start()
+    try:
+        parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * len(text)
 
 
 def test_canonical_output():

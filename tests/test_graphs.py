@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from totirr import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
 from totirr.graphs import EditKind, _branch_component, degree_multiset
 
-from strategies import connected_components, digraphs, graphs
+from strategies import checked_arcs, checked_edges, connected_components, digraphs, graphs
 
 
 # --- construction -----------------------------------------------------------
@@ -48,6 +48,48 @@ def test_digraph_rejects_self_arcs_and_duplicates():
     # antiparallel pairs are fine
     d = Digraph(3, ((0, 1), (1, 0)))
     assert d.arc_count == 2
+
+
+@st.composite
+def planted_faults(draw):
+    """(n, edge list) with faults planted at random places: an id below 0 or
+    past n - 1, a loop, a repeated pair or a triple, in either orientation."""
+    n = draw(st.integers(0, 6))
+    pool = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8)) if pool else []
+    for fault in draw(st.lists(st.sampled_from(["negative", "past", "loop", "repeat", "triple"]), max_size=3)):
+        v = draw(st.integers(0, max(n - 1, 0)))
+        edge = {
+            "negative": (-draw(st.integers(1, 2)), v),
+            "past": (v, n + draw(st.integers(0, 2))),
+            "loop": (v, v),
+            "repeat": draw(st.sampled_from(edges)) if edges else (v, v),
+            "triple": (v, v, v),
+        }[fault]
+        if draw(st.booleans()):
+            edge = edge[::-1]
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, edges
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(planted_faults())
+@example((3, [(0, 1, 2)]))
+@example((3, [(0, 1), (0, 1, 2)]))
+@example((2, [(0, 1), (1, 0), (1, 1), (-1, 0), (0, 2)]))
+def test_constructor_checks_match_the_per_edge_reference(case):
+    n, edges = case
+    for parallel in (False, True):
+        for loops in (False, True):
+            got = _outcome(lambda: Graph(n, tuple(edges), parallel, loops).edges)
+            assert got == _outcome(lambda: checked_edges(n, edges, parallel, loops))
+    assert _outcome(lambda: Digraph(n, tuple(edges)).arcs) == _outcome(lambda: checked_arcs(n, edges))
 
 
 def test_degrees_small_cases():
