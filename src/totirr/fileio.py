@@ -12,13 +12,21 @@ endings, trailing newline. A number is an optional '-' followed by ASCII
 digits: a stripped edge line matches `-?[0-9]+ -?[0-9]+`. Blank lines and
 lines starting with '#' are ignored on input and never produced on output.
 Serialization is canonical (edges sorted), so equal values produce
-identical bytes. Reading checks all edge lines in one regex search and
-converts all numbers in one pass; only a text that fails is walked line by
-line, to name its first bad line.
+identical bytes.
+
+Reading canonical text runs C-level passes only. The raw text, less one
+trailing newline, is checked first, with one header match and one regex
+search over all edge lines. Only text that fails is stripped of padding,
+blank lines and comments and checked again. The checked numbers are
+converted by json's scanner, or by int() when json refuses a leading zero.
+Text that fails both checks or the conversion (a negative vertex count, a
+numeral over int()'s 4,300 digits) is walked line by line, to name its
+first bad line.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from typing import Union
@@ -38,26 +46,45 @@ _NOT_AN_EDGE = re.compile("\n(?!-?[0-9]+ -?[0-9]+$)", re.M)
 
 
 def parse_graph_text(text: str) -> AnyGraph:
-    lines = filter(None, map(str.strip, text.split("\n")))
-    if "#" in text:
-        lines = (line for line in lines if line[0] != "#")
-    kept = "\n".join(lines)
     try:
-        if not _HEADER.match(kept) or _NOT_AN_EDGE.search(kept):
-            raise ValueError
-        # The grammar left only ASCII; bytes tokens take less memory than str.
-        kind, *tokens = kept.encode().split()
-        n, *ends = map(int, tokens)  # refuses over 4,300 digits
-        del tokens  # before the constructor builds its copies
-        if n < 0:
-            raise ValueError
+        kind, n, ends = _read(text)
     except ValueError:
         raise _first_fault(text) from None
     ends = iter(ends)
     try:
-        return (Graph if kind == b"U" else Digraph)(n, list(zip(ends, ends)))
+        return (Graph if kind == "U" else Digraph)(n, list(zip(ends, ends)))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _read(text: str) -> tuple[str, int, list[int]]:
+    """The kind, vertex count and flat endpoint list of text; ValueError if a line is bad."""
+    kept, end = text, len(text) - text.endswith("\n")
+    if not _admits(kept, end):
+        lines = filter(None, map(str.strip, text.split("\n")))
+        if "#" in text:
+            lines = (line for line in lines if line[0] != "#")
+        kept = "\n".join(lines)
+        end = len(kept)
+        if not _admits(kept, end):
+            raise ValueError
+    head = kept.find("\n", 0, end)
+    if head < 0:
+        head = end
+    n = int(kept[2:head])  # refuses over 4,300 digits, as json and int() below do
+    if n < 0:
+        raise ValueError
+    body = kept[head + 1 : end]
+    try:
+        # The grammar left only -?[0-9]+ tokens, which json reads as ints.
+        return kept[0], n, json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # json refuses leading zeros
+        return kept[0], n, list(map(int, body.split()))
+
+
+def _admits(text: str, end: int) -> bool:
+    """Whether text[:end] is one header line and then edge lines only."""
+    return bool(_HEADER.match(text, 0, end)) and not _NOT_AN_EDGE.search(text, 0, end)
 
 
 def _first_fault(text: str) -> FormatError:

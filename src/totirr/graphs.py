@@ -12,7 +12,8 @@ index of its edges. A loop contributes 2 to the degree of its vertex. Degree
 multisets are the sole input to every irregularity computation, so they get a
 dedicated value type with counting helpers instead of being passed around as
 raw lists; each value caches one multiset per degree mode, always counted
-from its own edges.
+from its own edges. A digraph counts its in- and out-degrees together, in one
+pass over its arcs.
 """
 
 from __future__ import annotations
@@ -162,18 +163,21 @@ class Digraph:
         return len(self.arcs)
 
     @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for _, h in self.arcs:
-            deg[h] += 1
-        return tuple(deg)
+    def _in_out_degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        ins = [0] * self.vertex_count
+        outs = [0] * self.vertex_count
+        for t, h in self.arcs:
+            outs[t] += 1
+            ins[h] += 1
+        return tuple(ins), tuple(outs)
 
-    @cached_property
+    @property
+    def in_degrees(self) -> tuple[int, ...]:
+        return self._in_out_degrees[0]
+
+    @property
     def out_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for t, _ in self.arcs:
-            deg[t] += 1
-        return tuple(deg)
+        return self._in_out_degrees[1]
 
     @cached_property
     def _in_multiset(self) -> "DegreeMultiset":

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from totirr import (
     write_graph_file,
 )
 
-from totirr.generators import random_tree
+from totirr.generators import orient_by_labeling, random_tree
 
 from strategies import digraphs, graphs, read_lines
 
@@ -115,7 +116,7 @@ def test_bad_lines_are_named_exactly(text, lineno):
 
 _numerals = st.one_of(
     st.integers(-2, 12).map(str),
-    st.sampled_from(["", "-", "1_0", "+1", "\u0660", "0x1", "1\t", "9" * 5000]),
+    st.sampled_from(["", "-", "1_0", "+1", "\u0660", "0x1", "1\t", "9" * 5000, "00", "007", "-0", "-007"]),
 )
 _lines = st.one_of(
     st.text(max_size=8),
@@ -139,15 +140,37 @@ def test_arbitrary_text_fails_only_with_format_error(text):
     assert parse_graph_text(graph_to_text(value)) == value
 
 
+_SPELLINGS = {
+    "canonical": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comments and blank lines": lambda text: "# head\n\n" + text.replace("\n", "\n# note\n\n", 2),
+    "padded lines": lambda text: "\n".join(f" \t{line}  " for line in text.split("\n")),
+    "leading zeros": lambda text: re.sub("(?<![0-9])0(?![0-9])", "-0", re.sub("[1-9][0-9]*", r"00\g<0>", text)),
+    "leading zeros and a comment": lambda text: "#\n" + re.sub("[0-9]+", r"0\g<0>", text),
+}
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+@pytest.mark.parametrize(
+    "value", [Graph(6, ((0, 1), (0, 2), (2, 3), (3, 4), (1, 4))), Digraph(6, ((1, 0), (0, 2), (2, 3), (4, 3), (1, 4)))]
+)
+def test_every_spelling_of_an_edge_list_reads_the_same(value, spelling):
+    # the raw check, the stripped check and the int() fallback each take some of these
+    text = _SPELLINGS[spelling](graph_to_text(value))
+    assert parse_graph_text(text) == value == read_lines(text)
+
+
 def test_reader_peak_memory_is_bounded():
-    text = graph_to_text(random_tree(20_001, 7))
-    tracemalloc.start()
-    try:
-        parse_graph_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * len(text)
+    tree = random_tree(20_001, 7)
+    for value in (tree, orient_by_labeling(tree, range(20_001))):
+        text = graph_to_text(value)
+        tracemalloc.start()
+        try:
+            parse_graph_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * len(text), type(value).__name__
 
 
 def test_canonical_output():
