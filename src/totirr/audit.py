@@ -174,30 +174,12 @@ class AuditReport:
                 {"formula_id": s.formula_id, "agree": s.agree, "total": s.total, "pct": s.pct}
                 for s in self.formula_stats
             ],
-            "disagreements": [_row_as_obj(row) for row in self.disagreements],
+            "disagreements": [
+                {**vars(row), "engine_ok": row.engine_ok, "predictions": [vars(p) for p in row.predictions]}
+                for row in self.disagreements
+            ],
         }
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _row_as_obj(row: AuditRow) -> dict:
-    return {
-        "instance_id": row.instance_id,
-        "seed": row.seed,
-        "operation": row.operation,
-        "irr_before": row.irr_before,
-        "irr_after_oracle": row.irr_after_oracle,
-        "engine_delta": row.engine_delta,
-        "engine_ok": row.engine_ok,
-        "predictions": [
-            {
-                "formula_id": p.formula_id,
-                "predicted": p.predicted,
-                "agrees": p.agrees,
-                "is_delta": p.is_delta,
-            }
-            for p in row.predictions
-        ],
-    }
 
 
 def _outcome(fid: FormulaId, predicted: int, irr_before: int, irr_after: int) -> PredictionOutcome:
@@ -559,7 +541,7 @@ def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int,
 def _lemma34_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int], edited: Graph) -> AuditRow:
     """Score edited: g with the branch at root moved from u onto pendant v."""
     g, desc, u, root, v = instance
-    before, after, engine = _measure(g, EditOp.move_branch(u, root, v), edited)
+    before, after, engine = _measure(g, EditOp.retarget_edge(u, root, v), edited)
     operation = f"move-branch graph={desc} u={u} root={root} v={v}"
     return _mk_row(iid, seed, operation, before, after, engine, [(FormulaId.LEMMA34, before)])
 

@@ -138,41 +138,33 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.engine_ok else 1
 
 
-# family -> (parameter count, builder of the graph from the parameters and the parsed flags)
+# family -> (parameter count, builder of the graph from the parameters and the parsed flags,
+# vertex pairs a quadratic family examines for nonnegative parameters, or None for a linear one);
+# generate refuses more than _MAX_PAIRS pairs before building anything
 _FAMILIES = {
-    "path": (1, lambda p, args: path(*p)),
-    "cycle": (1, lambda p, args: cycle(*p)),
-    "complete": (1, lambda p, args: complete(*p)),
-    "star": (1, lambda p, args: star(*p)),
-    "complete-bipartite": (2, lambda p, args: complete_bipartite(*p)),
-    "empty": (1, lambda p, args: empty_graph(*p)),
-    "matching": (1, lambda p, args: matching(*p)),
-    "random": (1, lambda p, args: random_graph(*p, args.p_index, args.seed)),
-    "tree": (1, lambda p, args: random_tree(*p, args.seed)),
-    "connected": (1, lambda p, args: random_connected(*p, args.p_index, args.seed)),
-    "random-digraph": (1, lambda p, args: random_digraph(*p, args.p_index, args.seed)),
-}
-
-# Vertex pairs examined by the quadratic generators, from nonnegative
-# parameters; generate refuses more than _MAX_PAIRS before building anything.
-_PAIRS = {
-    "complete": lambda n: n * (n - 1) // 2,
-    "complete-bipartite": lambda m, n: m * n,
-    "random": lambda n: n * (n - 1) // 2,
-    "connected": lambda n: n * (n - 1) // 2,
-    "random-digraph": lambda n: n * (n - 1),
+    "path": (1, lambda p, args: path(*p), None),
+    "cycle": (1, lambda p, args: cycle(*p), None),
+    "complete": (1, lambda p, args: complete(*p), lambda n: n * (n - 1) // 2),
+    "star": (1, lambda p, args: star(*p), None),
+    "complete-bipartite": (2, lambda p, args: complete_bipartite(*p), lambda m, n: m * n),
+    "empty": (1, lambda p, args: empty_graph(*p), None),
+    "matching": (1, lambda p, args: matching(*p), None),
+    "random": (1, lambda p, args: random_graph(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
+    "tree": (1, lambda p, args: random_tree(*p, args.seed), None),
+    "connected": (1, lambda p, args: random_connected(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
+    "random-digraph": (1, lambda p, args: random_digraph(*p, args.p_index, args.seed), lambda n: n * (n - 1)),
 }
 _MAX_PAIRS = 2_000_000
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     family, params = args.family, args.params
-    arity, build = _FAMILIES[family]
+    arity, build, pair_count = _FAMILIES[family]
     if len(params) != arity:
         raise ValueError(f"family {family} takes {arity} parameter(s), got {len(params)}")
     if family == "random-digraph" and args.orient != "none":
         raise ValueError("random-digraph is already directed")
-    pairs = _PAIRS[family](*(max(x, 0) for x in params)) if family in _PAIRS else 0
+    pairs = pair_count(*(max(x, 0) for x in params)) if pair_count else 0
     if pairs > _MAX_PAIRS:
         raise ValueError(f"family {family} would examine {pairs} vertex pairs, more than {_MAX_PAIRS}")
     if args.orient == "left-right":

@@ -136,7 +136,6 @@ def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
     rng = _stream(seed)
     tenths = _edge_tenths(p_index)
     tree = {(rng.below(v), v) for v in range(1, n)}
-    tree = {(min(a, b), max(a, b)) for a, b in tree}
     extra = [
         (i, j)
         for i in range(n)

@@ -5,15 +5,16 @@ edit produces a new value, which keeps oracle recomputation and incremental
 bookkeeping from ever sharing mutable state. The public constructors sort
 every edge and validate them in bulk passes, walking edge by edge only to
 name the first bad one. apply_edit does not call them: it checks the edit
-against the parent, splices the parent's sorted edge tuple and sets the
-child's fields directly, so an edit does not re-check the edges it leaves
-alone. Membership tests bisect that sorted tuple, so a value carries no hash
-index of its edges. A loop contributes 2 to the degree of its vertex. Degree
-multisets are the sole input to every irregularity computation, so they get a
-dedicated value type with counting helpers instead of being passed around as
-raw lists; each value caches one multiset per degree mode, always counted
-from its own edges. A digraph counts its in- and out-degrees together, in one
-pass over its arcs.
+against the parent by local facts only (vertex range, presence, loop,
+parallel edge or self-arc), splices the parent's sorted edge tuple and sets
+the child's fields directly, so an edit neither re-checks the edges it leaves
+alone nor sweeps a component. Membership tests bisect that sorted tuple, so a
+value carries no hash index of its edges. A loop contributes 2 to the degree
+of its vertex. Degree multisets are the sole input to every irregularity
+computation, so they get a dedicated value type with counting helpers instead
+of being passed around as raw lists; each value caches one multiset per
+degree mode, always counted from its own edges. A digraph counts its in- and
+out-degrees together, in one pass over its arcs.
 """
 
 from __future__ import annotations
@@ -274,10 +275,9 @@ class EditKind(Enum):
     REVERSE_ARC = "reverse-arc"
     RETARGET_ARC_TAIL = "retarget-arc-tail"
     RETARGET_ARC_HEAD = "retarget-arc-head"
-    MOVE_BRANCH = "move-branch"
 
 
-_GRAPH_KINDS = {EditKind.ADD_EDGE, EditKind.REMOVE_EDGE, EditKind.RETARGET_EDGE_END, EditKind.MOVE_BRANCH}
+_GRAPH_KINDS = {EditKind.ADD_EDGE, EditKind.REMOVE_EDGE, EditKind.RETARGET_EDGE_END}
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,6 @@ class EditOp:
       REVERSE_ARC               endpoints = (tail, head)
       RETARGET_ARC_TAIL         endpoints = (tail, head), target = new tail
       RETARGET_ARC_HEAD         endpoints = (tail, head), target = new head
-      MOVE_BRANCH               endpoints = (attachment, branch root), target = destination
     """
 
     kind: EditKind
@@ -320,10 +319,6 @@ class EditOp:
     @classmethod
     def retarget_head(cls, tail: int, head: int, new_head: int) -> "EditOp":
         return cls(EditKind.RETARGET_ARC_HEAD, (tail, head), new_head)
-
-    @classmethod
-    def move_branch(cls, attachment: int, branch_root: int, destination: int) -> "EditOp":
-        return cls(EditKind.MOVE_BRANCH, (attachment, branch_root), destination)
 
     def describe(self) -> str:
         """Compact single-line descriptor; never contains a comma."""
@@ -368,32 +363,18 @@ def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[
             raise EditError(f"edge ({a}, {b}) not present")
         return [_normalize(a, b)], []
 
-    if op.kind is EditKind.RETARGET_EDGE_END:
-        moved, kept, target = a, b, op.target
-        _check_vertex(g, target)
-        if not g.has_edge(moved, kept):
-            raise EditError(f"edge ({moved}, {kept}) not present")
-        if target == moved:
-            raise EditError("new endpoint equals the end being moved")
-        if target == kept and not g.allow_loops:
-            raise EditError(f"retarget would create loop at {kept}")
-        if not g.allow_parallel and g.has_edge(target, kept):
-            raise EditError(f"edge ({target}, {kept}) already present")
-        return [_normalize(moved, kept)], [_normalize(target, kept)]
-
-    # MOVE_BRANCH
-    attachment, root, destination = a, b, op.target
-    _check_vertex(g, destination)
-    if not g.has_edge(attachment, root):
-        raise EditError(f"edge ({attachment}, {root}) not present")
-    if destination == attachment:
-        raise EditError("destination equals the current attachment")
-    branch = _branch_component(g, attachment, root)
-    if destination in branch:
-        raise EditError(f"destination {destination} lies inside the moved branch")
-    if not g.allow_parallel and g.has_edge(destination, root):
-        raise EditError(f"edge ({destination}, {root}) already present")
-    return [_normalize(attachment, root)], [_normalize(destination, root)]
+    # RETARGET_EDGE_END
+    moved, kept, target = a, b, op.target
+    _check_vertex(g, target)
+    if not g.has_edge(moved, kept):
+        raise EditError(f"edge ({moved}, {kept}) not present")
+    if target == moved:
+        raise EditError("new endpoint equals the end being moved")
+    if target == kept and not g.allow_loops:
+        raise EditError(f"retarget would create loop at {kept}")
+    if not g.allow_parallel and g.has_edge(target, kept):
+        raise EditError(f"edge ({target}, {kept}) already present")
+    return [_normalize(moved, kept)], [_normalize(target, kept)]
 
 
 def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -508,4 +489,3 @@ def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
             seen.add(w)
             stack.append(w)
     return sorted(seen)
-

@@ -8,7 +8,8 @@ operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import Digraph, EditOp, Graph, GraphError, _check_vertex, apply_edit, cut_side
+from .graphs import Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
+from .graphs import _branch_component, _check_vertex
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -54,15 +55,17 @@ def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
 def branch_transformation(g: Graph, u: int, v: int, branch_root: int) -> Graph:
     """Detach the hanging tree rooted at branch_root from u; reattach at v.
 
-    Preconditions: deg(u) >= 3, v is a pendant vertex outside the moved tree.
-    The structural requirements (the edge {u, branch_root} is a bridge whose
-    branch side is a tree not containing v) are checked by the edit itself.
+    Preconditions: deg(u) >= 3, the edge {u, branch_root} is a bridge whose
+    branch side is a tree, and v is a pendant vertex outside that tree. The
+    move itself is the retarget of that edge's u end onto v.
     """
     if g.degree(u) < 3:
         raise GraphError(f"attachment vertex {u} has degree {g.degree(u)}, needs >= 3")
     if g.degree(v) != 1:
         raise GraphError(f"destination {v} has degree {g.degree(v)}, needs a pendant")
-    return apply_edit(g, EditOp.move_branch(u, branch_root, v))
+    if v in _branch_component(g, u, branch_root):
+        raise EditError(f"destination {v} lies inside the moved branch")
+    return apply_edit(g, EditOp.retarget_edge(u, branch_root, v))
 
 
 def arc_transformation(d: Digraph, arc: tuple[int, int], target: int, end: str) -> Digraph:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from totirr import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
+from totirr import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, branch_transformation, cut_side
 from totirr.graphs import EditKind, _branch_component, degree_multiset
 
 from strategies import checked_arcs, checked_edges, connected_components, digraphs, graphs
@@ -254,26 +254,29 @@ def test_retarget_edge_validation():
 
 
 def test_move_branch():
-    # star with three leaves: move leaf 3 from center onto leaf 2
+    # star with three leaves: move leaf 3 from center onto leaf 2; a branch
+    # move is the retarget of the bridge's attachment end
     g = Graph(4, ((0, 1), (0, 2), (0, 3)))
-    g2 = apply_edit(g, EditOp.move_branch(0, 3, 2))
+    g2 = apply_edit(g, EditOp.retarget_edge(0, 3, 2))
     assert g2.edges == ((0, 1), (0, 2), (2, 3))
     assert g2.degrees == (2, 1, 2, 1)
+    assert branch_transformation(g, 0, 2, 3) == g2
 
 
 def test_move_branch_validation():
+    # branch_transformation checks the branch; the edit layer checks only
+    # local facts, so it accepts the same retarget where that leaves a valid graph
     tri = Graph(4, ((0, 1), (1, 2), (0, 2), (0, 3)))
-    with pytest.raises(EditError):
-        # (0, 1) is not a bridge
-        apply_edit(tri, EditOp.move_branch(0, 1, 3))
-    chain = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    with pytest.raises(EditError):
-        # destination lies inside the branch hanging from 1
-        apply_edit(chain, EditOp.move_branch(1, 2, 3))
-    withcycle = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 5)))
-    with pytest.raises(EditError):
-        # branch at 1 contains a cycle
-        apply_edit(withcycle, EditOp.move_branch(0, 1, 5))
+    with pytest.raises(EditError, match="is not a bridge"):
+        branch_transformation(tri, 0, 3, 1)  # (0, 1) lies on a cycle
+    assert apply_edit(tri, EditOp.retarget_edge(0, 1, 3)).edges == ((0, 2), (0, 3), (1, 2), (1, 3))
+    chain = Graph(5, ((0, 1), (1, 2), (2, 3), (1, 4)))
+    with pytest.raises(EditError, match="lies inside the moved branch"):
+        branch_transformation(chain, 1, 3, 2)  # destination lies inside the branch hanging from 1
+    withcycle = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 5), (0, 6)))
+    with pytest.raises(EditError, match="is not a tree"):
+        branch_transformation(withcycle, 0, 5, 1)  # branch at 1 contains a cycle
+    assert apply_edit(withcycle, EditOp.retarget_edge(0, 1, 5)).degrees == (2, 2, 3, 2, 2, 2, 1)
 
 
 def test_reverse_arc():
@@ -319,12 +322,12 @@ def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
         (simple, EditOp.add_edge(2, 1), ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4))),
         (simple, EditOp.remove_edge(3, 0), ((0, 1), (0, 2), (3, 4))),
         (simple, EditOp.retarget_edge(2, 0, 4), ((0, 1), (0, 3), (0, 4), (3, 4))),
-        (simple, EditOp.move_branch(0, 3, 1), ((0, 1), (0, 2), (1, 3), (3, 4))),
+        (simple, EditOp.retarget_edge(0, 3, 1), ((0, 1), (0, 2), (1, 3), (3, 4))),
         (multi, EditOp.add_edge(1, 0), ((0, 1), (0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4))),
         (multi, EditOp.add_edge(4, 4), ((0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4), (4, 4))),
         (multi, EditOp.remove_edge(0, 1), ((0, 1), (0, 2), (0, 3), (2, 2), (3, 4))),
         (multi, EditOp.retarget_edge(0, 2, 2), ((0, 1), (0, 1), (0, 3), (2, 2), (2, 2), (3, 4))),
-        (multi, EditOp.move_branch(0, 3, 1), ((0, 1), (0, 1), (0, 2), (1, 3), (2, 2), (3, 4))),
+        (multi, EditOp.retarget_edge(0, 3, 1), ((0, 1), (0, 1), (0, 2), (1, 3), (2, 2), (3, 4))),
         (d, EditOp.reverse_arc(1, 2), ((0, 1), (1, 0), (2, 1), (2, 3))),
         (d, EditOp.retarget_tail(2, 3, 0), ((0, 1), (0, 3), (1, 0), (1, 2))),
         (d, EditOp.retarget_head(1, 0, 3), ((0, 1), (1, 2), (1, 3), (2, 3))),
@@ -341,7 +344,6 @@ def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
 
 def test_edit_kind_wire_values():
     assert EditKind.ADD_EDGE.value == "add-edge"
-    assert EditKind.MOVE_BRANCH.value == "move-branch"
     assert EditKind.REVERSE_ARC.value == "reverse-arc"
 
 
@@ -349,7 +351,6 @@ def test_describe_is_comma_free():
     ops = [
         EditOp.add_edge(0, 1),
         EditOp.retarget_edge(1, 2, 3),
-        EditOp.move_branch(0, 3, 2),
         EditOp.reverse_arc(4, 5),
     ]
     for op in ops:
@@ -368,12 +369,6 @@ def test_inverse_round_trip_small():
     ):
         edited = apply_edit(g, op)
         assert apply_edit(edited, inverse) == g
-
-
-def test_inverse_round_trip_branch_move():
-    g = Graph(4, ((0, 1), (0, 2), (0, 3)))
-    edited = apply_edit(g, EditOp.move_branch(0, 3, 2))
-    assert apply_edit(edited, EditOp.move_branch(2, 3, 0)) == g
 
 
 def test_inverse_round_trip_digraph():

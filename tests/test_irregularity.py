@@ -17,7 +17,8 @@ from totirr import (
     irr_graph,
     irr_naive,
 )
-from totirr.graphs import degree_multiset
+from totirr import graphs as graphs_module
+from totirr.graphs import EditKind, degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
 
 from strategies import degree_lists, digraphs, graphs, multisets, pairwise_irr
@@ -100,7 +101,6 @@ def test_edit_delta_fixed_cases():
 
 def test_exact_delta_rejects_what_apply_edit_rejects():
     g = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
-    loopy = Graph(3, ((0, 1), (1, 1), (1, 2)), allow_loops=True)
     d = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 1)))
     cases = [
         (d, EditOp.add_edge(0, 2)),  # graph kind on a digraph
@@ -110,9 +110,6 @@ def test_exact_delta_rejects_what_apply_edit_rejects():
         (g, EditOp.add_edge(4, 4)),  # loop without allow_loops
         (g, EditOp.retarget_edge(3, 2, 2)),  # retarget onto a loop without allow_loops
         (g, EditOp.add_edge(0, 1)),  # parallel edge
-        (g, EditOp.move_branch(0, 1, 4)),  # the edge lies on a cycle, not a bridge
-        (loopy, EditOp.move_branch(0, 1, 2)),  # the branch side holds a loop, not a tree
-        (g, EditOp.move_branch(2, 3, 4)),  # destination inside the branch
         (d, EditOp.retarget_head(0, 1, 0)),  # self-arc
         (d, EditOp.retarget_tail(0, 1, 3)),  # duplicate arc (3, 1)
         (d, EditOp.reverse_arc(0, 9)),  # vertex out of range
@@ -135,7 +132,7 @@ def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
         (g, EditOp.add_edge(0, 4)),
         (g, EditOp.remove_edge(1, 1)),
         (g, EditOp.retarget_edge(0, 1, 1)),
-        (g, EditOp.move_branch(2, 3, 0)),
+        (g, EditOp.retarget_edge(2, 3, 0)),
         (d, EditOp.reverse_arc(1, 2)),
         (d, EditOp.retarget_tail(1, 2, 0)),
         (d, EditOp.retarget_head(1, 2, 3)),
@@ -154,6 +151,30 @@ def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
     for value, op in cases:
         exact_delta_for_edit(value, op)
     assert built == []
+
+
+def test_no_edit_kind_sweeps_a_component(monkeypatch):
+    # every kind checks only local facts: vertex range, presence, loops, parallels, self-arcs
+    def refuse(*args):
+        raise AssertionError("an edit swept a component")
+
+    monkeypatch.setattr(graphs_module, "cut_side", refuse)
+    monkeypatch.setattr(graphs_module, "_branch_component", refuse)
+    g = Graph(4, ((0, 1), (0, 2), (0, 3)))
+    d = Digraph(3, ((0, 1), (1, 2)))
+    ops = {
+        EditKind.ADD_EDGE: (g, EditOp.add_edge(1, 2)),
+        EditKind.REMOVE_EDGE: (g, EditOp.remove_edge(0, 1)),
+        EditKind.RETARGET_EDGE_END: (g, EditOp.retarget_edge(0, 3, 2)),
+        EditKind.REVERSE_ARC: (d, EditOp.reverse_arc(0, 1)),
+        EditKind.RETARGET_ARC_TAIL: (d, EditOp.retarget_tail(0, 1, 2)),
+        EditKind.RETARGET_ARC_HEAD: (d, EditOp.retarget_head(1, 2, 0)),
+    }
+    assert set(ops) == set(EditKind)
+    for kind, (value, op) in ops.items():
+        assert op.kind is kind
+        apply_edit(value, op)
+        exact_delta_for_edit(value, op)
 
 
 # --- properties -------------------------------------------------------------
@@ -264,39 +285,6 @@ def test_reverse_all_swaps_pair(d):
     pair = irr_digraph(d)
     reversed_d = Digraph(d.vertex_count, tuple((h, t) for t, h in d.arcs))
     assert irr_digraph(reversed_d) == IrrPair(pair.irr_out, pair.irr_in)
-
-
-@given(graphs(max_n=9), st.data())
-def test_branch_move_delta_matches_recompute(g, data):
-    # restricted edit family: degree bookkeeping crosses two vertices
-    from totirr.graphs import EditError
-
-    candidates = []
-    for u in range(g.vertex_count):
-        for root in g.neighbors(u):
-            for v in range(g.vertex_count):
-                if v in (u, root):
-                    continue
-                candidates.append(EditOp.move_branch(u, root, v))
-    valid = []
-    for op in candidates:
-        try:
-            child = apply_edit(g, op)
-        except EditError:
-            continue
-        valid.append(op)
-        # the child equals the validated value of edges the test splices itself
-        u, root = op.endpoints
-        edges = list(g.edges)
-        edges.remove(_norm(u, root))
-        edges.append(_norm(op.target, root))
-        assert child == Graph(g.vertex_count, tuple(edges), g.allow_parallel, g.allow_loops)
-    if not valid:
-        return
-    op = data.draw(st.sampled_from(valid))
-    before = irr_naive(degree_multiset(g))
-    after = irr_naive(degree_multiset(apply_edit(g, op)))
-    assert exact_delta_for_edit(g, op) == after - before
 
 
 WALK_STEPS = 32

@@ -14,6 +14,7 @@ from totirr import (
     branch_transformation,
     edge_joint,
     edge_transformation,
+    exact_delta_for_edit,
     irr_graph,
     irr_naive,
 )
@@ -127,6 +128,7 @@ def test_branch_transformation_spider():
     g = Graph(4, ((0, 1), (0, 2), (0, 3)))
     out = branch_transformation(g, 0, 2, 3)
     assert out.edges == ((0, 1), (0, 2), (2, 3))
+    assert out.degrees == (2, 1, 2, 1)
     assert irr_graph(g) == 6
     assert irr_graph(out) == 4
 
@@ -155,8 +157,50 @@ def test_branch_transformation_validation():
     with pytest.raises(GraphError):
         branch_transformation(star, 0, 0, 3)  # destination not pendant
     g = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
-    with pytest.raises(GraphError):
-        branch_transformation(g, 0, 4, 3)  # destination inside the branch
+    with pytest.raises(EditError, match="lies inside the moved branch"):
+        branch_transformation(g, 0, 4, 3)
+    # each attachment below has degree >= 3 and each destination is a pendant,
+    # so the bridge and tree checks are what reject the move
+    tri = Graph(4, ((0, 1), (1, 2), (0, 2), (0, 3)))
+    with pytest.raises(EditError, match="is not a bridge"):
+        branch_transformation(tri, 0, 3, 1)  # {0, 1} lies on a cycle
+    doubled = Graph(4, ((0, 1), (0, 1), (0, 2), (0, 3)), allow_parallel=True)
+    with pytest.raises(EditError, match="is not a bridge"):
+        branch_transformation(doubled, 0, 2, 1)  # one of two parallel copies
+    withcycle = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 5), (0, 6)))
+    with pytest.raises(EditError, match="is not a tree"):
+        branch_transformation(withcycle, 0, 5, 1)  # the branch at 1 holds a cycle
+    loopy = Graph(5, ((0, 1), (1, 1), (1, 2), (0, 3), (0, 4)), allow_loops=True)
+    with pytest.raises(EditError, match="is not a tree"):
+        branch_transformation(loopy, 0, 3, 1)  # the branch at 1 holds a loop
+
+
+@st.composite
+def trees_and_graphs(draw, max_n=9):
+    """A random simple graph or, as often, a random tree, which has many valid branch moves."""
+    if draw(st.booleans()):
+        return draw(graphs(max_n=max_n))
+    n = draw(st.integers(1, max_n))
+    return Graph(n, tuple((draw(st.integers(0, v - 1)), v) for v in range(1, n)))
+
+
+@given(trees_and_graphs())
+def test_branch_transformation_delta_matches_recompute(g):
+    before = irr_naive(degree_multiset(g))
+    for u in range(g.vertex_count):
+        for root in g.neighbors(u):
+            for v in range(g.vertex_count):
+                try:
+                    child = branch_transformation(g, u, v, root)
+                except GraphError:
+                    continue
+                # the child equals the validated value of edges the test splices itself
+                edges = list(g.edges)
+                edges.remove((min(u, root), max(u, root)))
+                edges.append((min(v, root), max(v, root)))
+                assert child == Graph(g.vertex_count, tuple(edges), g.allow_parallel, g.allow_loops)
+                after = irr_naive(degree_multiset(child))
+                assert exact_delta_for_edit(g, EditOp.retarget_edge(u, root, v)) == after - before
 
 
 def test_reverse_arc_round_trip():
