@@ -437,14 +437,18 @@ def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
 # --- closed-form suite ------------------------------------------------------
 
 
+# the bipartite block builds about (max_n**2 / 8)**2 arcs, so time grows as max_n**4 for max_n**2 rows
+_CLOSED_FORMS_MAX_N = 96
+
+
 def run_closed_form_suite(max_n: int) -> AuditReport:
     """Compare generated families against their closed forms, per mode.
 
     Family caps: complete, path, and cycle orientations go up to max_n
     vertices; bipartite sides go up to max_n // 2. Deterministic, no seed.
     """
-    if max_n < 1:
-        raise ValueError(f"closed-forms suite needs max_n of at least 1, got {max_n}")
+    if not 1 <= max_n <= _CLOSED_FORMS_MAX_N:
+        raise ValueError(f"closed-forms suite needs max_n in 1..{_CLOSED_FORMS_MAX_N}, got {max_n}")
     rows: list[AuditRow] = []
 
     def emit(operation, before_pair, after_pair, delta_pair, fid, want_pair):

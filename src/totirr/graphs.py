@@ -4,12 +4,15 @@ Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
 bookkeeping from ever sharing mutable state. The public constructors sort
 every edge and validate them in bulk passes, walking edge by edge only to
-name the first bad one. apply_edit does not call them: it checks the edit
-against the parent by local facts only (vertex range, presence, loop,
-parallel edge or self-arc), splices the parent's sorted edge tuple and sets
-the child's fields directly, so an edit neither re-checks the edges it leaves
-alone nor sweeps a component. Membership tests bisect that sorted tuple, so a
-value carries no hash index of its edges. A loop contributes 2 to the degree
+name the first bad one. apply_edit does not call them: every edit removes at
+most one edge or arc and adds at most one, and one rule checks every kind
+against the parent. The kind fits the value and its vertices are in range;
+the removed entry is present; the added one differs from it, is a loop only
+where loops are allowed and is new unless parallel edges are (a digraph
+allows neither). The child splices the parent's sorted edge tuple and has
+its fields set directly, so an edit neither re-checks the edges it leaves
+alone nor sweeps a component. Membership tests bisect that sorted tuple, so
+a value carries no hash index of its edges. A loop contributes 2 to the degree
 of its vertex. Degree multisets are the sole input to every irregularity
 computation, so they get a dedicated value type with counting helpers instead
 of being passed around as raw lists; each value caches one multiset per
@@ -277,9 +280,6 @@ class EditKind(Enum):
     RETARGET_ARC_HEAD = "retarget-arc-head"
 
 
-_GRAPH_KINDS = {EditKind.ADD_EDGE, EditKind.REMOVE_EDGE, EditKind.RETARGET_EDGE_END}
-
-
 @dataclass(frozen=True)
 class EditOp:
     """One edit against a Graph or Digraph.
@@ -343,76 +343,6 @@ def _branch_component(g: Graph, attachment: int, root: int) -> list[int]:
     return side
 
 
-def _graph_edit_plan(g: Graph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Validate op against g; return (edges removed, edges added), normalized."""
-    if op.kind not in _GRAPH_KINDS:
-        raise EditError(f"{op.kind.value} does not apply to an undirected graph")
-    a, b = op.endpoints
-    _check_vertex(g, a)
-    _check_vertex(g, b)
-
-    if op.kind is EditKind.ADD_EDGE:
-        if a == b and not g.allow_loops:
-            raise EditError(f"adding loop at {a} requires allow_loops")
-        if not g.allow_parallel and g.has_edge(a, b):
-            raise EditError(f"edge ({a}, {b}) already present")
-        return [], [_normalize(a, b)]
-
-    if op.kind is EditKind.REMOVE_EDGE:
-        if not g.has_edge(a, b):
-            raise EditError(f"edge ({a}, {b}) not present")
-        return [_normalize(a, b)], []
-
-    # RETARGET_EDGE_END
-    moved, kept, target = a, b, op.target
-    _check_vertex(g, target)
-    if not g.has_edge(moved, kept):
-        raise EditError(f"edge ({moved}, {kept}) not present")
-    if target == moved:
-        raise EditError("new endpoint equals the end being moved")
-    if target == kept and not g.allow_loops:
-        raise EditError(f"retarget would create loop at {kept}")
-    if not g.allow_parallel and g.has_edge(target, kept):
-        raise EditError(f"edge ({target}, {kept}) already present")
-    return [_normalize(moved, kept)], [_normalize(target, kept)]
-
-
-def _digraph_edit_plan(d: Digraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Validate op against d; return (arcs removed, arcs added)."""
-    if op.kind in _GRAPH_KINDS:
-        raise EditError(f"{op.kind.value} does not apply to a digraph")
-    tail, head = op.endpoints
-    _check_vertex(d, tail)
-    _check_vertex(d, head)
-    if not d.has_arc(tail, head):
-        raise EditError(f"arc ({tail}, {head}) not present")
-
-    if op.kind is EditKind.REVERSE_ARC:
-        if d.has_arc(head, tail):
-            raise EditError(f"antiparallel arc ({head}, {tail}) already present")
-        return [(tail, head)], [(head, tail)]
-
-    target = op.target
-    _check_vertex(d, target)
-    if op.kind is EditKind.RETARGET_ARC_TAIL:
-        if target == tail:
-            raise EditError("new tail equals the current tail")
-        if target == head:
-            raise EditError(f"retarget would create self-arc at {head}")
-        if d.has_arc(target, head):
-            raise EditError(f"arc ({target}, {head}) already present")
-        return [(tail, head)], [(target, head)]
-
-    # RETARGET_ARC_HEAD
-    if target == head:
-        raise EditError("new head equals the current head")
-    if target == tail:
-        raise EditError(f"retarget would create self-arc at {tail}")
-    if d.has_arc(tail, target):
-        raise EditError(f"arc ({tail}, {target}) already present")
-    return [(tail, head)], [(tail, target)]
-
-
 def _splice(items: tuple, removed: list, added: list) -> tuple:
     """The sorted tuple items less one copy of each removed entry, plus each added one."""
     out = list(items)
@@ -435,22 +365,56 @@ def _from_valid_fields(cls: type, **fields) -> AnyGraph:
     return value
 
 
+# kind -> (applies to a digraph?, positions in (a, b, target) of the entry it adds, or None)
+_EDIT_RULES = {
+    EditKind.ADD_EDGE: (False, (0, 1)),
+    EditKind.REMOVE_EDGE: (False, None),
+    EditKind.RETARGET_EDGE_END: (False, (2, 1)),
+    EditKind.REVERSE_ARC: (True, (1, 0)),
+    EditKind.RETARGET_ARC_TAIL: (True, (2, 1)),
+    EditKind.RETARGET_ARC_HEAD: (True, (0, 2)),
+}
+
+
 def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Validate op against g; return (entries removed, entries added) of g's edges or arcs."""
-    if isinstance(g, Graph):
-        return _graph_edit_plan(g, op)
-    if isinstance(g, Digraph):
-        return _digraph_edit_plan(g, op)
-    raise EditError(f"unsupported value {type(g).__name__}")
+    """Check op by the rule apply_edit states; return (entries removed, entries added), edges normalized."""
+    if not isinstance(g, (Graph, Digraph)):
+        raise EditError(f"unsupported value {type(g).__name__}")
+    directed, picks = _EDIT_RULES[op.kind]
+    if isinstance(g, Digraph) != directed:
+        raise EditError(f"{op.kind.value} does not apply to {'an undirected graph' if directed else 'a digraph'}")
+    a, b = op.endpoints
+    _check_vertex(g, a)
+    _check_vertex(g, b)
+    entries, noun = (g.arcs, "arc") if directed else (g.edges, "edge")
+    removed = [] if op.kind is EditKind.ADD_EDGE else [(a, b) if directed else _normalize(a, b)]
+    if removed and not _multiplicity(entries, removed[0]):
+        raise EditError(f"{noun} ({a}, {b}) not present")
+    if picks is None:
+        return removed, []
+    if 2 in picks:
+        _check_vertex(g, op.target)
+    ends = (a, b, op.target)
+    x, y = ends[picks[0]], ends[picks[1]]
+    added = (x, y) if directed else _normalize(x, y)
+    if removed == [added]:
+        raise EditError(f"new end {op.target} equals the end it replaces")
+    if x == y and (directed or not g.allow_loops):
+        raise EditError(f"self-arc at vertex {x} not allowed" if directed else f"loop at vertex {x} requires allow_loops")
+    if (directed or not g.allow_parallel) and _multiplicity(entries, added):
+        raise EditError(f"{noun} ({x}, {y}) already present")
+    return removed, [added]
 
 
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """Return a new value with op applied; the input is never mutated.
 
-    The edit plan checks op against g, and the child is built from g's
-    spliced tuple without the constructor's pass over every edge. The
-    child's degrees and degree multisets are counted lazily from its own
-    edges, never carried over from g.
+    The rule, in order: g's type is supported and op's kind fits it; a and b
+    are in range; every kind but ADD_EDGE removes the entry (a, b), which
+    must be present; a retarget's target is in range; the added entry differs
+    from the removed one, is a loop only where g allows loops and is new
+    unless g allows parallel edges (a digraph allows neither). The child is
+    g's spliced tuple, never re-validated, and counts its degrees lazily.
     """
     removed, added = _edit_plan(g, op)
     if isinstance(g, Graph):

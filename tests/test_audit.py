@@ -115,7 +115,9 @@ def test_engine_matches_oracle_on_every_suite():
         for run in (run_edge_joint_suite, run_edge_transform_suite, run_arc_transform_suite, lemma34_suite):
             with pytest.raises(ValueError):
                 run(bad, SEED)
-        with pytest.raises(ValueError):
+    # the closed-forms suite also refuses a vertex cap above 96
+    for bad in (0, -3, 97):
+        with pytest.raises(ValueError, match=f"^closed-forms suite needs max_n in 1..96, got {bad}$"):
             run_closed_form_suite(bad)
 
 

@@ -195,6 +195,22 @@ def test_audit_json_format(tmp_path, capsys):
     assert obj["disagreements"] == []
 
 
+def test_closed_forms_cap_refuses_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed-forms suite built a digraph")
+
+    monkeypatch.setattr("totirr.audit.orient_left_right", refuse)
+    monkeypatch.setattr("totirr.audit.orient_by_labeling", refuse)
+    out_file = tmp_path / "x.csv"
+    code, out, err = run(capsys, "audit", "--suite", "closed-forms", "--instances", "97", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: closed-forms suite needs max_n in 1..96, got 97\n"
+    assert not out_file.exists()
+    # the patch is live: an accepted cap reaches the builders
+    with pytest.raises(AssertionError, match="built a digraph"):
+        main(["audit", "--suite", "closed-forms", "--instances", "96", "--out", str(out_file)])
+
+
 def test_audit_unknown_suite_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--suite", "bogus", "--out", str(tmp_path / "x.csv")])

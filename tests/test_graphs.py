@@ -2,7 +2,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from totirr import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, branch_transformation, cut_side
+from totirr import (
+    DegreeMultiset,
+    Digraph,
+    EditError,
+    EditOp,
+    Graph,
+    GraphError,
+    apply_edit,
+    branch_transformation,
+    cut_side,
+    exact_delta_for_edit,
+)
 from totirr.graphs import EditKind, _branch_component, degree_multiset
 
 from strategies import checked_arcs, checked_edges, connected_components, digraphs, graphs
@@ -340,6 +351,87 @@ def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
             assert (child.allow_parallel, child.allow_loops) == (parent.allow_parallel, parent.allow_loops)
         else:
             assert child.arcs == want
+
+
+GRAPH_KINDS = (EditKind.ADD_EDGE, EditKind.REMOVE_EDGE, EditKind.RETARGET_EDGE_END)
+
+
+@st.composite
+def edit_cases(draw):
+    """A simple graph, a multigraph under any flag pair or a digraph, and any EditOp with operands in -1..n."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        arcs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), unique=True, max_size=2 * n))
+        value = Digraph(n, tuple(arcs))
+        present, fitting = value.arcs, [k for k in EditKind if k not in GRAPH_KINDS]
+    else:
+        parallel, loops = draw(st.tuples(st.booleans(), st.booleans()))
+        pairs = st.tuples(vertex, vertex).map(sorted).map(tuple).filter(lambda e: loops or e[0] != e[1])
+        value = Graph(n, tuple(draw(st.lists(pairs, unique=not parallel, max_size=2 * n))), parallel, loops)
+        present, fitting = value.edges, GRAPH_KINDS
+    # any kind, with those that fit the value drawn more often
+    kind = draw(st.sampled_from(fitting) | st.sampled_from(EditKind))
+    operand = vertex | st.integers(-1, n)
+    ends = st.tuples(operand, operand)
+    if present:
+        # about half the draws start from an entry of the value, either way round, so many edits are valid
+        ends |= st.sampled_from(present + tuple((y, x) for x, y in present))
+    a, b = draw(ends)
+    target = draw(operand) if kind.name.startswith("RETARGET") else None
+    return value, EditOp(kind, (a, b), target)
+
+
+def _reference_child(value, op):
+    """The value op should give, or None where it must be rejected.
+
+    Each kind's removed and added entry is spelled out here, and
+    checked_edges / checked_arcs decide whether the spliced list is valid.
+    """
+    directed = isinstance(value, Digraph)
+    n = value.vertex_count
+    a, b, t = *op.endpoints, op.target
+    removed, added = {
+        EditKind.ADD_EDGE: (None, (a, b)),
+        EditKind.REMOVE_EDGE: ((a, b), None),
+        EditKind.RETARGET_EDGE_END: ((a, b), (t, b)),
+        EditKind.REVERSE_ARC: ((a, b), (b, a)),
+        EditKind.RETARGET_ARC_TAIL: ((a, b), (t, b)),
+        EditKind.RETARGET_ARC_HEAD: ((a, b), (a, t)),
+    }[op.kind]
+    if (op.kind in GRAPH_KINDS) == directed or not all(0 <= x < n for x in (a, b, t) if x is not None):
+        return None
+    norm = (lambda e: e) if directed else (lambda e: tuple(sorted(e)))
+    entries = list(value.arcs if directed else value.edges)
+    if removed is not None:
+        if norm(removed) not in entries or added is not None and norm(added) == norm(removed):
+            return None
+        entries.remove(norm(removed))
+    spliced = entries + ([] if added is None else [added])
+    try:
+        if directed:
+            return Digraph(n, checked_arcs(n, spliced))
+        flags = (value.allow_parallel, value.allow_loops)
+        return Graph(n, checked_edges(n, spliced, *flags), *flags)
+    except GraphError:
+        return None
+
+
+@given(edit_cases())
+@settings(max_examples=400)
+def test_edit_rule_matches_the_constructor_reference(case):
+    value, op = case
+    want = _reference_child(value, op)
+    try:
+        child = apply_edit(value, op)
+    except GraphError as applied:
+        assert want is None, (value, op)
+        with pytest.raises(GraphError) as priced:
+            exact_delta_for_edit(value, op)
+        assert (type(priced.value), str(priced.value)) == (type(applied), str(applied))
+    else:
+        assert child == want, (value, op)
+        exact_delta_for_edit(value, op)
 
 
 def test_edit_kind_wire_values():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from totirr import (
     DegreeMultiset,
     Digraph,
+    EditError,
     EditOp,
     Graph,
     GraphError,
@@ -100,29 +101,61 @@ def test_edit_delta_fixed_cases():
 
 
 def test_exact_delta_rejects_what_apply_edit_rejects():
+    # one case per clause of the edit rule, per kind where the clause applies, in the rule's order
     g = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
-    d = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 1)))
+    multi = Graph(3, ((0, 1), (0, 1)), allow_parallel=True)
+    d = Digraph(4, ((0, 1), (1, 2), (2, 1), (2, 3), (3, 1)))
     cases = [
-        (d, EditOp.add_edge(0, 2)),  # graph kind on a digraph
-        (g, EditOp.reverse_arc(0, 1)),  # digraph kind on a graph
-        (g, EditOp.remove_edge(0, 4)),  # absent edge
-        (d, EditOp.reverse_arc(1, 0)),  # absent arc
-        (g, EditOp.add_edge(4, 4)),  # loop without allow_loops
-        (g, EditOp.retarget_edge(3, 2, 2)),  # retarget onto a loop without allow_loops
-        (g, EditOp.add_edge(0, 1)),  # parallel edge
-        (d, EditOp.retarget_head(0, 1, 0)),  # self-arc
-        (d, EditOp.retarget_tail(0, 1, 3)),  # duplicate arc (3, 1)
-        (d, EditOp.reverse_arc(0, 9)),  # vertex out of range
-        (g, EditOp.add_edge(0, 9)),  # vertex out of range
-        ("not a graph", EditOp.add_edge(0, 1)),
+        # the value's type is supported and the kind fits it
+        ("not a graph", EditOp.add_edge(0, 1), EditError, "unsupported value str"),
+        (d, EditOp.add_edge(0, 2), EditError, "add-edge does not apply to a digraph"),
+        (d, EditOp.remove_edge(0, 1), EditError, "remove-edge does not apply to a digraph"),
+        (d, EditOp.retarget_edge(0, 1, 2), EditError, "retarget-edge-end does not apply to a digraph"),
+        (g, EditOp.reverse_arc(0, 1), EditError, "reverse-arc does not apply to an undirected graph"),
+        (g, EditOp.retarget_tail(0, 1, 2), EditError, "retarget-arc-tail does not apply to an undirected graph"),
+        (g, EditOp.retarget_head(0, 1, 2), EditError, "retarget-arc-head does not apply to an undirected graph"),
+        # a and b are in range
+        (g, EditOp.add_edge(0, 9), GraphError, "vertex 9 outside range 0..4"),
+        (g, EditOp.remove_edge(-1, 0), GraphError, "vertex -1 outside range 0..4"),
+        (g, EditOp.retarget_edge(5, 0, 1), GraphError, "vertex 5 outside range 0..4"),
+        (d, EditOp.reverse_arc(0, 9), GraphError, "vertex 9 outside range 0..3"),
+        (d, EditOp.retarget_tail(4, 1, 2), GraphError, "vertex 4 outside range 0..3"),
+        (d, EditOp.retarget_head(0, -1, 2), GraphError, "vertex -1 outside range 0..3"),
+        # the removed entry is present, checked before a retarget's target
+        (g, EditOp.remove_edge(0, 4), EditError, "edge (0, 4) not present"),
+        (g, EditOp.retarget_edge(4, 0, 9), EditError, "edge (4, 0) not present"),
+        (d, EditOp.reverse_arc(1, 0), EditError, "arc (1, 0) not present"),
+        (d, EditOp.retarget_tail(1, 0, 9), EditError, "arc (1, 0) not present"),
+        (d, EditOp.retarget_head(3, 2, 0), EditError, "arc (3, 2) not present"),
+        # a retarget's target is in range
+        (g, EditOp.retarget_edge(0, 1, 5), GraphError, "vertex 5 outside range 0..4"),
+        (d, EditOp.retarget_tail(0, 1, -1), GraphError, "vertex -1 outside range 0..3"),
+        (d, EditOp.retarget_head(0, 1, 4), GraphError, "vertex 4 outside range 0..3"),
+        # the added entry differs from the removed one, also where parallel edges are allowed
+        (g, EditOp.retarget_edge(3, 4, 3), EditError, "new end 3 equals the end it replaces"),
+        (multi, EditOp.retarget_edge(0, 1, 0), EditError, "new end 0 equals the end it replaces"),
+        (d, EditOp.retarget_tail(0, 1, 0), EditError, "new end 0 equals the end it replaces"),
+        (d, EditOp.retarget_head(0, 1, 1), EditError, "new end 1 equals the end it replaces"),
+        # it is a loop only where the value allows loops, and a digraph never does
+        (g, EditOp.add_edge(4, 4), EditError, "loop at vertex 4 requires allow_loops"),
+        (g, EditOp.retarget_edge(3, 2, 2), EditError, "loop at vertex 2 requires allow_loops"),
+        (d, EditOp.retarget_tail(0, 1, 1), EditError, "self-arc at vertex 1 not allowed"),
+        (d, EditOp.retarget_head(0, 1, 0), EditError, "self-arc at vertex 0 not allowed"),
+        # it is new unless the value allows parallel edges, and a digraph never does
+        (g, EditOp.add_edge(1, 0), EditError, "edge (1, 0) already present"),
+        (g, EditOp.retarget_edge(4, 3, 2), EditError, "edge (2, 3) already present"),
+        (d, EditOp.reverse_arc(1, 2), EditError, "arc (2, 1) already present"),
+        (d, EditOp.retarget_tail(0, 1, 3), EditError, "arc (3, 1) already present"),
+        (d, EditOp.retarget_head(2, 1, 3), EditError, "arc (2, 3) already present"),
     ]
-    for value, op in cases:
+    assert {op.kind for _, op, _, _ in cases} == set(EditKind)
+    for value, op, error, message in cases:
         with pytest.raises(GraphError) as applied:
             apply_edit(value, op)
         with pytest.raises(GraphError) as priced:
             exact_delta_for_edit(value, op)
-        assert type(priced.value) is type(applied.value)
-        assert str(priced.value) == str(applied.value)
+        assert (type(applied.value), str(applied.value)) == (error, message), (value, op)
+        assert (type(priced.value), str(priced.value)) == (error, message), (value, op)
 
 
 def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
