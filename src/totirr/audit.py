@@ -57,10 +57,9 @@ from .graphs import (
     AnyGraph,
     DegreeMode,
     Digraph,
-    EditError,
     EditOp,
     Graph,
-    _branch_component,
+    _hangs_a_tree,
     apply_edit,
     cut_side,
     degree_multiset,
@@ -507,20 +506,45 @@ def _lemma34_witnesses() -> list[tuple[Graph, str, int, int, int]]:
 
 
 def _branch_candidates(g: Graph) -> list[tuple[int, int, int]]:
-    """All valid (attachment, branch root, pendant destination) triples."""
+    """All valid (attachment, branch root, pendant destination) triples, in order.
+
+    One depth-first pass records each vertex's entry index, parent and
+    component root, then in reverse preorder its subtree's size and degree
+    sum; a subtree's entries are consecutive. A bridge is a forest edge, so
+    the side at root of {u, root} is root's subtree, or the rest of u's
+    component when u is root's child. _branch_component's test,
+    graphs._hangs_a_tree, on the side's counts also rejects a non-bridge
+    forest edge or a parallel copy. A pendant is outside the side when its
+    entry index is.
+    """
+    n, deg, adjacency = g.vertex_count, g.degrees, g._adjacency
+    entry, parent, top, order = [-1] * (n + 1), [-1] * n, [0] * n, []
+    for s in range(n):
+        stack = [(s, -1)]
+        while stack:
+            v, p = stack.pop()
+            if entry[v] < 0:
+                entry[v], parent[v], top[v] = len(order), p, s
+                order.append(v)
+                stack.extend((w, v) for w in adjacency[v] if entry[w] < 0)
+    size, dsum = [1] * n + [0], [*deg, 0]  # vertex n: an empty subtree
+    for v in reversed(order):
+        if parent[v] >= 0:
+            size[parent[v]] += size[v]
+            dsum[parent[v]] += dsum[v]
+    pendants = [(v, entry[v]) for v in range(n) if deg[v] == 1]
     out = []
-    pendants = [v for v in range(g.vertex_count) if g.degrees[v] == 1]
-    for u in range(g.vertex_count):
-        if g.degrees[u] < 3:
-            continue
-        for root in g.neighbors(u):
-            try:
-                members = set(_branch_component(g, u, root))
-            except EditError:
+    for u in range(n):
+        for root in adjacency[u] if deg[u] >= 3 else ():
+            if parent[root] == u:  # the side is root's subtree, less vertex n's empty one
+                keep, cut = root, n
+            elif parent[u] == root:  # the side is u's component less u's subtree
+                keep, cut = top[u], u
+            else:
                 continue
-            for v in pendants:
-                if v not in members and v != u:
-                    out.append((u, root, v))
+            if _hangs_a_tree(size[keep] - size[cut], dsum[keep] - dsum[cut]):
+                lo, hi, cut_lo, cut_hi = entry[keep], entry[keep] + size[keep], entry[cut], entry[cut] + size[cut]
+                out.extend((u, root, v) for v, e in pendants if v != u and (not lo <= e < hi or cut_lo <= e < cut_hi))
     return out
 
 

@@ -3,11 +3,14 @@
 Random constructors accept either a raw integer seed or a SplitMix64 stream;
 identical seeds give identical graphs on every platform. Edge probabilities
 come from the fixed table (0.2, 0.5, 0.8), selected by index and realized as
-exact tenth-draws so no float enters the sampling path.
+exact tenth-draws so no float enters the sampling path. Each constructor
+lists its candidate pairs (or tree vertices) first and draws for all of them
+in one packed-lane call, the same values as one `below` per candidate.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence, Union
 
 from .graphs import Digraph, Graph, GraphError
@@ -95,14 +98,8 @@ def random_graph(n: int, p_index: int, seed: SeedLike) -> Graph:
     if n < 1:
         raise GraphError("random graph needs at least 1 vertex")
     tenths = _edge_tenths(p_index)
-    rng = _stream(seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.below(10) < tenths
-    ]
-    return Graph(n, tuple(edges))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, _kept(pairs, tenths, _stream(seed)))
 
 
 def random_digraph(n: int, p_index: int, seed: SeedLike) -> Digraph:
@@ -110,23 +107,16 @@ def random_digraph(n: int, p_index: int, seed: SeedLike) -> Digraph:
     if n < 1:
         raise GraphError("random digraph needs at least 1 vertex")
     tenths = _edge_tenths(p_index)
-    rng = _stream(seed)
-    arcs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.below(10) < tenths
-    ]
-    return Digraph(n, tuple(arcs))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return Digraph(n, _kept(pairs, tenths, _stream(seed)))
 
 
 def random_tree(n: int, seed: SeedLike) -> Graph:
     """Random attachment tree: vertex v joins a uniform earlier vertex."""
     if n < 1:
         raise GraphError("tree needs at least 1 vertex")
-    rng = _stream(seed)
-    edges = [(rng.below(v), v) for v in range(1, n)]
-    return Graph(n, tuple(edges))
+    later = range(1, n)
+    return Graph(n, tuple(zip(_stream(seed)._belows(later), later)))
 
 
 def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
@@ -135,14 +125,10 @@ def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
         raise GraphError("connected graph needs at least 1 vertex")
     rng = _stream(seed)
     tenths = _edge_tenths(p_index)
-    tree = {(rng.below(v), v) for v in range(1, n)}
-    extra = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in tree and rng.below(10) < tenths
-    ]
-    return Graph(n, tuple(tree) + tuple(extra))
+    later = range(1, n)
+    tree = set(zip(rng._belows(later), later))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    return Graph(n, tuple(tree) + _kept(pairs, tenths, rng))
 
 
 def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple[int, int]]:
@@ -167,6 +153,11 @@ def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple
     offset_edges = tuple((a + n1, b + n1) for a, b in right.edges)
     g = Graph(n, tuple(left.edges) + offset_edges + ((u1, v1),))
     return g, (u1, v1)
+
+
+def _kept(pairs: list[tuple[int, int]], tenths: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+    """The pairs whose tenth-draw, one per pair in order, falls below tenths."""
+    return tuple(compress(pairs, map(tenths.__gt__, rng._belows([10] * len(pairs)))))
 
 
 def _edge_tenths(p_index: int) -> int:

@@ -328,17 +328,26 @@ class EditOp:
         return f"{self.kind.value}({a} {b} -> {self.target})"
 
 
+def _hangs_a_tree(size: int, degree_sum: int) -> bool:
+    """Whether a connected side of a cut edge is a tree joined to the rest by that edge alone.
+
+    Its degrees count each inner edge (a loop too) twice and each leaving edge
+    once. It has at least size - 1 inner edges and one leaving edge, so the sum
+    is 2(size - 1) + 1 exactly when those are all: no cycle, loop or second way out.
+    """
+    return degree_sum - 1 == 2 * (size - 1)
+
+
 def _branch_component(g: Graph, attachment: int, root: int) -> list[int]:
     """Vertices of the branch at `root` after cutting one copy of {attachment, root}.
 
     Raises EditError unless the cut edge is a bridge and the branch side is a
-    tree. Loops and parallel edges on the branch side both fail the tree test:
-    the side's degrees count the cut edge once and every internal edge twice.
+    tree (_hangs_a_tree), so loops and parallel edges on the side fail too.
     """
     side = cut_side(g, attachment, root)
     if side is None:
         raise EditError(f"edge ({attachment}, {root}) is not a bridge; branch is not hanging")
-    if sum(g.degrees[v] for v in side) - 1 != 2 * (len(side) - 1):
+    if not _hangs_a_tree(len(side), sum(g.degrees[v] for v in side)):
         raise EditError(f"branch at {root} is not a tree")
     return side
 
@@ -393,6 +402,8 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tup
     if picks is None:
         return removed, []
     if 2 in picks:
+        if op.target is None:
+            raise EditError(f"{op.kind.value} needs a target")
         _check_vertex(g, op.target)
     ends = (a, b, op.target)
     x, y = ends[picks[0]], ends[picks[1]]
@@ -411,7 +422,7 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
 
     The rule, in order: g's type is supported and op's kind fits it; a and b
     are in range; every kind but ADD_EDGE removes the entry (a, b), which
-    must be present; a retarget's target is in range; the added entry differs
+    must be present; a retarget has a target, in range; the added entry differs
     from the removed one, is a loop only where g allows loops and is new
     unless g allows parallel edges (a digraph allows neither). The child is
     g's spliced tuple, never re-validated, and counts its degrees lazily.

@@ -1,14 +1,16 @@
 """Shared hypothesis strategies for graph-shaped test data, and the references
 the package is checked against: the component sweep behind the cut-edge
 search, the vertex-pair loop behind the irr_naive oracle, the per-edge loops
-behind the Graph and Digraph constructor checks, and the line-by-line reader
-behind parse_graph_text."""
+behind the Graph and Digraph constructor checks, the line-by-line reader
+behind parse_graph_text, and the per-neighbour branch probe behind lemma34's
+candidate list."""
 
 import re
 
 from hypothesis import strategies as st
 
-from totirr import DegreeMultiset, Digraph, FormatError, Graph, GraphError
+from totirr import DegreeMultiset, Digraph, EditError, FormatError, Graph, GraphError
+from totirr.graphs import _branch_component
 
 
 @st.composite
@@ -150,3 +152,21 @@ def read_lines(text):
         return Graph(n, tuple(pairs)) if kind == "U" else Digraph(n, tuple(pairs))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def branch_candidates(g):
+    """lemma34's (attachment, branch root, pendant destination) triples, one branch probe per neighbour."""
+    out = []
+    pendants = [v for v in range(g.vertex_count) if g.degrees[v] == 1]
+    for u in range(g.vertex_count):
+        if g.degrees[u] < 3:
+            continue
+        for root in g.neighbors(u):
+            try:
+                members = set(_branch_component(g, u, root))
+            except EditError:
+                continue
+            for v in pendants:
+                if v not in members and v != u:
+                    out.append((u, root, v))
+    return out

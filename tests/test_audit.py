@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totirr import Graph, GraphError, audit, irr_naive
+from totirr import Graph, GraphError, audit, graphs, irr_naive, transforms
 from totirr.audit import (
     CSV_HEADER,
+    _branch_candidates,
     lemma34_suite,
     run_arc_transform_suite,
     run_closed_form_suite,
@@ -14,6 +15,8 @@ from totirr.audit import (
     run_edge_transform_suite,
 )
 from totirr.graphs import degree_multiset
+
+from strategies import branch_candidates
 
 SEED = 0xC0FFEE
 
@@ -156,6 +159,43 @@ def test_lemma34_strict_decrease():
     for row in rep.rows:
         assert row.irr_after_oracle < row.irr_before
         assert row.predictions[0].agrees
+
+
+@st.composite
+def branchy_graphs(draw):
+    """Simple graphs, forests, or multigraphs with loops and parallel edges, on up to 12 vertices."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("simple", "forest", "multi")))
+    if kind == "forest":
+        # vertex v joins an earlier vertex, or starts a new tree
+        parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+        return Graph(n, tuple((p, v) for v, p in enumerate(parents, start=1) if p >= 0))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    if kind == "simple":
+        return Graph(n, tuple({(min(a, b), max(a, b)) for a, b in pairs if a != b}))
+    return Graph(n, tuple(pairs), allow_parallel=True, allow_loops=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(branchy_graphs())
+def test_branch_candidates_match_the_per_neighbour_probe(g):
+    assert _branch_candidates(g) == branch_candidates(g)
+
+
+def test_lemma34_sweeps_one_side_per_row(monkeypatch):
+    # branch_transformation's own check is the only cut_side call; listing candidates sweeps nothing
+    calls = []
+    real = graphs.cut_side
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (graphs, audit, transforms):
+        monkeypatch.setattr(module, "cut_side", counting)
+    rep = lemma34_suite(30, SEED)
+    assert len(calls) == len(rep.rows) == 30
 
 
 def test_multigraph_rows_present_in_edge_transform():

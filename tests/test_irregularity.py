@@ -127,7 +127,10 @@ def test_exact_delta_rejects_what_apply_edit_rejects():
         (d, EditOp.reverse_arc(1, 0), EditError, "arc (1, 0) not present"),
         (d, EditOp.retarget_tail(1, 0, 9), EditError, "arc (1, 0) not present"),
         (d, EditOp.retarget_head(3, 2, 0), EditError, "arc (3, 2) not present"),
-        # a retarget's target is in range
+        # a retarget has a target, in range
+        (g, EditOp(EditKind.RETARGET_EDGE_END, (0, 1)), EditError, "retarget-edge-end needs a target"),
+        (d, EditOp(EditKind.RETARGET_ARC_TAIL, (0, 1)), EditError, "retarget-arc-tail needs a target"),
+        (d, EditOp(EditKind.RETARGET_ARC_HEAD, (0, 1)), EditError, "retarget-arc-head needs a target"),
         (g, EditOp.retarget_edge(0, 1, 5), GraphError, "vertex 5 outside range 0..4"),
         (d, EditOp.retarget_tail(0, 1, -1), GraphError, "vertex -1 outside range 0..3"),
         (d, EditOp.retarget_head(0, 1, 4), GraphError, "vertex 4 outside range 0..3"),

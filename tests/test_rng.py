@@ -1,6 +1,7 @@
 import pytest
 
 from totirr import SplitMix64
+from totirr.rng import _BLOCK
 
 # splitmix64 outputs for seed 0; first three are the widely published
 # reference values, the rest cross-checked against an independent
@@ -87,3 +88,22 @@ def test_children_of_distinct_keys_differ():
     seeds = {parent.child(k).seed for k in range(1000)}
     assert len(seeds) == 1000
 
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_bulk_draws_are_the_single_draws(count):
+    # same values in order, and the stream continues where the single draws leave it
+    for bounds in ([1] * count, [10] * count, range(1, count + 1), [2**64 + 5] * count):
+        bulk, single = SplitMix64(0xC0FFEE + count), SplitMix64(0xC0FFEE + count)
+        assert bulk._belows(bounds) == [single.below(b) for b in bounds]
+        assert bulk.next_u64() == single.next_u64()
+
+
+def test_bulk_draws_reject_what_below_rejects():
+    for bounds in ([0], [3, 7, 0, 5], [4] * (_BLOCK + 2) + [-3]):
+        bulk, single = SplitMix64(5), SplitMix64(5)
+        with pytest.raises(ValueError) as bulk_error:
+            bulk._belows(bounds)
+        with pytest.raises(ValueError) as single_error:
+            [single.below(b) for b in bounds]
+        assert str(bulk_error.value) == str(single_error.value)
+        assert bulk.next_u64() == single.next_u64()
