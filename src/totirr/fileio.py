@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from itertools import chain
 from typing import Union
 
 from .graphs import AnyGraph, Digraph, Graph
@@ -120,14 +121,12 @@ def _fits_int(numeral: str) -> bool:
 
 def graph_to_text(g: AnyGraph) -> str:
     if isinstance(g, Graph):
-        lines = [f"U {g.vertex_count}"]
-        lines.extend(f"{a} {b}" for a, b in g.edges)
+        head, pairs = f"U {g.vertex_count}\n", g.edges
     elif isinstance(g, Digraph):
-        lines = [f"D {g.vertex_count}"]
-        lines.extend(f"{t} {h}" for t, h in g.arcs)
+        head, pairs = f"D {g.vertex_count}\n", g.arcs
     else:
         raise FormatError(f"unsupported value {type(g).__name__}")
-    return "\n".join(lines) + "\n"
+    return head + "%d %d\n" * len(pairs) % tuple(chain.from_iterable(pairs))
 
 
 def read_graph_file(path: Union[str, os.PathLike]) -> AnyGraph:

@@ -4,14 +4,15 @@ Random constructors accept either a raw integer seed or a SplitMix64 stream;
 identical seeds give identical graphs on every platform. Edge probabilities
 come from the fixed table (0.2, 0.5, 0.8), selected by index and realized as
 exact tenth-draws so no float enters the sampling path. Each constructor
-lists its candidate pairs (or tree vertices) first and draws for all of them
-in one packed-lane call, the same values as one `below` per candidate.
+draws for all its candidate pairs (or tree vertices) in one packed-lane
+call, the same values as one `below` per candidate; an edge draw comes back
+as a 0/1 flag that picks its pair out of an itertools pair iterator.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Sequence, Union
+from itertools import combinations, compress, filterfalse, permutations
+from typing import Iterator, Sequence, Union
 
 from .graphs import Digraph, Graph, GraphError
 from .rng import SplitMix64
@@ -98,8 +99,7 @@ def random_graph(n: int, p_index: int, seed: SeedLike) -> Graph:
     if n < 1:
         raise GraphError("random graph needs at least 1 vertex")
     tenths = _edge_tenths(p_index)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, _kept(pairs, tenths, _stream(seed)))
+    return Graph(n, _kept(combinations(range(n), 2), n * (n - 1) // 2, tenths, _stream(seed)))
 
 
 def random_digraph(n: int, p_index: int, seed: SeedLike) -> Digraph:
@@ -107,8 +107,7 @@ def random_digraph(n: int, p_index: int, seed: SeedLike) -> Digraph:
     if n < 1:
         raise GraphError("random digraph needs at least 1 vertex")
     tenths = _edge_tenths(p_index)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return Digraph(n, _kept(pairs, tenths, _stream(seed)))
+    return Digraph(n, _kept(permutations(range(n), 2), n * (n - 1), tenths, _stream(seed)))
 
 
 def random_tree(n: int, seed: SeedLike) -> Graph:
@@ -127,8 +126,8 @@ def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
     tenths = _edge_tenths(p_index)
     later = range(1, n)
     tree = set(zip(rng._belows(later), later))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
-    return Graph(n, tuple(tree) + _kept(pairs, tenths, rng))
+    pairs = filterfalse(tree.__contains__, combinations(range(n), 2))
+    return Graph(n, tuple(tree) + _kept(pairs, n * (n - 1) // 2 - (n - 1), tenths, rng))
 
 
 def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple[int, int]]:
@@ -155,9 +154,9 @@ def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple
     return g, (u1, v1)
 
 
-def _kept(pairs: list[tuple[int, int]], tenths: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
-    """The pairs whose tenth-draw, one per pair in order, falls below tenths."""
-    return tuple(compress(pairs, map(tenths.__gt__, rng._belows([10] * len(pairs)))))
+def _kept(pairs: Iterator[tuple[int, int]], count: int, tenths: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+    """The count pairs whose tenth-draw, one per pair in order, falls below tenths."""
+    return tuple(compress(pairs, rng._tenth_flags(count, tenths)))
 
 
 def _edge_tenths(p_index: int) -> int:

@@ -117,11 +117,13 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nb: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for a, b in self.edges:
-            nb[a].add(b)
-            nb[b].add(a)
-        return tuple(tuple(sorted(s)) for s in nb)
+        # Sorted (low, high) edges list each vertex's lower neighbours, its loop, then its higher ones.
+        nb: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for a, b in dict.fromkeys(self.edges) if self.allow_parallel else self.edges:
+            nb[a].append(b)
+            if a != b:
+                nb[b].append(a)
+        return tuple(map(tuple, nb))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         _check_vertex(self, v)

@@ -2,14 +2,17 @@
 the package is checked against: the component sweep behind the cut-edge
 search, the vertex-pair loop behind the irr_naive oracle, the per-edge loops
 behind the Graph and Digraph constructor checks, the line-by-line reader
-behind parse_graph_text, and the per-neighbour branch probe behind lemma34's
-candidate list."""
+behind parse_graph_text, the per-neighbour branch probe behind lemma34's
+candidate list, the per-vertex neighbour sets behind Graph._adjacency, and the
+listed-pairs construction behind the random generators."""
 
 import re
+from itertools import compress
 
 from hypothesis import strategies as st
 
 from totirr import DegreeMultiset, Digraph, EditError, FormatError, Graph, GraphError
+from totirr.generators import _P_TENTHS, _stream
 from totirr.graphs import _branch_component
 
 
@@ -170,3 +173,33 @@ def branch_candidates(g):
                 if v not in members and v != u:
                     out.append((u, root, v))
     return out
+
+
+def adjacency(g):
+    """Each vertex's distinct neighbours, sorted, from one set per vertex."""
+    nb = [set() for _ in range(g.vertex_count)]
+    for a, b in g.edges:
+        nb[a].add(b)
+        nb[b].add(a)
+    return tuple(tuple(sorted(s)) for s in nb)
+
+
+def _kept(pairs, p_index, rng):
+    """The listed pairs whose tenth-draw, one per pair in order, falls below the p_index tenths."""
+    return tuple(compress(pairs, map(_P_TENTHS[p_index].__gt__, rng._belows([10] * len(pairs)))))
+
+
+def random_graph(n, p_index, seed):
+    return Graph(n, _kept([(i, j) for i in range(n) for j in range(i + 1, n)], p_index, _stream(seed)))
+
+
+def random_digraph(n, p_index, seed):
+    return Digraph(n, _kept([(i, j) for i in range(n) for j in range(n) if i != j], p_index, _stream(seed)))
+
+
+def random_connected(n, p_index, seed):
+    rng = _stream(seed)
+    later = range(1, n)
+    tree = set(zip(rng._belows(later), later))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+    return Graph(n, tuple(tree) + _kept(pairs, p_index, rng))

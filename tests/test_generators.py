@@ -1,6 +1,6 @@
 import pytest
 
-from totirr import Digraph, EditOp, Graph, GraphError, SplitMix64, apply_edit, cut_side
+from totirr import Digraph, EditOp, Graph, GraphError, SplitMix64, apply_edit, cut_side, generators
 from totirr.generators import (
     P_TABLE,
     complete,
@@ -21,6 +21,7 @@ from totirr.generators import (
 from totirr.graphs import degree_multiset
 from totirr.irregularity import irr_digraph
 
+import strategies
 from strategies import connected_components
 
 
@@ -156,6 +157,41 @@ def test_random_connected_with_cut_edge():
         cut = apply_edit(g, EditOp.remove_edge(u1, v1))
         master = next(c for c in connected_components(cut) if u1 in c)
         assert len(master) >= 2
+
+
+# 46 vertices put the unordered pairs, 33 the ordered ones, just past the 1,024-lane block.
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 40, 46])
+def test_random_generators_match_the_listed_pairs_reference(n, monkeypatch):
+    for seed in (0, 7, 0xC0FFEE):
+        for p_index in range(len(P_TABLE)):
+            assert random_graph(n, p_index, seed) == strategies.random_graph(n, p_index, seed)
+            assert random_digraph(n, p_index, seed) == strategies.random_digraph(n, p_index, seed)
+            assert random_connected(n, p_index, seed) == strategies.random_connected(n, p_index, seed)
+    if n >= 3:
+        want = {seed: random_connected_with_cut_edge(n, seed) for seed in range(5)}
+        monkeypatch.setattr(generators, "random_connected", strategies.random_connected)
+        assert {seed: random_connected_with_cut_edge(n, seed) for seed in range(5)} == want
+
+
+def test_edge_draws_skip_the_single_and_listed_draws(monkeypatch):
+    calls = {"below": 0, "_belows": 0}
+
+    def counted(name):
+        method = getattr(SplitMix64, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(SplitMix64, name, counted(name))
+    random_graph(40, 1, 3)
+    random_digraph(40, 1, 3)
+    assert calls == {"below": 0, "_belows": 0}
+    random_connected(40, 1, 3)
+    assert calls == {"below": 0, "_belows": 1}
 
 
 def test_generator_accepts_stream_or_int():

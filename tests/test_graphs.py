@@ -16,7 +16,7 @@ from totirr import (
 )
 from totirr.graphs import EditKind, _branch_component, degree_multiset
 
-from strategies import checked_arcs, checked_edges, connected_components, digraphs, graphs
+from strategies import adjacency, checked_arcs, checked_edges, connected_components, digraphs, graphs
 
 
 # --- construction -----------------------------------------------------------
@@ -185,6 +185,15 @@ def multigraphs(draw, max_n=10):
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=2 * n + 2))
     return Graph(n, tuple(edges), allow_parallel=True, allow_loops=True)
+
+
+@settings(max_examples=300)
+@given(multigraphs(), st.booleans())
+def test_adjacency_matches_the_neighbour_sets(g, parallel):
+    # without allow_parallel the edges go straight to the neighbour lists, loops and all
+    if not parallel:
+        g = Graph(g.vertex_count, tuple(set(g.edges)), allow_loops=True)
+    assert g._adjacency == adjacency(g)
 
 
 def _side_by_components(g, a, b):

@@ -98,6 +98,16 @@ def test_bulk_draws_are_the_single_draws(count):
         assert bulk.next_u64() == single.next_u64()
 
 
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_tenth_flags_are_the_single_draws(count):
+    # After the last mix step each lane's high half holds the next lane's low bits:
+    # the in-lane division must not read them.
+    for tenths in (0, 2, 5, 8, 10):
+        flags, single = SplitMix64(0xF1A65 + count), SplitMix64(0xF1A65 + count)
+        assert flags._tenth_flags(count, tenths) == bytes(single.below(10) < tenths for _ in range(count))
+        assert flags.next_u64() == single.next_u64()
+
+
 def test_bulk_draws_reject_what_below_rejects():
     for bounds in ([0], [3, 7, 0, 5], [4] * (_BLOCK + 2) + [-3]):
         bulk, single = SplitMix64(5), SplitMix64(5)
