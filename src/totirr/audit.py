@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .generators import (
     P_TABLE,
+    _connected_edges,
+    _tree_edges,
     complete,
     complete_bipartite,
     cycle,
@@ -46,11 +47,9 @@ from .generators import (
     orient_by_labeling,
     orient_left_right,
     path,
-    random_connected,
     random_connected_with_cut_edge,
     random_digraph,
     random_graph,
-    random_tree,
     star,
 )
 from .graphs import (
@@ -59,6 +58,7 @@ from .graphs import (
     Digraph,
     EditOp,
     Graph,
+    _cached,
     _hangs_a_tree,
     apply_edit,
     cut_side,
@@ -128,11 +128,11 @@ class AuditReport:
     config: tuple[tuple[str, str], ...]
     rows: tuple[AuditRow, ...]
 
-    @cached_property
+    @_cached
     def engine_ok(self) -> bool:
         return all(row.engine_ok for row in self.rows)
 
-    @cached_property
+    @_cached
     def formula_stats(self) -> tuple[FormulaStat, ...]:
         agree: dict[str, int] = {}
         total: dict[str, int] = {}
@@ -333,8 +333,8 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
     if iid % 5 == 4:
         n = 3 + rng.below(15)
         edge_count = n + rng.below(2 * n)
-        raw = [(rng.below(n), rng.below(n)) for _ in range(edge_count)]
-        g = Graph(n, tuple(raw), allow_parallel=True, allow_loops=True)
+        ends = rng._belows([n] * (2 * edge_count))
+        g = Graph(n, tuple(zip(ends[::2], ends[1::2])), allow_parallel=True, allow_loops=True)
         a, b = g.edges[rng.below(g.edge_count)]
         moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
         others = [t for t in range(n) if t != moved]
@@ -551,16 +551,16 @@ def _branch_candidates(g: Graph) -> list[tuple[int, int, int]]:
 def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int, int, int]:
     if rng.below(2) == 0:
         n0 = 2 + rng.below(25)
-        g0 = random_tree(n0, rng)
+        base = _tree_edges(n0, rng)
         desc = f"tree(n={n0})"
     else:
         n0 = 3 + rng.below(20)
         p = rng.below(3)
-        g0 = random_connected(n0, p, rng)
+        base = _connected_edges(n0, p, rng)
         desc = f"er-conn(n={n0} p={P_TABLE[p]})"
     anchor = rng.below(n0)
     # three planted pendants guarantee at least one valid move
-    g = Graph(n0 + 3, tuple(g0.edges) + ((anchor, n0), (anchor, n0 + 1), (anchor, n0 + 2)))
+    g = Graph(n0 + 3, base + ((anchor, n0), (anchor, n0 + 1), (anchor, n0 + 2)))
     candidates = _branch_candidates(g)
     u, root, v = candidates[rng.below(len(candidates))]
     return g, f"{desc}+3p", u, root, v

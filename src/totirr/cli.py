@@ -12,38 +12,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .audit import (
-    AuditRow,
-    arc_transform_row,
-    edge_transform_row,
-    joint_row,
-    lemma34_suite,
-    run_arc_transform_suite,
-    run_closed_form_suite,
-    run_edge_joint_suite,
-    run_edge_transform_suite,
-)
 from .fileio import read_graph_file, write_graph_file
-from .generators import (
-    complete,
-    complete_bipartite,
-    cycle,
-    empty_graph,
-    matching,
-    orient_by_labeling,
-    orient_left_right,
-    path,
-    random_connected,
-    random_digraph,
-    random_graph,
-    random_tree,
-    star,
-)
 from .graphs import Digraph
 from .irregularity import irr_digraph, irr_graph
 from .transforms import arc_transformation, edge_joint, edge_transformation
+
+if TYPE_CHECKING:
+    from .audit import AuditRow
 
 
 def _parse_seed(text: str) -> int:
@@ -92,6 +69,8 @@ def _cmd_joint(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_graph_file(args.out, joined)
     if args.report:
+        from .audit import joint_row
+
         _print_report(joint_row(0, 0, (g1, args.left, g2, args.right, args.u, args.v), joined), "union_irr")
     return 0
 
@@ -102,33 +81,37 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if isinstance(g, Digraph):
         end = args.end or "head"
         edited = arc_transformation(g, (a, b), args.target, end)
-        row, instance = arc_transform_row, (g, args.input, (a, b), end, args.target)
+        row, instance = "arc_transform_row", (g, args.input, (a, b), end, args.target)
     else:
         if args.end is not None:
             raise ValueError("--end only applies to directed inputs")
         edited = edge_transformation(g, a, b, args.target)
-        row, instance = edge_transform_row, (g, args.input, a, b, args.target)
+        row, instance = "edge_transform_row", (g, args.input, a, b, args.target)
     if args.out is not None:
         write_graph_file(args.out, edited)
     if args.report:
-        _print_report(row(0, 0, instance, edited), "irr_before")
+        from . import audit
+
+        _print_report(getattr(audit, row)(0, 0, instance, edited), "irr_before")
     return 0
 
 
-# suite -> (default --instances, runner of (instances, seed)); like the family
-# builders, each runner looks its suite function up by name when it is called
+# suite -> (default --instances, runner of (audit module, instances, seed)); the audit module
+# is imported when a suite runs, and each runner looks its suite function up in it then
 _SUITES = {
-    "edge-joint": (1000, lambda n, seed: run_edge_joint_suite(n, seed)),
-    "edge-transform": (1000, lambda n, seed: run_edge_transform_suite(n, seed)),
-    "arc-transform": (1000, lambda n, seed: run_arc_transform_suite(n, seed)),
-    "closed-forms": (64, lambda max_n, seed: run_closed_form_suite(max_n)),
-    "lemma34": (1000, lambda n, seed: lemma34_suite(n, seed)),
+    "edge-joint": (1000, lambda audit, n, seed: audit.run_edge_joint_suite(n, seed)),
+    "edge-transform": (1000, lambda audit, n, seed: audit.run_edge_transform_suite(n, seed)),
+    "arc-transform": (1000, lambda audit, n, seed: audit.run_arc_transform_suite(n, seed)),
+    "closed-forms": (64, lambda audit, max_n, seed: audit.run_closed_form_suite(max_n)),
+    "lemma34": (1000, lambda audit, n, seed: audit.lemma34_suite(n, seed)),
 }
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from . import audit
+
     default, run = _SUITES[args.suite]
-    report = run(args.instances if args.instances is not None else default, args.seed)
+    report = run(audit, args.instances if args.instances is not None else default, args.seed)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -138,26 +121,32 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     return 0 if report.engine_ok else 1
 
 
-# family -> (parameter count, builder of the graph from the parameters and the parsed flags,
-# vertex pairs a quadratic family examines for nonnegative parameters, or None for a linear one);
-# generate refuses more than _MAX_PAIRS pairs before building anything
+# family -> (parameter count, builder of the graph from the generators module, the parameters and
+# the parsed flags, vertex pairs a quadratic family examines for nonnegative parameters, or None for
+# a linear one); generate refuses more than _MAX_PAIRS pairs before building anything
 _FAMILIES = {
-    "path": (1, lambda p, args: path(*p), None),
-    "cycle": (1, lambda p, args: cycle(*p), None),
-    "complete": (1, lambda p, args: complete(*p), lambda n: n * (n - 1) // 2),
-    "star": (1, lambda p, args: star(*p), None),
-    "complete-bipartite": (2, lambda p, args: complete_bipartite(*p), lambda m, n: m * n),
-    "empty": (1, lambda p, args: empty_graph(*p), None),
-    "matching": (1, lambda p, args: matching(*p), None),
-    "random": (1, lambda p, args: random_graph(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
-    "tree": (1, lambda p, args: random_tree(*p, args.seed), None),
-    "connected": (1, lambda p, args: random_connected(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
-    "random-digraph": (1, lambda p, args: random_digraph(*p, args.p_index, args.seed), lambda n: n * (n - 1)),
+    "path": (1, lambda gen, p, args: gen.path(*p), None),
+    "cycle": (1, lambda gen, p, args: gen.cycle(*p), None),
+    "complete": (1, lambda gen, p, args: gen.complete(*p), lambda n: n * (n - 1) // 2),
+    "star": (1, lambda gen, p, args: gen.star(*p), None),
+    "complete-bipartite": (2, lambda gen, p, args: gen.complete_bipartite(*p), lambda m, n: m * n),
+    "empty": (1, lambda gen, p, args: gen.empty_graph(*p), None),
+    "matching": (1, lambda gen, p, args: gen.matching(*p), None),
+    "random": (1, lambda gen, p, args: gen.random_graph(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
+    "tree": (1, lambda gen, p, args: gen.random_tree(*p, args.seed), None),
+    "connected": (
+        1,
+        lambda gen, p, args: gen.random_connected(*p, args.p_index, args.seed),
+        lambda n: n * (n - 1) // 2,
+    ),
+    "random-digraph": (1, lambda gen, p, args: gen.random_digraph(*p, args.p_index, args.seed), lambda n: n * (n - 1)),
 }
 _MAX_PAIRS = 2_000_000
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import generators
+
     family, params = args.family, args.params
     arity, build, pair_count = _FAMILIES[family]
     if len(params) != arity:
@@ -170,11 +159,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.orient == "left-right":
         if family != "complete-bipartite":
             raise ValueError("left-right orientation only applies to complete-bipartite")
-        out = orient_left_right(*params)
+        out = generators.orient_left_right(*params)
     else:
-        out = build(params, args)
+        out = build(generators, params, args)
         if args.orient == "labeling":
-            out = orient_by_labeling(out, tuple(range(out.vertex_count)))
+            out = generators.orient_by_labeling(out, tuple(range(out.vertex_count)))
     write_graph_file(args.out, out)
     return 0
 

@@ -126,7 +126,8 @@ def graph_to_text(g: AnyGraph) -> str:
         head, pairs = f"D {g.vertex_count}\n", g.arcs
     else:
         raise FormatError(f"unsupported value {type(g).__name__}")
-    return head + "%d %d\n" * len(pairs) % tuple(chain.from_iterable(pairs))
+    # %s, not %d: an id that is not an int is written as it is, for the reader to refuse, never truncated
+    return head + "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))
 
 
 def read_graph_file(path: Union[str, os.PathLike]) -> AnyGraph:

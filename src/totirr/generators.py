@@ -114,20 +114,14 @@ def random_tree(n: int, seed: SeedLike) -> Graph:
     """Random attachment tree: vertex v joins a uniform earlier vertex."""
     if n < 1:
         raise GraphError("tree needs at least 1 vertex")
-    later = range(1, n)
-    return Graph(n, tuple(zip(_stream(seed)._belows(later), later)))
+    return Graph(n, _tree_edges(n, _stream(seed)))
 
 
 def random_connected(n: int, p_index: int, seed: SeedLike) -> Graph:
     """Random attachment tree plus independent extra edges; no rejection."""
     if n < 1:
         raise GraphError("connected graph needs at least 1 vertex")
-    rng = _stream(seed)
-    tenths = _edge_tenths(p_index)
-    later = range(1, n)
-    tree = set(zip(rng._belows(later), later))
-    pairs = filterfalse(tree.__contains__, combinations(range(n), 2))
-    return Graph(n, tuple(tree) + _kept(pairs, n * (n - 1) // 2 - (n - 1), tenths, rng))
+    return Graph(n, _connected_edges(n, p_index, _stream(seed)))
 
 
 def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple[int, int]]:
@@ -145,13 +139,26 @@ def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple
     n2 = n - n1
     p1 = rng.below(3)
     p2 = rng.below(3)
-    left = random_connected(n1, p1, rng)
-    right = random_connected(n2, p2, rng)
+    left = _connected_edges(n1, p1, rng)
+    right = tuple((a + n1, b + n1) for a, b in _connected_edges(n2, p2, rng))
     u1 = rng.below(n1)
     v1 = n1 + rng.below(n2)
-    offset_edges = tuple((a + n1, b + n1) for a, b in right.edges)
-    g = Graph(n, tuple(left.edges) + offset_edges + ((u1, v1),))
-    return g, (u1, v1)
+    return Graph(n, left + right + ((u1, v1),)), (u1, v1)
+
+
+def _tree_edges(n: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+    """random_tree's edges, unchecked: the caller builds the one validated value."""
+    later = range(1, n)
+    return tuple(zip(rng._belows(later), later))
+
+
+def _connected_edges(n: int, p_index: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+    """random_connected's edges, unchecked, as _tree_edges."""
+    tenths = _edge_tenths(p_index)
+    later = range(1, n)
+    tree = set(zip(rng._belows(later), later))
+    pairs = filterfalse(tree.__contains__, combinations(range(n), 2))
+    return tuple(tree) + _kept(pairs, n * (n - 1) // 2 - (n - 1), tenths, rng)
 
 
 def _kept(pairs: Iterator[tuple[int, int]], count: int, tenths: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:

@@ -11,12 +11,15 @@ the removed entry is present; the added one differs from it, is a loop only
 where loops are allowed and is new unless parallel edges are (a digraph
 allows neither). The child splices the parent's sorted edge tuple and has
 its fields set directly, so an edit neither re-checks the edges it leaves
-alone nor sweeps a component. Membership tests bisect that sorted tuple, so
+alone nor sweeps a component. A value remembers the plan of the last edit
+checked against it, so pricing an edit and then applying it plans once; a
+child starts with no plan. Membership tests bisect that sorted tuple, so
 a value carries no hash index of its edges. A loop contributes 2 to the degree
 of its vertex. Degree multisets are the sole input to every irregularity
 computation, so they get a dedicated value type with counting helpers instead
 of being passed around as raw lists; each value caches one multiset per
-degree mode, always counted from its own edges. A digraph counts its in- and
+degree mode, always counted from its own edges. Lazy fields are cached in
+the instance __dict__ without a lock. A digraph counts its in- and
 out-degrees together, in one pass over its arcs.
 """
 
@@ -26,7 +29,6 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import starmap
 from operator import eq, itemgetter
 from typing import Iterable, Literal, Optional, Union
@@ -50,6 +52,19 @@ def _normalize(a: int, b: int) -> tuple[int, int]:
 def _check_vertex(g: "AnyGraph", v: int) -> None:
     if not (0 <= v < g.vertex_count):
         raise GraphError(f"vertex {v} outside range 0..{g.vertex_count - 1}")
+
+
+class _cached:
+    """functools.cached_property without the lock Python 3.11 takes on a miss: the first read fills __dict__."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> int:
@@ -96,7 +111,7 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_cached
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.vertex_count
         for a, b in self.edges:
@@ -108,14 +123,14 @@ class Graph:
         _check_vertex(self, v)
         return self.degrees[v]
 
-    @cached_property
+    @_cached
     def _degree_multiset(self) -> "DegreeMultiset":
         return DegreeMultiset.from_degrees(self.degrees)
 
     def has_edge(self, a: int, b: int) -> bool:
         return _multiplicity(self.edges, _normalize(a, b)) > 0
 
-    @cached_property
+    @_cached
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         # Sorted (low, high) edges list each vertex's lower neighbours, its loop, then its higher ones.
         nb: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -168,7 +183,7 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    @cached_property
+    @_cached
     def _in_out_degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ins = [0] * self.vertex_count
         outs = [0] * self.vertex_count
@@ -185,11 +200,11 @@ class Digraph:
     def out_degrees(self) -> tuple[int, ...]:
         return self._in_out_degrees[1]
 
-    @cached_property
+    @_cached
     def _in_multiset(self) -> "DegreeMultiset":
         return DegreeMultiset.from_degrees(self.in_degrees)
 
-    @cached_property
+    @_cached
     def _out_multiset(self) -> "DegreeMultiset":
         return DegreeMultiset.from_degrees(self.out_degrees)
 
@@ -226,15 +241,15 @@ class DegreeMultiset:
     def from_entries(cls, entries: Iterable[tuple[int, int]]) -> "DegreeMultiset":
         return cls(tuple(sorted(entries)))
 
-    @cached_property
+    @_cached
     def vertex_count(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @cached_property
+    @_cached
     def _values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.entries)
 
-    @cached_property
+    @_cached
     def _prefix(self) -> tuple[int, ...]:
         # _prefix[i] = number of vertices with degree among the first i values
         acc = [0]
@@ -354,7 +369,7 @@ def _branch_component(g: Graph, attachment: int, root: int) -> list[int]:
     return side
 
 
-def _splice(items: tuple, removed: list, added: list) -> tuple:
+def _splice(items: tuple, removed: tuple, added: tuple) -> tuple:
     """The sorted tuple items less one copy of each removed entry, plus each added one."""
     out = list(items)
     for x in removed:
@@ -387,10 +402,24 @@ _EDIT_RULES = {
 }
 
 
-def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Check op by the rule apply_edit states; return (entries removed, entries added), edges normalized."""
+def _remembered_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """_edit_plan(g, op), kept on g for the last op g accepted, so pricing op and then applying it plans once.
+
+    The plan is a pair of tuples, so no caller can change it; apply_edit's child starts without one.
+    """
     if not isinstance(g, (Graph, Digraph)):
         raise EditError(f"unsupported value {type(g).__name__}")
+    last = g.__dict__.get("_last_plan")
+    if last is None or last[0] != op:
+        last = g.__dict__["_last_plan"] = op, _edit_plan(g, op)
+    return last[1]
+
+
+def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Check op on a Graph or Digraph g by the rule apply_edit states.
+
+    Returns (entries removed, entries added) as tuples, edges normalized.
+    """
     directed, picks = _EDIT_RULES[op.kind]
     if isinstance(g, Digraph) != directed:
         raise EditError(f"{op.kind.value} does not apply to {'an undirected graph' if directed else 'a digraph'}")
@@ -398,11 +427,11 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tup
     _check_vertex(g, a)
     _check_vertex(g, b)
     entries, noun = (g.arcs, "arc") if directed else (g.edges, "edge")
-    removed = [] if op.kind is EditKind.ADD_EDGE else [(a, b) if directed else _normalize(a, b)]
+    removed = () if op.kind is EditKind.ADD_EDGE else ((a, b) if directed else _normalize(a, b),)
     if removed and not _multiplicity(entries, removed[0]):
         raise EditError(f"{noun} ({a}, {b}) not present")
     if picks is None:
-        return removed, []
+        return removed, ()
     if 2 in picks:
         if op.target is None:
             raise EditError(f"{op.kind.value} needs a target")
@@ -410,13 +439,13 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[list[tuple[int, int]], list[tup
     ends = (a, b, op.target)
     x, y = ends[picks[0]], ends[picks[1]]
     added = (x, y) if directed else _normalize(x, y)
-    if removed == [added]:
+    if removed == (added,):
         raise EditError(f"new end {op.target} equals the end it replaces")
     if x == y and (directed or not g.allow_loops):
         raise EditError(f"self-arc at vertex {x} not allowed" if directed else f"loop at vertex {x} requires allow_loops")
     if (directed or not g.allow_parallel) and _multiplicity(entries, added):
         raise EditError(f"{noun} ({x}, {y}) already present")
-    return removed, [added]
+    return removed, (added,)
 
 
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
@@ -429,7 +458,7 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     unless g allows parallel edges (a digraph allows neither). The child is
     g's spliced tuple, never re-validated, and counts its degrees lazily.
     """
-    removed, added = _edit_plan(g, op)
+    removed, added = _remembered_plan(g, op)
     if isinstance(g, Graph):
         return _from_valid_fields(
             Graph,

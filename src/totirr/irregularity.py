@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
-from .graphs import AnyGraph, DegreeMultiset, Digraph, EditOp, Graph, _edit_plan, degree_multiset
+from .graphs import AnyGraph, DegreeMultiset, Digraph, EditOp, Graph, _remembered_plan, degree_multiset
 
 
 class IrrPair(NamedTuple):
@@ -105,12 +105,12 @@ def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]
 
     Returns an int for a Graph edit and an (in delta, out delta) pair for a
     Digraph edit. The edit plan is the one apply_edit uses, so an op that
-    cannot be applied raises the same error here. Both ends of an edge step
-    in the degrees; an arc's head steps in the in-degrees and its tail in the
-    out-degrees. The steps are priced against g's own cached multisets; no
-    other multiset is built.
+    cannot be applied raises the same error here, and g keeps it for
+    apply_edit. Both ends of an edge step in the degrees; an arc's head steps
+    in the in-degrees and its tail in the out-degrees. The steps are priced
+    against g's own cached multisets; no other multiset is built.
     """
-    removed, added = _edit_plan(g, op)
+    removed, added = _remembered_plan(g, op)
     if isinstance(g, Graph):
         return _price_steps(
             degree_multiset(g), g.degrees, [v for e in removed for v in e], [v for e in added for v in e]

@@ -1,7 +1,7 @@
 """Whole-graph operations that the prediction formulas talk about.
 
 These wrap the low-level edit machinery with the structural preconditions of
-each named operation, and return new values. Ids are stable: a disjoint union
+each named operation, and return new values. Ids are stable: an edge joint
 keeps graph 1's ids and offsets graph 2's by graph 1's order; every other
 operation preserves ids outright.
 """
@@ -12,27 +12,18 @@ from .graphs import Digraph, EditError, EditOp, Graph, GraphError, apply_edit, c
 from .graphs import _branch_component, _check_vertex
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """g1 unchanged, g2 relabeled upward by g1.vertex_count."""
-    offset = g1.vertex_count
-    edges = tuple(g1.edges) + tuple((a + offset, b + offset) for a, b in g2.edges)
-    return Graph(
-        g1.vertex_count + g2.vertex_count,
-        edges,
-        g1.allow_parallel or g2.allow_parallel,
-        g1.allow_loops or g2.allow_loops,
-    )
-
-
 def edge_joint(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
     """Disjoint union of g1 and g2 plus the bridging edge u--v.
 
     u is a g1 id and v a g2 id; in the result v becomes v + g1.vertex_count.
+    One constructor call builds it: the bridge is never a loop or a parallel edge.
     """
     _check_vertex(g1, u)
     _check_vertex(g2, v)
-    union = disjoint_union(g1, g2)
-    return apply_edit(union, EditOp.add_edge(u, g1.vertex_count + v))
+    offset = g1.vertex_count
+    edges = g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges) + ((u, offset + v),)
+    parallel, loops = g1.allow_parallel or g2.allow_parallel, g1.allow_loops or g2.allow_loops
+    return Graph(offset + g2.vertex_count, edges, parallel, loops)
 
 
 def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totirr import Graph, GraphError, audit, graphs, irr_naive, transforms
+from totirr import Graph, GraphError, SplitMix64, audit, graphs, irr_naive, irregularity, transforms
 from totirr.audit import (
     CSV_HEADER,
     _branch_candidates,
@@ -196,6 +196,56 @@ def test_lemma34_sweeps_one_side_per_row(monkeypatch):
         monkeypatch.setattr(module, "cut_side", counting)
     rep = lemma34_suite(30, SEED)
     assert len(calls) == len(rep.rows) == 30
+
+
+def _closed_form_plans(row):
+    """A reversal instance writes its mode=in row, then its mode=out row, from one plan; other rows edit nothing."""
+    op = row.operation
+    return "reverse=" in op and "reverse=none" not in op and op.endswith("mode=in")
+
+
+# a row's edit and its price share one plan; a joint row plans a removal on the joined
+# graph, then the joint on the union
+@pytest.mark.parametrize(
+    "suite, plans_per_row",
+    [
+        (lambda: run_edge_joint_suite(40, SEED), lambda row: 2),
+        (lambda: run_edge_transform_suite(40, SEED), lambda row: 1),
+        (lambda: run_arc_transform_suite(40, SEED), lambda row: 1),
+        (lambda: lemma34_suite(40, SEED), lambda row: 1),
+        (lambda: run_closed_form_suite(10), _closed_form_plans),
+    ],
+    ids=["edge-joint", "edge-transform", "arc-transform", "lemma34", "closed-forms"],
+)
+def test_each_audited_edit_is_planned_once(monkeypatch, suite, plans_per_row):
+    plans = []
+    real = graphs._edit_plan
+
+    def counting(g, op):
+        plans.append(op)
+        return real(g, op)
+
+    for module in (graphs, irregularity):  # and any alias a caller imported by name
+        monkeypatch.setattr(module, "_edit_plan", counting, raising=False)
+    report = suite()
+    assert len(plans) == sum(map(plans_per_row, report.rows)) > 0
+
+
+def test_each_drawn_instance_is_validated_once(monkeypatch):
+    built = []
+    real = Graph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    root = SplitMix64(SEED)
+    for draw in (audit._random_edge_transform_instance, audit._random_branch_instance):
+        for iid in range(3, 40):  # every fifth edge-transform instance is a multigraph
+            built.clear()
+            instance = draw(iid, root.child(iid))
+            assert len(built) == 1 and built[0] is instance[0], (draw.__name__, iid)
 
 
 def test_multigraph_rows_present_in_edge_transform():

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from totirr import Graph, cli, graph_to_text, transforms
+import totirr
+from totirr import Graph, cli, generators, graph_to_text, transforms
 from totirr.cli import main
 from totirr.generators import orient_left_right
 
@@ -46,6 +50,19 @@ def test_compute_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "compute", "--input", str(tmp_path / "nope.txt"))
     assert code == 2
     assert "error:" in err
+
+
+def test_compute_loads_no_audit_generators_or_predictors(tmp_path):
+    f = write(tmp_path, "p3.txt", "U 3\n0 1\n1 2\n")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(totirr.__file__).parents[1])!r})\n"
+        "from totirr.cli import main\n"
+        f"main(['compute', '--input', {f!r}])\n"
+        "print(sorted(m for m in ('totirr.audit', 'totirr.generators', 'totirr.predictors') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "irr_t=2\n[]\n", "")
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
@@ -277,7 +294,7 @@ def test_generate_refuses_more_than_the_pair_cap(tmp_path, capsys, monkeypatch, 
         raise AssertionError("the graph was built before the pair cap was checked")
 
     for name in ("complete", "complete_bipartite", "random_graph", "random_connected", "random_digraph"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(generators, name, refuse)
     out_file = tmp_path / "x.txt"
     start = time.perf_counter()
     code, out, err = run(capsys, "generate", "--family", family, "--params", *sizes.split(), "--out", str(out_file))
@@ -292,7 +309,7 @@ def test_generate_left_right_builds_only_the_orientation(tmp_path, capsys, monke
         raise AssertionError("a dense family was built for a left-right orientation")
 
     for name in ("complete", "complete_bipartite", "random_graph", "random_connected", "random_digraph"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(generators, name, refuse)
     out_file = tmp_path / "x.txt"
     flags = ("--orient", "left-right", "--out", str(out_file))
     assert run(capsys, "generate", "--family", "complete-bipartite", "--params", "2", "2", *flags) == (0, "", "")
@@ -387,4 +404,4 @@ def test_report_builds_the_edited_value_once(tmp_path, capsys, monkeypatch):
     assert calls == {"cut_side": 1, "graph": 1}  # the read; one cut-edge check
     calls.update(cut_side=0, graph=0)
     assert run(capsys, "joint", "--left", p4, "--right", p4, "--u", "0", "--v", "3", "--report")[0] == 0
-    assert calls == {"cut_side": 0, "graph": 3}  # two reads; one disjoint union
+    assert calls == {"cut_side": 0, "graph": 3}  # two reads; the joined graph

@@ -196,6 +196,14 @@ def test_round_trip_directed(d):
     assert parse_graph_text(graph_to_text(d)) == d
 
 
+def test_writer_never_turns_a_value_into_another_graph():
+    # the constructor only range-checks ids; the writer prints them as they are, and the reader refuses them
+    text = graph_to_text(Graph(3, ((0.0, 1.5),)))
+    assert text == "U 3\n0.0 1.5\n"
+    with pytest.raises(FormatError, match="line 2"):
+        parse_graph_text(text)
+
+
 def test_file_round_trip_bytes(tmp_path):
     g = Graph(3, ((0, 1), (1, 2)))
     target = tmp_path / "g.txt"

@@ -169,7 +169,8 @@ def test_random_generators_match_the_listed_pairs_reference(n, monkeypatch):
             assert random_connected(n, p_index, seed) == strategies.random_connected(n, p_index, seed)
     if n >= 3:
         want = {seed: random_connected_with_cut_edge(n, seed) for seed in range(5)}
-        monkeypatch.setattr(generators, "random_connected", strategies.random_connected)
+        reference = lambda size, p_index, rng: strategies.random_connected(size, p_index, rng).edges
+        monkeypatch.setattr(generators, "_connected_edges", reference)
         assert {seed: random_connected_with_cut_edge(n, seed) for seed in range(5)} == want
 
 

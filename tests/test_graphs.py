@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from totirr import (
     cut_side,
     exact_delta_for_edit,
 )
-from totirr.graphs import EditKind, _branch_component, degree_multiset
+from totirr.audit import AuditReport, run_edge_joint_suite
+from totirr.graphs import EditKind, _branch_component, _cached, degree_multiset
 
 from strategies import adjacency, checked_arcs, checked_edges, connected_components, digraphs, graphs
 
@@ -101,6 +104,41 @@ def test_constructor_checks_match_the_per_edge_reference(case):
             got = _outcome(lambda: Graph(n, tuple(edges), parallel, loops).edges)
             assert got == _outcome(lambda: checked_edges(n, edges, parallel, loops))
     assert _outcome(lambda: Digraph(n, tuple(edges)).arcs) == _outcome(lambda: checked_arcs(n, edges))
+
+
+def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
+    lazy = {
+        Graph: {"degrees", "_degree_multiset", "_adjacency"},
+        Digraph: {"_in_out_degrees", "_in_multiset", "_out_multiset"},
+        DegreeMultiset: {"vertex_count", "_values", "_prefix"},
+        AuditReport: {"engine_ok", "formula_stats"},
+    }
+    computed = []
+    for cls, names in lazy.items():
+        assert {name for name, attr in vars(cls).items() if isinstance(attr, _cached)} == names
+        for name in names:
+            field = vars(cls)[name]
+            monkeypatch.setattr(field, "compute", lambda obj, _f=field.compute, _n=name: computed.append(_n) or _f(obj))
+    values = [
+        Graph(3, ((0, 1), (1, 2))),
+        Graph(3, ((0, 1), (1, 2))),
+        Digraph(3, ((0, 1), (2, 1))),
+        DegreeMultiset.from_degrees((1, 2, 1)),
+        run_edge_joint_suite(2, 7),
+    ]
+    computed.clear()  # the suite read lazy fields of the values it built
+    for value in values:
+        names = lazy[type(value)]
+        for _ in range(3):
+            for name in names:
+                getattr(value, name)
+        assert sorted(computed) == sorted(names), type(value).__name__
+        computed.clear()
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+    with pytest.raises(FrozenInstanceError):
+        values[0].edges = ()
 
 
 def test_degrees_small_cases():

@@ -161,6 +161,35 @@ def test_exact_delta_rejects_what_apply_edit_rejects():
         assert (type(priced.value), str(priced.value)) == (error, message), (value, op)
 
 
+def _recomputed(value, child):
+    if isinstance(value, Graph):
+        return irr_graph(child) - irr_graph(value)
+    return tuple(after - before for after, before in zip(irr_digraph(child), irr_digraph(value)))
+
+
+def test_a_remembered_plan_serves_only_its_own_value_and_op():
+    g = Graph(5, ((0, 1), (1, 2), (2, 3)))
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+    for value, op1, op2 in (
+        (g, EditOp.add_edge(0, 4), EditOp.remove_edge(0, 1)),
+        (d, EditOp.reverse_arc(0, 1), EditOp.retarget_head(1, 2, 3)),
+    ):
+        exact_delta_for_edit(value, op1)
+        child = apply_edit(value, op2)
+        # the child starts without its parent's plan: the entry op2 removes is gone from it
+        with pytest.raises(EditError, match="not present"):
+            exact_delta_for_edit(child, op2)
+        assert exact_delta_for_edit(value, op2) == _recomputed(value, child)
+        assert exact_delta_for_edit(value, op1) == _recomputed(value, apply_edit(value, op1))
+    # a rejected op raises the same error on every call, after an accepted plan too
+    accepted, rejected = EditOp.add_edge(0, 4), EditOp.add_edge(1, 0)
+    want = exact_delta_for_edit(g, accepted)
+    for call in (exact_delta_for_edit, apply_edit, exact_delta_for_edit):
+        with pytest.raises(EditError, match=r"edge \(1, 0\) already present"):
+            call(g, rejected)
+    assert exact_delta_for_edit(g, accepted) == want == _recomputed(g, apply_edit(g, accepted))
+
+
 def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
     g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 1)), allow_parallel=True, allow_loops=True)
     d = Digraph(4, ((0, 1), (1, 2), (2, 3)))

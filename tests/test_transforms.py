@@ -20,17 +20,16 @@ from totirr import (
 )
 from totirr.graphs import degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
-from totirr.transforms import disjoint_union
 
 from strategies import connected_components, graphs
 
 
-def test_disjoint_union_shifts_ids():
+def test_edge_joint_shifts_ids():
     g1 = Graph(2, ((0, 1),))
     g2 = Graph(3, ((0, 2),))
-    u = disjoint_union(g1, g2)
-    assert u.vertex_count == 5
-    assert u.edges == ((0, 1), (2, 4))
+    j = edge_joint(g1, g2, 1, 1)
+    assert j.vertex_count == 5
+    assert j.edges == ((0, 1), (1, 3), (2, 4))
 
 
 def test_edge_joint_k1_k1_gives_k2():
