@@ -8,9 +8,11 @@ space before the random ones.
 
 Three quantities meet in every row:
 
-  oracle   irr recomputed from scratch on the edited value. Random suites use
-           the definition summed by degree class (irr_naive); the closed-form
-           suite uses the fast path, whose equivalence is covered elsewhere.
+  oracle   irr recomputed from scratch on the edited value, whose degrees are
+           counted from its own edges or arcs (_recounted), never taken from
+           the ones apply_edit carries. Random suites use the definition
+           summed by degree class (irr_naive); the closed-form suite uses the
+           fast path, whose equivalence is covered elsewhere.
   engine   the incremental delta from exact_delta_for_edit. Engine versus
            oracle is the hard invariant: any mismatch marks the report as
            failed (engine_ok False), which the CLI maps to exit code 1.
@@ -32,7 +34,10 @@ takes the edited value its caller built through the operation's own checks.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .generators import (
@@ -55,6 +60,7 @@ from .generators import (
 from .graphs import (
     AnyGraph,
     DegreeMode,
+    DegreeMultiset,
     Digraph,
     EditOp,
     Graph,
@@ -64,7 +70,7 @@ from .graphs import (
     cut_side,
     degree_multiset,
 )
-from .irregularity import exact_delta_for_edit, irr_digraph, irr_naive
+from .irregularity import exact_delta_for_edit, irr_digraph, irr_fast, irr_naive
 from .partitions import joint_partition, transform_counts
 from .predictors import (
     FormulaId,
@@ -204,6 +210,20 @@ def _mk_row(
     return AuditRow(instance_id, seed, operation, irr_before, irr_after, engine_delta, outcomes)
 
 
+def _recounted(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
+    """g's degree multiset in mode, counted afresh from g's own edges or arcs.
+
+    An edited value's oracle irr reads this, never the degrees apply_edit
+    carried from its parent, so the oracle shares no bookkeeping with the engine.
+    """
+    if isinstance(g, Graph):
+        ends = chain.from_iterable(g.edges)  # a loop lists its vertex twice
+    else:
+        ends = map(itemgetter(1 if mode == "in" else 0), g.arcs)
+    counted = Counter(ends)  # vertices on no edge or arc are missing: each has degree 0
+    return DegreeMultiset.from_degrees([*counted.values(), *repeat(0, g.vertex_count - len(counted))])
+
+
 def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undirected") -> tuple[int, int, int]:
     """(oracle irr before, oracle irr after, engine delta) of op in one degree mode.
 
@@ -211,7 +231,7 @@ def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undi
     structural checks run on every audited instance.
     """
     irr_before = irr_naive(degree_multiset(g, mode))
-    irr_after = irr_naive(degree_multiset(edited, mode))
+    irr_after = irr_naive(_recounted(edited, mode))
     engine = exact_delta_for_edit(g, op)
     if mode != "undirected":
         engine = engine[0] if mode == "in" else engine[1]
@@ -474,7 +494,8 @@ def run_closed_form_suite(max_n: int) -> AuditReport:
         emit(f"{family} reverse=none", base_pair, base_pair, (0, 0), fid, want_none)
         for pos in range(1, base.arc_count + 1):
             op = EditOp.reverse_arc(pos - 1, pos % base.vertex_count)
-            after_pair = irr_digraph(apply_edit(base, op))
+            after = apply_edit(base, op)
+            after_pair = [irr_fast(_recounted(after, mode)) for mode in ("in", "out")]
             emit(f"{family} reverse={pos}", base_pair, after_pair, exact_delta_for_edit(base, op), fid, want_at(pos))
 
     for k in range(2, max_n + 1):

@@ -4,7 +4,7 @@ Line-oriented key=value output on stdout; structured reports go to files via
 --format csv/json. No color, no TTY detection, byte-stable across runs.
 
 Exit codes: 0 success, 1 audit engine invariant violation, 2 usage or input
-error (bad flags, malformed files, invalid vertex ids).
+error (bad flags, malformed files, invalid vertex ids) or out of memory.
 """
 
 from __future__ import annotations
@@ -224,6 +224,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 stays reserved for an engine invariant failure
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

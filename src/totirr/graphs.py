@@ -18,8 +18,10 @@ a value carries no hash index of its edges. A loop contributes 2 to the degree
 of its vertex. Degree multisets are the sole input to every irregularity
 computation, so they get a dedicated value type with counting helpers instead
 of being passed around as raw lists; each value caches one multiset per
-degree mode, always counted from its own edges. Lazy fields are cached in
-the instance __dict__ without a lock. A digraph counts its in- and
+degree mode, counted from its degrees. A value counts those from its own
+edges, unless it is an edit's child whose parent had counted them: then it
+takes the parent's with the touched entries patched. Lazy fields are cached
+in the instance __dict__ without a lock. A digraph counts its in- and
 out-degrees together, in one pass over its arcs.
 """
 
@@ -448,6 +450,19 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tu
     return removed, (added,)
 
 
+def _carried(degrees: tuple[int, ...], removed: tuple, added: tuple, ends: tuple[int, ...]) -> tuple[int, ...]:
+    """degrees less one at each end of a removed entry and plus one at each end of an added one.
+
+    ends are the positions in an entry of the ends these degrees count: a loop moves its vertex by 2.
+    """
+    out = list(degrees)
+    for step, entries in ((-1, removed), (1, added)):
+        for entry in entries:
+            for i in ends:
+                out[entry[i]] += step
+    return tuple(out)
+
+
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """Return a new value with op applied; the input is never mutated.
 
@@ -456,18 +471,26 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     must be present; a retarget has a target, in range; the added entry differs
     from the removed one, is a loop only where g allows loops and is new
     unless g allows parallel edges (a digraph allows neither). The child is
-    g's spliced tuple, never re-validated, and counts its degrees lazily.
+    g's spliced tuple, never re-validated. If g has counted its degrees, the
+    child takes them with the touched entries patched (_carried); otherwise it
+    counts its own lazily. Either way it counts its degree multisets lazily.
     """
     removed, added = _remembered_plan(g, op)
     if isinstance(g, Graph):
+        carry = {"degrees": _carried(g.degrees, removed, added, (0, 1))} if "degrees" in g.__dict__ else {}
         return _from_valid_fields(
             Graph,
             vertex_count=g.vertex_count,
             edges=_splice(g.edges, removed, added),
             allow_parallel=g.allow_parallel,
             allow_loops=g.allow_loops,
+            **carry,
         )
-    return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added))
+    carry = {}
+    if "_in_out_degrees" in g.__dict__:
+        ins, outs = g._in_out_degrees
+        carry["_in_out_degrees"] = _carried(ins, removed, added, (1,)), _carried(outs, removed, added, (0,))
+    return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added), **carry)
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:

@@ -93,27 +93,18 @@ def thm33_predict(base_irr: int, p: TransformPartitionCounts) -> int:
     return base_irr - 2 * (p.h + p.l1)
 
 
+# relation -> the case of Thm 3.3, and of Prop 4.7 in either mode, that it selects
+_CASES = {Relation.EQUAL: 1, Relation.ABOVE: 2, Relation.BELOW: 3}
+
+
 def thm33_formula_id(relation: Relation) -> FormulaId:
-    return {
-        Relation.EQUAL: FormulaId.THM33_CASE1,
-        Relation.ABOVE: FormulaId.THM33_CASE2,
-        Relation.BELOW: FormulaId.THM33_CASE3,
-    }[relation]
+    return FormulaId(f"Thm33Case{_CASES[relation]}")
 
 
 def prop47_formula_id(mode: str, relation: Relation) -> FormulaId:
-    table = {
-        ("in", Relation.EQUAL): FormulaId.PROP47_IN_CASE1,
-        ("in", Relation.ABOVE): FormulaId.PROP47_IN_CASE2,
-        ("in", Relation.BELOW): FormulaId.PROP47_IN_CASE3,
-        ("out", Relation.EQUAL): FormulaId.PROP47_OUT_CASE1,
-        ("out", Relation.ABOVE): FormulaId.PROP47_OUT_CASE2,
-        ("out", Relation.BELOW): FormulaId.PROP47_OUT_CASE3,
-    }
-    try:
-        return table[(mode, relation)]
-    except KeyError:
-        raise GraphError(f"no formula for mode {mode!r}") from None
+    if mode not in ("in", "out"):
+        raise GraphError(f"no formula for mode {mode!r}")
+    return FormulaId(f"Prop47{mode.title()}Case{_CASES[relation]}")
 
 
 def path_closed_form(n: int, reversed_arc: Optional[int] = None) -> IrrPair:

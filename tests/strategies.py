@@ -4,7 +4,8 @@ search, the vertex-pair loop behind the irr_naive oracle, the per-edge loops
 behind the Graph and Digraph constructor checks, the line-by-line reader
 behind parse_graph_text, the per-neighbour branch probe behind lemma34's
 candidate list, the per-vertex neighbour sets behind Graph._adjacency, and the
-listed-pairs construction behind the random generators."""
+listed-pairs construction behind the random generators. Also the wrong degree
+carry that the oracle-independence tests install."""
 
 import re
 from itertools import compress
@@ -203,3 +204,15 @@ def random_connected(n, p_index, seed):
     tree = set(zip(rng._belows(later), later))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
     return Graph(n, tuple(tree) + _kept(pairs, p_index, rng))
+
+
+def off_by_one_carry(real, calls):
+    """graphs._carried (passed as real) plus 1 at the first touched vertex; appends to calls on each use."""
+
+    def carry(degrees, removed, added, ends):
+        calls.append(ends)
+        out = list(real(degrees, removed, added, ends))
+        out[(removed + added)[0][ends[0]]] += 1
+        return tuple(out)
+
+    return carry

@@ -96,6 +96,19 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means an engine invariant failed; a resource failure must not read as one
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_graph_file", exhausted)
+    code, out, err = run(capsys, "compute", "--input", write(tmp_path, "g.txt", "U 2\n0 1\n"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.strip() != "error:"
+    assert "Traceback" not in err
+
+
 def test_joint_writes_k2_and_reports(tmp_path, capsys):
     k1 = write(tmp_path, "k1.txt", "U 1\n")
     out_file = tmp_path / "k2.txt"

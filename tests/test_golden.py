@@ -4,6 +4,8 @@ examples, at pinned inputs.
 The digests are sha256 of each suite's CSV and JSON report at seed
 0xC0FFEE. Any refactor of the audit, partitions, predictors or graph layers
 must leave every one of them, and the README's example stdout, unchanged.
+They also hold when apply_edit carries degrees off by one, because the
+oracle counts an edited value's degrees from its own edges.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from totirr import graphs
 from totirr.audit import (
     lemma34_suite,
     run_arc_transform_suite,
@@ -20,6 +23,8 @@ from totirr.audit import (
     run_edge_transform_suite,
 )
 from totirr.cli import main
+
+from strategies import off_by_one_carry
 
 SEED = 0xC0FFEE
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -63,6 +68,20 @@ def test_audit_report_bytes(suite):
     report = run()
     assert _sha(report.to_csv()) == csv_digest
     assert _sha(report.to_json()) == json_digest
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN))
+def test_audit_report_bytes_do_not_read_carried_degrees(suite, monkeypatch):
+    # an edited value's oracle irr counts its own edges, so a carry that adds 1
+    # at a touched vertex changes no report byte
+    calls = []
+    monkeypatch.setattr(graphs, "_carried", off_by_one_carry(graphs._carried, calls))
+    run, csv_digest, json_digest = GOLDEN[suite]
+    report = run()
+    assert _sha(report.to_csv()) == csv_digest
+    assert _sha(report.to_json()) == json_digest
+    # these two suites edit values whose degrees were already counted
+    assert bool(calls) == (suite in ("closed-forms", "lemma34"))
 
 
 def _cli(capsys, *argv):

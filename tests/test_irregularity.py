@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from totirr import graphs as graphs_module
 from totirr.graphs import EditKind, degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
 
-from strategies import degree_lists, digraphs, graphs, multisets, pairwise_irr
+from strategies import degree_lists, digraphs, graphs, multisets, off_by_one_carry, pairwise_irr
 
 
 def dm(*degrees):
@@ -410,10 +411,7 @@ def walk_starts(draw, kind):
     return Graph(n, tuple(edges), parallel, loops), Counter(edges)
 
 
-@pytest.mark.parametrize("kind", ["simple", "multigraph", "digraph"])
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_long_edit_walk_matches_own_bookkeeping(kind, data):
+def _walk(kind, data):
     # the test keeps its own edge Counter and counts degrees from it, so the
     # oracle sees nothing the engine computed
     value, counts = data.draw(walk_starts(kind))
@@ -422,18 +420,23 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
     # flags come from the start value, so a child that loses them cannot compare equal
     parallel, loops = (False, False) if directed else (value.allow_parallel, value.allow_loops)
 
-    def own_irr():
+    def own_degrees():
+        """(degrees,) of a graph or (in-degrees, out-degrees) of a digraph, from counts alone."""
         if directed:
             din, dout = [0] * n, [0] * n
             for (t, h), c in counts.items():
                 dout[t] += c
                 din[h] += c
-            return (irr_naive(DegreeMultiset.from_degrees(din)), irr_naive(DegreeMultiset.from_degrees(dout)))
+            return tuple(din), tuple(dout)
         deg = [0] * n
         for (a, b), c in counts.items():
             deg[a] += c
-            deg[b] += c
-        return irr_naive(DegreeMultiset.from_degrees(deg))
+            deg[b] += c  # a loop counts twice
+        return (tuple(deg),)
+
+    def own_irr():
+        irrs = tuple(irr_naive(DegreeMultiset.from_degrees(d)) for d in own_degrees())
+        return irrs if directed else irrs[0]
 
     running = own_irr()
     for _ in range(WALK_STEPS):
@@ -442,11 +445,14 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
         else:
             moves = _graph_moves(n, counts, parallel, loops)
         op, removed, added = data.draw(st.sampled_from(moves))
+        # pricing counts the parent's degrees, so every child after the first carries them
         delta = exact_delta_for_edit(value, op)
         value = apply_edit(value, op)
         counts.subtract(removed)
         counts.update(added)
         counts = +counts
+        carried = (value.in_degrees, value.out_degrees) if directed else (value.degrees,)
+        assert carried == own_degrees(), "carried degrees differ from a recount"
         if directed:
             running = (running[0] + delta[0], running[1] + delta[1])
             assert value == Digraph(n, tuple(counts.elements()))
@@ -456,6 +462,54 @@ def test_long_edit_walk_matches_own_bookkeeping(kind, data):
             assert value == Graph(n, tuple(counts.elements()), parallel, loops)
             assert all(value.has_edge(a, b) == (counts[_norm(a, b)] > 0) for a in range(n) for b in range(n))
         assert running == own_irr()
+
+
+@pytest.mark.parametrize("kind", ["simple", "multigraph", "digraph"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_long_edit_walk_matches_own_bookkeeping(kind, data):
+    _walk(kind, data)
+
+
+@pytest.mark.parametrize("kind", ["simple", "multigraph", "digraph"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, database=None)
+def test_long_edit_walk_catches_a_carry_off_by_one(kind, data):
+    # a carry that adds 1 at one touched vertex must fail the walk's degree check
+    with mock.patch.object(graphs_module, "_carried", off_by_one_carry(graphs_module._carried, [])):
+        with pytest.raises(AssertionError, match="carried degrees differ"):
+            _walk(kind, data)
+
+
+@pytest.mark.parametrize("kind", ["graph", "digraph"])
+def test_editing_a_child_leaves_its_parent_as_it_was(kind):
+    if kind == "graph":
+        make = lambda: Graph(5, ((0, 1), (1, 2), (2, 2), (2, 3)), allow_loops=True)
+        first, second = EditOp.retarget_edge(2, 1, 4), EditOp.add_edge(4, 4)
+
+        def seen(g):
+            return g.degrees, degree_multiset(g), irr_graph(g), irr_naive(degree_multiset(g))
+
+    else:
+        make = lambda: Digraph(5, ((0, 1), (1, 0), (1, 2), (3, 2)))
+        first, second = EditOp.retarget_head(1, 2, 4), EditOp.reverse_arc(1, 4)
+
+        def seen(d):
+            return d.in_degrees, d.out_degrees, degree_multiset(d, "in"), degree_multiset(d, "out"), irr_digraph(d)
+
+    # a parent that never counted its degrees gives its child none to carry
+    assert not {"degrees", "_in_out_degrees"} & apply_edit(make(), first).__dict__.keys()
+    parent = make()
+    before = seen(parent)
+    child = apply_edit(parent, first)
+    assert {"degrees", "_in_out_degrees"} & child.__dict__.keys()
+    child_before = seen(child)
+    exact_delta_for_edit(child, second)
+    grandchild = apply_edit(child, second)
+    seen(grandchild)
+    assert seen(parent) == before
+    assert seen(child) == child_before
+    assert child_before != before
 
 
 def test_wide_values_do_not_overflow():
