@@ -3,38 +3,34 @@ deltas under edits, closed forms for standard families, and differential
 audits of the prediction formulas against a brute-force oracle.
 
 The root re-exports the names the README uses; everything else is imported
-from its submodule (`totirr.audit`, `totirr.predictors`, ...)."""
+from its submodule (`totirr.audit`, `totirr.predictors`, ...). A re-exported
+name loads its submodule on first use (PEP 562), so a command imports only
+the modules it runs."""
 
-from .fileio import FormatError, graph_to_text, parse_graph_text, read_graph_file, write_graph_file
-from .graphs import DegreeMultiset, Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
-from .irregularity import exact_delta_for_edit, irr_fast, irr_graph, irr_naive
-from .partitions import joint_partition, transform_counts
-from .rng import SplitMix64
-from .transforms import arc_transformation, branch_transformation, edge_joint, edge_transformation
+from importlib import import_module
 
-__all__ = [
-    "DegreeMultiset",
-    "Digraph",
-    "EditError",
-    "EditOp",
-    "FormatError",
-    "Graph",
-    "GraphError",
-    "SplitMix64",
-    "apply_edit",
-    "arc_transformation",
-    "branch_transformation",
-    "cut_side",
-    "edge_joint",
-    "edge_transformation",
-    "exact_delta_for_edit",
-    "graph_to_text",
-    "irr_fast",
-    "irr_graph",
-    "irr_naive",
-    "joint_partition",
-    "parse_graph_text",
-    "read_graph_file",
-    "transform_counts",
-    "write_graph_file",
-]
+_HOMES = {
+    name: module
+    for module, names in (
+        ("fileio", "FormatError graph_to_text parse_graph_text read_graph_file write_graph_file"),
+        ("graphs", "DegreeMultiset Digraph EditError EditOp Graph GraphError apply_edit cut_side"),
+        ("irregularity", "exact_delta_for_edit irr_fast irr_graph irr_naive"),
+        ("partitions", "joint_partition transform_counts"),
+        ("rng", "SplitMix64"),
+        ("transforms", "arc_transformation branch_transformation edge_joint edge_transformation"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,13 +15,15 @@ Serialization is canonical (edges sorted), so equal values produce
 identical bytes.
 
 Reading canonical text runs C-level passes only. The raw text, less one
-trailing newline, is checked first, with one header match and one regex
-search over all edge lines. Only text that fails is stripped of padding,
-blank lines and comments and checked again. The checked numbers are
-converted by json's scanner, or by int() when json refuses a leading zero.
-Text that fails both checks or the conversion (a negative vertex count, a
-numeral over int()'s 4,300 digits) is walked line by line, to name its
-first bad line.
+trailing newline, is checked first by its skeleton: after one header match,
+one translate deletes the digits and '-', and what is left must be one
+newline and one space per edge line. json's scanner then converts the
+numbers. Only when json refuses does one regex search run: it tells a
+leading zero, which int() converts instead, from an empty token or a
+misplaced '-'. Text that fails is stripped of padding, blank lines and
+comments and checked again the same way. Text that fails both checks or the
+conversion (a negative vertex count, a numeral over int()'s 4,300 digits)
+is walked line by line, to name its first bad line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 import os
 import re
 from itertools import chain
-from typing import Union
+from typing import Optional, Union
 
 from .graphs import AnyGraph, Digraph, Graph
 
@@ -44,48 +46,53 @@ class FormatError(ValueError):
 # no backtracking state per line, and its leading literal lets search() skip.
 _HEADER = re.compile("[UD] -?[0-9]+$", re.M)
 _NOT_AN_EDGE = re.compile("\n(?!-?[0-9]+ -?[0-9]+$)", re.M)
+# Deleting the numerals leaves the separator skeleton; the commas turn the numerals into one json array.
+_SKELETON = str.maketrans("", "", "-0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def parse_graph_text(text: str) -> AnyGraph:
     try:
-        kind, n, ends = _read(text)
+        kind, ends = _read(text)
     except ValueError:
         raise _first_fault(text) from None
-    ends = iter(ends)
+    ends = iter(ends)  # the only reference, so the list is freed once zip has drained it
+    n = next(ends)
     try:
         return (Graph if kind == "U" else Digraph)(n, list(zip(ends, ends)))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _read(text: str) -> tuple[str, int, list[int]]:
-    """The kind, vertex count and flat endpoint list of text; ValueError if a line is bad."""
-    kept, end = text, len(text) - text.endswith("\n")
-    if not _admits(kept, end):
+def _read(text: str) -> tuple[str, list[int]]:
+    """The kind, then the vertex count and flat endpoint list of text; ValueError if a line is bad."""
+    found = _numbers(text, len(text) - text.endswith("\n"))
+    if found is None:
         lines = filter(None, map(str.strip, text.split("\n")))
         if "#" in text:
             lines = (line for line in lines if line[0] != "#")
         kept = "\n".join(lines)
-        end = len(kept)
-        if not _admits(kept, end):
+        found = _numbers(kept, len(kept))
+        if found is None:
             raise ValueError
-    head = kept.find("\n", 0, end)
-    if head < 0:
-        head = end
-    n = int(kept[2:head])  # refuses over 4,300 digits, as json and int() below do
-    if n < 0:
+    if found[1][0] < 0:  # a negative vertex count
         raise ValueError
-    body = kept[head + 1 : end]
+    return found
+
+
+def _numbers(text: str, end: int) -> Optional[tuple[str, list[int]]]:
+    """The kind and numbers of text[:end] if it is one header line and then edge lines only, else None."""
+    if not _HEADER.match(text, 0, end):
+        return None
+    body = text[2:end]  # the vertex count, then one newline, a, a space and b per edge line
+    if body.translate(_SKELETON) != "\n " * body.count("\n"):
+        return None
     try:
-        # The grammar left only -?[0-9]+ tokens, which json reads as ints.
-        return kept[0], n, json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
-    except ValueError:  # json refuses leading zeros
-        return kept[0], n, list(map(int, body.split()))
-
-
-def _admits(text: str, end: int) -> bool:
-    """Whether text[:end] is one header line and then edge lines only."""
-    return bool(_HEADER.match(text, 0, end)) and not _NOT_AN_EDGE.search(text, 0, end)
+        return text[0], json.loads("[" + body.translate(_COMMAS) + "]")
+    except ValueError:  # json refuses leading zeros, an empty token, a misplaced '-' and over 4,300 digits
+        if _NOT_AN_EDGE.search(body):
+            return None  # a line of one space passes the skeleton; stripped, it is a blank line
+        return text[0], list(map(int, body.split()))
 
 
 def _first_fault(text: str) -> FormatError:

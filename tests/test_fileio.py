@@ -15,6 +15,7 @@ from totirr import (
     write_graph_file,
 )
 
+from totirr import fileio
 from totirr.generators import orient_by_labeling, random_tree
 
 from strategies import digraphs, graphs, read_lines
@@ -120,8 +121,10 @@ _numerals = st.one_of(
 )
 _lines = st.one_of(
     st.text(max_size=8),
+    st.sampled_from([" ", "  ", "\t"]),
     st.tuples(st.sampled_from(["U", "D", "#", "X"]), _numerals).map(" ".join),
     st.tuples(_numerals, _numerals).map(" ".join),
+    st.tuples(_numerals, st.sampled_from(["{} ", " {}"])).map(lambda pair: pair[1].format(pair[0])),
 )
 
 
@@ -158,6 +161,39 @@ def test_every_spelling_of_an_edge_list_reads_the_same(value, spelling):
     # the raw check, the stripped check and the int() fallback each take some of these
     text = _SPELLINGS[spelling](graph_to_text(value))
     assert parse_graph_text(text) == value == read_lines(text)
+
+
+@pytest.mark.parametrize("text", ["U 3\n0 1\n \n1 2\n", "U 3\n0 1\n1 2\n \n"])
+def test_a_line_of_one_space_is_a_blank_line(text):
+    # its skeleton is an edge line's, so the raw check admits it and json alone refuses it
+    assert parse_graph_text(text) == Graph(3, ((0, 1), (1, 2))) == read_lines(text)
+
+
+def test_admitted_text_that_json_refuses():
+    with pytest.raises(FormatError, match="^line 2: expected '<a> <b>', got '0'$"):
+        parse_graph_text("U 3\n0 \n1 2\n")
+    assert parse_graph_text("U 3\n01 2\n") == Graph(3, ((1, 2),)) == read_lines("U 3\n01 2\n")
+    with pytest.raises(FormatError, match="^line 2: endpoints must be integers, got '- 2'$"):
+        parse_graph_text("U 3\n- 2\n")
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def search(self, *args):
+        self.calls += 1
+        return self.pattern.search(*args)
+
+
+def test_canonical_text_runs_no_regex_over_its_lines(monkeypatch):
+    tree = random_tree(2_000, 7)
+    texts = [graph_to_text(tree), graph_to_text(orient_by_labeling(tree, range(2_000))), "U 3\n00 1\n1 02\n"]
+    for text, calls in zip(texts, (0, 0, 1)):
+        counting = _CountingPattern(fileio._NOT_AN_EDGE)
+        monkeypatch.setattr(fileio, "_NOT_AN_EDGE", counting)
+        assert parse_graph_text(text) == read_lines(text)
+        assert counting.calls == calls
 
 
 def test_reader_peak_memory_is_bounded():
