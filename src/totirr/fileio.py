@@ -49,6 +49,8 @@ _NOT_AN_EDGE = re.compile("\n(?!-?[0-9]+ -?[0-9]+$)", re.M)
 # Deleting the numerals leaves the separator skeleton; the commas turn the numerals into one json array.
 _SKELETON = str.maketrans("", "", "-0123456789")
 _COMMAS = str.maketrans(" \n", ",,")
+# The header letter of each value type, read by parse_graph_text and written by graph_to_text.
+_KINDS = {"U": Graph, "D": Digraph}
 
 
 def parse_graph_text(text: str) -> AnyGraph:
@@ -59,7 +61,7 @@ def parse_graph_text(text: str) -> AnyGraph:
     ends = iter(ends)  # the only reference, so the list is freed once zip has drained it
     n = next(ends)
     try:
-        return (Graph if kind == "U" else Digraph)(n, list(zip(ends, ends)))
+        return _KINDS[kind](n, list(zip(ends, ends)))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -127,14 +129,12 @@ def _fits_int(numeral: str) -> bool:
 
 
 def graph_to_text(g: AnyGraph) -> str:
-    if isinstance(g, Graph):
-        head, pairs = f"U {g.vertex_count}\n", g.edges
-    elif isinstance(g, Digraph):
-        head, pairs = f"D {g.vertex_count}\n", g.arcs
-    else:
+    kind = next((kind for kind, cls in _KINDS.items() if isinstance(g, cls)), None)
+    if kind is None:
         raise FormatError(f"unsupported value {type(g).__name__}")
+    pairs = getattr(g, g._PAIRS)
     # %s, not %d: an id that is not an int is written as it is, for the reader to refuse, never truncated
-    return head + "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))
+    return f"{kind} {g.vertex_count}\n" + "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))
 
 
 def read_graph_file(path: Union[str, os.PathLike]) -> AnyGraph:

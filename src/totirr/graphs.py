@@ -2,27 +2,23 @@
 
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
-bookkeeping from ever sharing mutable state. The public constructors sort
-every edge and validate them in bulk passes, walking edge by edge only to
-name the first bad one. apply_edit does not call them: every edit removes at
-most one edge or arc and adds at most one, and one rule checks every kind
-against the parent. The kind fits the value and its vertices are in range;
-the removed entry is present; the added one differs from it, is a loop only
-where loops are allowed and is new unless parallel edges are (a digraph
-allows neither). The child splices the parent's sorted edge tuple and has
-its fields set directly, so an edit neither re-checks the edges it leaves
-alone nor sweeps a component. A value remembers the plan of the last edit
-checked against it, so pricing an edit and then applying it plans once; a
-child starts with no plan. Membership tests bisect that sorted tuple, so
-a value carries no hash index of its edges. A loop contributes 2 to the degree
-of its vertex. Degree multisets are the sole input to every irregularity
-computation, so they get a dedicated value type with counting helpers instead
-of being passed around as raw lists; each value caches one multiset per
-degree mode, counted from its degrees. A value counts those from its own
-edges, unless it is an edit's child whose parent had counted them: then it
-takes the parent's with the touched entries patched. Lazy fields are cached
-in the instance __dict__ without a lock. A digraph counts its in- and
-out-degrees together, in one pass over its arcs.
+bookkeeping from ever sharing mutable state. Both are one core, _Value, with
+one validating constructor, one degree count and one tuple of degree
+multisets, one per degree mode. A class's mode table maps each mode to its
+index and to the ends of a pair it counts: "undirected" both ends of an edge,
+"in" an arc's head and "out" its tail. A digraph is the core with loops and
+parallel pairs fixed off. The constructor sorts the pairs and validates them
+in bulk passes, walking pair by pair only to name the first bad one.
+apply_edit does not call it: every edit removes at most one pair and adds at
+most one, and one rule checks every kind against the parent (_edit_plan). The
+child splices the parent's sorted tuple and has its fields set directly, so
+an edit neither re-checks the pairs it leaves alone nor sweeps a component. A
+value remembers the plan of the last edit checked against it, so pricing an
+edit and then applying it plans once. Membership tests bisect the sorted
+tuple. A loop contributes 2 to the degree of its vertex. A value counts its
+degrees from its own pairs, unless it is an edit's child whose parent had
+counted them: then it takes the parent's with the touched entries patched.
+Lazy fields are cached in the instance __dict__ without a lock.
 """
 
 from __future__ import annotations
@@ -75,39 +71,74 @@ def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> 
 
 
 @dataclass(frozen=True)
-class Graph:
+class _Value:
+    """The core of Graph and Digraph; a subclass gives _PAIRS, _MODES, _key, its messages, _sorted and _count."""
+
+    vertex_count: int
+
+    def __post_init__(self):
+        n = self.vertex_count
+        if n < 0:
+            raise GraphError("vertex_count must be nonnegative")
+        pairs, in_range = self._sorted(getattr(self, self._PAIRS), n)
+        object.__setattr__(self, self._PAIRS, tuple(pairs))
+        # The loop runs only when the bulk passes find a bad pair, to name the first.
+        if pairs and (
+            not in_range
+            or not self.allow_loops and any(starmap(eq, pairs))
+            or not self.allow_parallel and any(map(eq, pairs, pairs[1:]))
+        ):
+            prev = None
+            for a, b in pairs:
+                if not (0 <= a < n and 0 <= b < n):
+                    raise GraphError(f"{self._NOUN} ({a}, {b}) outside vertex range 0..{n - 1}")
+                if a == b and not self.allow_loops:
+                    raise GraphError(self._LOOP.format(a))
+                if (a, b) == prev and not self.allow_parallel:
+                    raise GraphError(self._PARALLEL.format(a, b))
+                prev = (a, b)
+
+    @_cached
+    def _degrees(self) -> tuple[tuple[int, ...], ...]:
+        """One degree tuple per mode, in _MODES order."""
+        return self._count(getattr(self, self._PAIRS), self.vertex_count)
+
+    @_cached
+    def _multisets(self) -> tuple["DegreeMultiset", ...]:
+        return tuple(map(DegreeMultiset.from_degrees, self._degrees))
+
+
+@dataclass(frozen=True)
+class Graph(_Value):
     """Undirected labeled graph; multigraph features are opt-in via flags.
 
     Edges are stored as a canonically sorted tuple of (low, high) pairs, so
     equality is plain structural equality of the edge multiset.
     """
 
-    vertex_count: int
     edges: tuple[tuple[int, int], ...] = ()
     allow_parallel: bool = False
     allow_loops: bool = False
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise GraphError("vertex_count must be nonnegative")
+    _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
+    _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
+    _LOOP, _PARALLEL = "loop at vertex {} requires allow_loops", "parallel edge ({}, {}) requires allow_parallel"
+
+    @staticmethod
+    def _sorted(edges: Iterable, n: int) -> tuple[list[tuple[int, int]], bool]:
+        """The edges as sorted (low, high) pairs, and whether every end lies in 0..n - 1."""
         # Ordered pairs are kept as they are; unpacking rejects a non-pair.
-        edges = sorted([e if a <= b else (b, a) for e in map(tuple, self.edges) for a, b in [e]])
-        object.__setattr__(self, "edges", tuple(edges))
-        # The loop runs only when the bulk passes find a bad edge, to name the first.
-        if edges and (
-            not 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < self.vertex_count
-            or not self.allow_loops and any(starmap(eq, edges))
-            or not self.allow_parallel and any(map(eq, edges, edges[1:]))
-        ):
-            prev = None
-            for a, b in edges:
-                if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                    raise GraphError(f"edge ({a}, {b}) outside vertex range 0..{self.vertex_count - 1}")
-                if a == b and not self.allow_loops:
-                    raise GraphError(f"loop at vertex {a} requires allow_loops")
-                if (a, b) == prev and not self.allow_parallel:
-                    raise GraphError(f"parallel edge ({a}, {b}) requires allow_parallel")
-                prev = (a, b)
+        edges = sorted([e if a <= b else (b, a) for e in map(tuple, edges) for a, b in [e]])
+        # Every edge is (low, high), so the first edge's low end is the least end.
+        return edges, not edges or 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < n
+
+    @staticmethod
+    def _count(edges: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...]]:
+        deg = [0] * n
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1  # a == b adds 2: loops count twice
+        return (tuple(deg),)
 
     @property
     def edge_count(self) -> int:
@@ -115,19 +146,11 @@ class Graph:
 
     @_cached
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1  # a == b adds 2: loops count twice
-        return tuple(deg)
+        return self._degrees[0]
 
     def degree(self, v: int) -> int:
         _check_vertex(self, v)
         return self.degrees[v]
-
-    @_cached
-    def _degree_multiset(self) -> "DegreeMultiset":
-        return DegreeMultiset.from_degrees(self.degrees)
 
     def has_edge(self, a: int, b: int) -> bool:
         return _multiplicity(self.edges, _normalize(a, b)) > 0
@@ -142,73 +165,52 @@ class Graph:
                 nb[b].append(a)
         return tuple(map(tuple, nb))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        _check_vertex(self, v)
-        return self._adjacency[v]
-
 
 @dataclass(frozen=True)
-class Digraph:
+class Digraph(_Value):
     """Simple directed graph: no duplicate arcs, no self-arcs.
 
     Antiparallel pairs (a,b) and (b,a) are legal; edits that would collapse
     them into a duplicate are rejected at apply time.
     """
 
-    vertex_count: int
     arcs: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
-            raise GraphError("vertex_count must be nonnegative")
-        arcs = sorted(map(tuple, self.arcs))
-        object.__setattr__(self, "arcs", tuple(arcs))
-        # As in Graph; the loop also fails to unpack a non-pair unless an earlier arc is bad.
-        if arcs and (
-            {*map(len, arcs)} != {2}
-            or not 0 <= arcs[0][0] <= arcs[-1][0] < self.vertex_count
-            or not 0 <= min(heads := list(map(itemgetter(1), arcs))) <= max(heads) < self.vertex_count
-            or any(starmap(eq, arcs))
-            or any(map(eq, arcs, arcs[1:]))
-        ):
-            prev = None
-            for t, h in arcs:
-                if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                    raise GraphError(f"arc ({t}, {h}) outside vertex range 0..{self.vertex_count - 1}")
-                if t == h:
-                    raise GraphError(f"self-arc at vertex {t} not allowed")
-                if (t, h) == prev:
-                    raise GraphError(f"duplicate arc ({t}, {h}) not allowed")
-                prev = (t, h)
+    allow_parallel = allow_loops = False  # class constants, not fields
+    _PAIRS, _MODES, _key = "arcs", {"in": (0, (1,)), "out": (1, (0,))}, staticmethod(lambda tail, head: (tail, head))
+    _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
+    _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
+    @staticmethod
+    def _sorted(arcs: Iterable, n: int) -> tuple[list[tuple[int, ...]], bool]:
+        """The arcs sorted, and whether each is a pair with both ends in 0..n - 1."""
+        arcs = sorted(map(tuple, arcs))
+        # A non-pair fails the range; the naming loop fails to unpack it unless an earlier arc is bad.
+        if {*map(len, arcs)} != {2}:
+            return arcs, not arcs
+        heads = list(map(itemgetter(1), arcs))
+        return arcs, 0 <= arcs[0][0] <= arcs[-1][0] < n and 0 <= min(heads) <= max(heads) < n
 
-    @_cached
-    def _in_out_degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        ins = [0] * self.vertex_count
-        outs = [0] * self.vertex_count
-        for t, h in self.arcs:
+    @staticmethod
+    def _count(arcs: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        ins = [0] * n
+        outs = [0] * n
+        for t, h in arcs:
             outs[t] += 1
             ins[h] += 1
         return tuple(ins), tuple(outs)
 
     @property
+    def arc_count(self) -> int:
+        return len(self.arcs)
+
+    @property
     def in_degrees(self) -> tuple[int, ...]:
-        return self._in_out_degrees[0]
+        return self._degrees[0]
 
     @property
     def out_degrees(self) -> tuple[int, ...]:
-        return self._in_out_degrees[1]
-
-    @_cached
-    def _in_multiset(self) -> "DegreeMultiset":
-        return DegreeMultiset.from_degrees(self.in_degrees)
-
-    @_cached
-    def _out_multiset(self) -> "DegreeMultiset":
-        return DegreeMultiset.from_degrees(self.out_degrees)
+        return self._degrees[1]
 
     def has_arc(self, tail: int, head: int) -> bool:
         return _multiplicity(self.arcs, (tail, head)) > 0
@@ -277,17 +279,13 @@ class DegreeMultiset:
 
 def degree_multiset(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
     """Degree multiset of a graph (mode "undirected") or digraph ("in"/"out")."""
-    if isinstance(g, Graph):
-        if mode != "undirected":
-            raise GraphError(f"mode {mode!r} is invalid for an undirected graph")
-        return g._degree_multiset
-    if isinstance(g, Digraph):
-        if mode == "in":
-            return g._in_multiset
-        if mode == "out":
-            return g._out_multiset
-        raise GraphError(f"mode {mode!r} is invalid for a digraph; use 'in' or 'out'")
-    raise GraphError(f"unsupported value {type(g).__name__}")
+    if not isinstance(g, _Value):
+        raise GraphError(f"unsupported value {type(g).__name__}")
+    try:
+        index = g._MODES[mode][0]
+    except (KeyError, TypeError):  # TypeError: a mode that cannot be a key
+        raise GraphError(g._BAD_MODE.format(mode)) from None
+    return g._multisets[index]
 
 
 class EditKind(Enum):
@@ -381,26 +379,14 @@ def _splice(items: tuple, removed: tuple, added: tuple) -> tuple:
     return tuple(out)
 
 
-def _from_valid_fields(cls: type, **fields) -> AnyGraph:
-    """A cls value holding fields, built without running cls's validation.
-
-    Only for fields known to pass it: apply_edit's child keeps the validated
-    parent's flags and vertex count, _splice keeps its tuple sorted and
-    normalized, and the edit plan has checked every added entry.
-    """
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
-
-
-# kind -> (applies to a digraph?, positions in (a, b, target) of the entry it adds, or None)
+# kind -> (the type it applies to, positions in (a, b, target) of the entry it adds, or None)
 _EDIT_RULES = {
-    EditKind.ADD_EDGE: (False, (0, 1)),
-    EditKind.REMOVE_EDGE: (False, None),
-    EditKind.RETARGET_EDGE_END: (False, (2, 1)),
-    EditKind.REVERSE_ARC: (True, (1, 0)),
-    EditKind.RETARGET_ARC_TAIL: (True, (2, 1)),
-    EditKind.RETARGET_ARC_HEAD: (True, (0, 2)),
+    EditKind.ADD_EDGE: (Graph, (0, 1)),
+    EditKind.REMOVE_EDGE: (Graph, None),
+    EditKind.RETARGET_EDGE_END: (Graph, (2, 1)),
+    EditKind.REVERSE_ARC: (Digraph, (1, 0)),
+    EditKind.RETARGET_ARC_TAIL: (Digraph, (2, 1)),
+    EditKind.RETARGET_ARC_HEAD: (Digraph, (0, 2)),
 }
 
 
@@ -409,7 +395,7 @@ def _remembered_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ..
 
     The plan is a pair of tuples, so no caller can change it; apply_edit's child starts without one.
     """
-    if not isinstance(g, (Graph, Digraph)):
+    if not isinstance(g, _Value):
         raise EditError(f"unsupported value {type(g).__name__}")
     last = g.__dict__.get("_last_plan")
     if last is None or last[0] != op:
@@ -422,16 +408,16 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tu
 
     Returns (entries removed, entries added) as tuples, edges normalized.
     """
-    directed, picks = _EDIT_RULES[op.kind]
-    if isinstance(g, Digraph) != directed:
-        raise EditError(f"{op.kind.value} does not apply to {'an undirected graph' if directed else 'a digraph'}")
+    fits, picks = _EDIT_RULES[op.kind]
+    if not isinstance(g, fits):
+        raise EditError(f"{op.kind.value} does not apply to {g._CALLED}")
     a, b = op.endpoints
     _check_vertex(g, a)
     _check_vertex(g, b)
-    entries, noun = (g.arcs, "arc") if directed else (g.edges, "edge")
-    removed = () if op.kind is EditKind.ADD_EDGE else ((a, b) if directed else _normalize(a, b),)
+    entries = getattr(g, g._PAIRS)
+    removed = () if op.kind is EditKind.ADD_EDGE else (g._key(a, b),)
     if removed and not _multiplicity(entries, removed[0]):
-        raise EditError(f"{noun} ({a}, {b}) not present")
+        raise EditError(f"{g._NOUN} ({a}, {b}) not present")
     if picks is None:
         return removed, ()
     if 2 in picks:
@@ -440,13 +426,13 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tu
         _check_vertex(g, op.target)
     ends = (a, b, op.target)
     x, y = ends[picks[0]], ends[picks[1]]
-    added = (x, y) if directed else _normalize(x, y)
+    added = g._key(x, y)
     if removed == (added,):
         raise EditError(f"new end {op.target} equals the end it replaces")
-    if x == y and (directed or not g.allow_loops):
-        raise EditError(f"self-arc at vertex {x} not allowed" if directed else f"loop at vertex {x} requires allow_loops")
-    if (directed or not g.allow_parallel) and _multiplicity(entries, added):
-        raise EditError(f"{noun} ({x}, {y}) already present")
+    if x == y and not g.allow_loops:
+        raise EditError(g._LOOP.format(x))
+    if not g.allow_parallel and _multiplicity(entries, added):
+        raise EditError(f"{g._NOUN} ({x}, {y}) already present")
     return removed, (added,)
 
 
@@ -476,21 +462,14 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     counts its own lazily. Either way it counts its degree multisets lazily.
     """
     removed, added = _remembered_plan(g, op)
-    if isinstance(g, Graph):
-        carry = {"degrees": _carried(g.degrees, removed, added, (0, 1))} if "degrees" in g.__dict__ else {}
-        return _from_valid_fields(
-            Graph,
-            vertex_count=g.vertex_count,
-            edges=_splice(g.edges, removed, added),
-            allow_parallel=g.allow_parallel,
-            allow_loops=g.allow_loops,
-            **carry,
-        )
-    carry = {}
-    if "_in_out_degrees" in g.__dict__:
-        ins, outs = g._in_out_degrees
-        carry["_in_out_degrees"] = _carried(ins, removed, added, (1,)), _carried(outs, removed, added, (0,))
-    return _from_valid_fields(Digraph, vertex_count=g.vertex_count, arcs=_splice(g.arcs, removed, added), **carry)
+    # No __init__: g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
+    child, parent = object.__new__(type(g)), g.__dict__
+    fields = child.__dict__
+    fields.update({name: parent[name] for name in g.__dataclass_fields__})
+    fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
+    if "_degrees" in parent:
+        fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
+    return child
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:

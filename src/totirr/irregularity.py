@@ -106,16 +106,14 @@ def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]
     Returns an int for a Graph edit and an (in delta, out delta) pair for a
     Digraph edit. The edit plan is the one apply_edit uses, so an op that
     cannot be applied raises the same error here, and g keeps it for
-    apply_edit. Both ends of an edge step in the degrees; an arc's head steps
-    in the in-degrees and its tail in the out-degrees. The steps are priced
-    against g's own cached multisets; no other multiset is built.
+    apply_edit. Each degree mode steps the ends it counts: both ends of an
+    edge, an arc's head in the in-degrees and its tail in the out-degrees.
+    The steps are priced against g's own cached multisets; no other multiset
+    is built.
     """
     removed, added = _remembered_plan(g, op)
-    if isinstance(g, Graph):
-        return _price_steps(
-            degree_multiset(g), g.degrees, [v for e in removed for v in e], [v for e in added for v in e]
-        )
-    return (
-        _price_steps(degree_multiset(g, "in"), g.in_degrees, [h for _, h in removed], [h for _, h in added]),
-        _price_steps(degree_multiset(g, "out"), g.out_degrees, [t for t, _ in removed], [t for t, _ in added]),
-    )
+    deltas = []
+    for mode, (i, ends) in g._MODES.items():
+        lowered, raised = [e[j] for e in removed for j in ends], [e[j] for e in added for j in ends]
+        deltas.append(_price_steps(degree_multiset(g, mode), g._degrees[i], lowered, raised))
+    return tuple(deltas) if len(deltas) > 1 else deltas[0]

@@ -76,7 +76,7 @@ def connected_components(g):
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w in g.neighbors(v):
+            for w in g._adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -165,7 +165,7 @@ def branch_candidates(g):
     for u in range(g.vertex_count):
         if g.degrees[u] < 3:
             continue
-        for root in g.neighbors(u):
+        for root in g._adjacency[u]:
             try:
                 members = set(_branch_component(g, u, root))
             except EditError:

@@ -206,7 +206,7 @@ def test_reader_peak_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * len(text), type(value).__name__
+        assert peak <= 16 * len(text), type(value).__name__
 
 
 def test_canonical_output():
@@ -214,6 +214,8 @@ def test_canonical_output():
     assert graph_to_text(g) == "U 4\n0 1\n0 2\n2 3\n"
     d = Digraph(3, ((2, 0), (0, 1)))
     assert graph_to_text(d) == "D 3\n0 1\n2 0\n"
+    with pytest.raises(FormatError, match=r"^unsupported value str$"):
+        graph_to_text("x")
 
 
 def test_empty_graph_round_trip():

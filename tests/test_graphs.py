@@ -64,6 +64,17 @@ def test_digraph_rejects_self_arcs_and_duplicates():
     assert d.arc_count == 2
 
 
+def test_values_compare_and_hash_by_type_and_pairs():
+    assert Graph(3, ((0, 1),)) != Digraph(3, ((0, 1),))
+    for first, second in [
+        (Graph(3, ((2, 1), (0, 1))), Graph(3, ((0, 1), (1, 2)))),
+        (Digraph(3, ((2, 1), (0, 1))), Digraph(3, ((0, 1), (2, 1)))),
+    ]:
+        assert first == second and hash(first) == hash(second)
+    with pytest.raises(FrozenInstanceError):
+        Digraph(2, ((0, 1),)).arcs = ()
+
+
 @st.composite
 def planted_faults(draw):
     """(n, edge list) with faults planted at random places: an id below 0 or
@@ -108,17 +119,21 @@ def test_constructor_checks_match_the_per_edge_reference(case):
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
-        Graph: {"degrees", "_degree_multiset", "_adjacency"},
-        Digraph: {"_in_out_degrees", "_in_multiset", "_out_multiset"},
+        Graph: {"_degrees", "_multisets", "degrees", "_adjacency"},
+        Digraph: {"_degrees", "_multisets"},
         DegreeMultiset: {"vertex_count", "_values", "_prefix"},
         AuditReport: {"engine_ok", "formula_stats"},
     }
-    computed = []
+    # every lazy field a value reads, its base classes' included, each patched once though two classes share it
+    fields = {}
     for cls, names in lazy.items():
-        assert {name for name, attr in vars(cls).items() if isinstance(attr, _cached)} == names
-        for name in names:
-            field = vars(cls)[name]
-            monkeypatch.setattr(field, "compute", lambda obj, _f=field.compute, _n=name: computed.append(_n) or _f(obj))
+        mro = reversed(cls.__mro__)  # so a subclass's field wins over a base's of the same name
+        found = {name: attr for klass in mro for name, attr in vars(klass).items() if isinstance(attr, _cached)}
+        assert found.keys() == names, cls.__name__
+        fields.update({id(field): (name, field) for name, field in found.items()})
+    computed = []
+    for name, field in fields.values():
+        monkeypatch.setattr(field, "compute", lambda obj, _f=field.compute, _n=name: computed.append(_n) or _f(obj))
     values = [
         Graph(3, ((0, 1), (1, 2))),
         Graph(3, ((0, 1), (1, 2))),
@@ -161,13 +176,17 @@ def test_degree_multiset_modes():
     d = Digraph(3, ((0, 1), (0, 2)))
     assert degree_multiset(d, "in").entries == ((0, 1), (1, 2))
     assert degree_multiset(d, "out").entries == ((0, 2), (2, 1))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^mode 'undirected' is invalid for a digraph; use 'in' or 'out'$"):
         degree_multiset(d, "undirected")
     g = Graph(2, ((0, 1),))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^mode 'in' is invalid for an undirected graph$"):
         degree_multiset(g, "in")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^mode 'sideways' is invalid for an undirected graph$"):
         degree_multiset(g, "sideways")
+    with pytest.raises(GraphError, match=r"^mode \['in'\] is invalid for a digraph; use 'in' or 'out'$"):
+        degree_multiset(d, ["in"])
+    with pytest.raises(GraphError, match=r"^unsupported value tuple$"):
+        degree_multiset(((0, 1),))
 
 
 # --- DegreeMultiset ---------------------------------------------------------

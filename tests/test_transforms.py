@@ -187,7 +187,7 @@ def trees_and_graphs(draw, max_n=9):
 def test_branch_transformation_delta_matches_recompute(g):
     before = irr_naive(degree_multiset(g))
     for u in range(g.vertex_count):
-        for root in g.neighbors(u):
+        for root in g._adjacency[u]:
             for v in range(g.vertex_count):
                 try:
                     child = branch_transformation(g, u, v, root)
