@@ -26,9 +26,10 @@ strictly decreased it.
 
 Report formats: CSV with one line per prediction per instance, and a JSON
 object with the suite metadata, per-formula stats, and the disagreement rows.
-The row builders (joint_row, edge_transform_row, arc_transform_row) also back
-the CLI's --report output, so the agreement rule lives only in _outcome; each
-takes the edited value its caller built through the operation's own checks.
+The row builders (joint_row, and transform_row for every retarget of an edge
+end, an arc head or an arc tail) also back the CLI's --report output, so the
+agreement rule lives only in _outcome; each takes the edited value its caller
+built through the operation's own checks.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .graphs import (
     DegreeMode,
     DegreeMultiset,
     Digraph,
+    EditKind,
     EditOp,
     Graph,
     _cached,
@@ -80,14 +82,13 @@ from .predictors import (
     path_closed_form,
     prop27,
     prop27_formula_id,
-    prop47_formula_id,
     thm21_final,
     thm21_interim,
-    thm33_formula_id,
     thm33_predict,
+    transform_formula_id,
 )
 from .rng import SplitMix64
-from .transforms import arc_transformation, branch_transformation, edge_joint, edge_transformation
+from .transforms import branch_transformation, edge_joint, edge_transformation
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -219,7 +220,7 @@ def _recounted(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
     if isinstance(g, Graph):
         ends = chain.from_iterable(g.edges)  # a loop lists its vertex twice
     else:
-        ends = map(itemgetter(1 if mode == "in" else 0), g.arcs)
+        ends = map(itemgetter(*g._MODES[mode][1]), g.arcs)  # a digraph mode counts one end of each arc
     counted = Counter(ends)  # vertices on no edge or arc are missing: each has degree 0
     return DegreeMultiset.from_degrees([*counted.values(), *repeat(0, g.vertex_count - len(counted))])
 
@@ -233,8 +234,8 @@ def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undi
     irr_before = irr_naive(degree_multiset(g, mode))
     irr_after = irr_naive(_recounted(edited, mode))
     engine = exact_delta_for_edit(g, op)
-    if mode != "undirected":
-        engine = engine[0] if mode == "in" else engine[1]
+    if isinstance(engine, tuple):  # a digraph's (in, out) pair
+        engine = engine[g._MODES[mode][0]]
     return irr_before, irr_after, engine
 
 
@@ -336,19 +337,51 @@ def run_edge_joint_suite(count: int, seed: int) -> AuditReport:
     return _run_seeded("edge-joint", count, seed, _joint_witnesses(), _random_joint_instance, edit, joint_row)
 
 
-# --- edge-transform suite ---------------------------------------------------
+# --- edge- and arc-transform suites ----------------------------------------
 
 
-def _edge_transform_witnesses() -> list[tuple[Graph, str, int, int, int]]:
+# retarget kind -> (degree mode it changes, position in op.endpoints of the moved end, operation label)
+_RETARGETS = {
+    EditKind.RETARGET_EDGE_END: ("undirected", 0, "edge-transform graph={} cut=({} {}) target={}"),
+    EditKind.RETARGET_ARC_HEAD: ("in", 1, "arc-transform graph={} arc=({} {}) end=head target={}"),
+    EditKind.RETARGET_ARC_TAIL: ("out", 0, "arc-transform graph={} arc=({} {}) end=tail target={}"),
+}
+
+
+def _retargeted(g: AnyGraph, desc: str, op: EditOp) -> AnyGraph:
+    """g after op. edge_transformation checks a simple graph's cut edge and target side on every instance;
+    a multigraph has no cut edge to check, and an arc move has no check beyond apply_edit's."""
+    if isinstance(g, Graph) and not g.allow_parallel:
+        return edge_transformation(g, *op.endpoints, op.target)
+    return apply_edit(g, op)
+
+
+def transform_row(iid: int, seed: int, instance: tuple[AnyGraph, str, EditOp], edited: AnyGraph) -> AuditRow:
+    """Score edited: g with one end of op's edge or arc on op.target, in the degree mode the move changes."""
+    g, desc, op = instance
+    mode, moved, label = _RETARGETS[op.kind]
+    a, b = op.endpoints
+    if g.allow_parallel:
+        operation = f"edge-transform graph={desc} edge=({min(a, b)} {max(a, b)}) moved={a} target={op.target}"
+    else:
+        operation = label.format(desc, a, b, op.target)
+    before, after, engine = _measure(g, op, edited, mode)
+    degrees = g._degrees[g._MODES[mode][0]]
+    counts = transform_counts(degree_multiset(g, mode), degrees[op.endpoints[moved]], degrees[op.target])
+    preds = [(transform_formula_id(mode, counts.relation), thm33_predict(before, counts))]
+    return _mk_row(iid, seed, operation, before, after, engine, preds)
+
+
+def _edge_transform_witnesses() -> list[tuple[Graph, str, EditOp]]:
     triangle_bridge = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3)))
     return [
-        (path(4), "path(4)", 1, 0, 2),
-        (star(3), "star(3)", 0, 1, 2),
-        (triangle_bridge, "triangle-bridge", 0, 3, 1),
+        (path(4), "path(4)", EditOp.retarget_edge(1, 0, 2)),
+        (star(3), "star(3)", EditOp.retarget_edge(0, 1, 2)),
+        (triangle_bridge, "triangle-bridge", EditOp.retarget_edge(0, 3, 1)),
     ]
 
 
-def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int, int, int]:
+def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, EditOp]:
     """Every fifth instance is a multigraph with loops; the rest plant a cut edge."""
     if iid % 5 == 4:
         n = 3 + rng.below(15)
@@ -358,99 +391,55 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
         a, b = g.edges[rng.below(g.edge_count)]
         moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
         others = [t for t in range(n) if t != moved]
-        return g, f"multi(n={n} m={g.edge_count})", moved, kept, others[rng.below(len(others))]
+        return g, f"multi(n={n} m={g.edge_count})", EditOp.retarget_edge(moved, kept, others[rng.below(len(others))])
     n = 4 + rng.below(37)
     g, (u1, v1) = random_connected_with_cut_edge(n, rng)
     others = [w for w in cut_side(g, v1, u1) if w != u1]
-    return g, f"planted(n={n})", u1, v1, others[rng.below(len(others))]
-
-
-def _edge_transformed(g: Graph, desc: str, moved: int, kept: int, target: int) -> Graph:
-    """edge_transformation checks the cut edge and target's side; a multigraph has no cut edge to check."""
-    if g.allow_parallel:
-        return apply_edit(g, EditOp.retarget_edge(moved, kept, target))
-    return edge_transformation(g, moved, kept, target)
-
-
-def edge_transform_row(iid: int, seed: int, instance: tuple[Graph, str, int, int, int], edited: Graph) -> AuditRow:
-    """Score edited: g with the `moved` end of edge {moved, kept} on target; partitions count g's degrees."""
-    g, desc, moved, kept, target = instance
-    op = EditOp.retarget_edge(moved, kept, target)
-    if g.allow_parallel:
-        a, b = sorted((moved, kept))
-        operation = f"edge-transform graph={desc} edge=({a} {b}) moved={moved} target={target}"
-    else:
-        operation = f"edge-transform graph={desc} cut=({moved} {kept}) target={target}"
-    before, after, engine = _measure(g, op, edited)
-    counts = transform_counts(degree_multiset(g), g.degrees[moved], g.degrees[target])
-    preds = [(thm33_formula_id(counts.relation), thm33_predict(before, counts))]
-    return _mk_row(iid, seed, operation, before, after, engine, preds)
+    return g, f"planted(n={n})", EditOp.retarget_edge(u1, v1, others[rng.below(len(others))])
 
 
 def run_edge_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit cut-edge retargets; every fifth random instance is a multigraph."""
     witnesses, draw = _edge_transform_witnesses(), _random_edge_transform_instance
-    return _run_seeded("edge-transform", count, seed, witnesses, draw, _edge_transformed, edge_transform_row)
+    return _run_seeded("edge-transform", count, seed, witnesses, draw, _retargeted, transform_row)
 
 
-# --- arc-transform suite ----------------------------------------------------
-
-
-def _arc_transform_witnesses() -> list[tuple[Digraph, str, tuple[int, int], str, int]]:
+def _arc_transform_witnesses() -> list[tuple[Digraph, str, EditOp]]:
     c4 = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
     tournament5 = Digraph(5, tuple((i, (i + 1) % 5) for i in range(5)) + tuple((i, (i + 2) % 5) for i in range(5)))
     p3 = Digraph(3, ((0, 1), (1, 2)))
     return [
-        (c4, "cycle-orient(4)", (0, 1), "head", 2),
-        (tournament5, "tournament(5)", (0, 1), "tail", 2),
-        (p3, "path-orient(3)", (1, 2), "head", 0),
+        (c4, "cycle-orient(4)", EditOp.retarget_head(0, 1, 2)),
+        (tournament5, "tournament(5)", EditOp.retarget_tail(0, 1, 2)),
+        (p3, "path-orient(3)", EditOp.retarget_head(1, 2, 0)),
     ]
 
 
-def arc_transform_row(
-    iid: int, seed: int, instance: tuple[Digraph, str, tuple[int, int], str, int], edited: Digraph
-) -> AuditRow:
-    """Score edited: d with the head (in-degrees) or the tail (out-degrees) of an arc moved onto target."""
-    d, desc, (tail, head), end, target = instance
-    if end == "head":
-        op, mode, marked = EditOp.retarget_head(tail, head, target), "in", head
-    else:
-        op, mode, marked = EditOp.retarget_tail(tail, head, target), "out", tail
-    before, after, engine = _measure(d, op, edited, mode)
-    degrees = d.in_degrees if mode == "in" else d.out_degrees
-    counts = transform_counts(degree_multiset(d, mode), degrees[marked], degrees[target])
-    preds = [(prop47_formula_id(mode, counts.relation), thm33_predict(before, counts))]
-    operation = f"arc-transform graph={desc} arc=({tail} {head}) end={end} target={target}"
-    return _mk_row(iid, seed, operation, before, after, engine, preds)
-
-
-def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, tuple[int, int], str, int]:
+def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, EditOp]:
     n = 3 + rng.below(38)
     p = rng.below(3)
     d = random_digraph(n, p, rng)
     if d.arc_count == 0:
         d = Digraph(n, ((0, 1),))
     desc = f"er(n={n} p={P_TABLE[p]})"
-    end = "head" if iid % 2 == 0 else "tail"
+    kind = EditKind.RETARGET_ARC_HEAD if iid % 2 == 0 else EditKind.RETARGET_ARC_TAIL
+    moved = _RETARGETS[kind][1]
     for _ in range(20):
-        tail, head = d.arcs[rng.below(d.arc_count)]
-        if end == "head":
-            candidates = [t for t in range(n) if t not in (tail, head) and not d.has_arc(tail, t)]
-        else:
-            candidates = [t for t in range(n) if t not in (tail, head) and not d.has_arc(t, head)]
+        arc = d.arcs[rng.below(d.arc_count)]
+        kept = arc[1 - moved]
+        # t is a candidate when the arc with its moved end on t, (kept, t) or (t, kept), is fresh
+        candidates = [t for t in range(n) if t not in arc and not (d.has_arc(kept, t) if moved else d.has_arc(t, kept))]
         if candidates:
-            return d, desc, (tail, head), end, candidates[rng.below(len(candidates))]
+            return d, desc, EditOp(kind, arc, candidates[rng.below(len(candidates))])
     # dense draws can exhaust retries; fall back to a path orientation
     d = orient_by_labeling(path(n), tuple(range(n)))
-    return d, f"path-orient({n})", (0, 1), end, 2
+    return d, f"path-orient({n})", EditOp(kind, (0, 1), 2)
 
 
 def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit arc retargets: head moves audit in-degrees, tail moves out."""
-    edit = lambda d, desc, arc, end, target: arc_transformation(d, arc, target, end)
-    return _run_seeded(
-        "arc-transform", count, seed, _arc_transform_witnesses(), _random_arc_instance, edit, arc_transform_row
-    )
+    witnesses, draw = _arc_transform_witnesses(), _random_arc_instance
+    return _run_seeded("arc-transform", count, seed, witnesses, draw, _retargeted, transform_row)
 
 
 # --- closed-form suite ------------------------------------------------------

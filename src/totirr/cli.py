@@ -15,9 +15,9 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fileio import read_graph_file, write_graph_file
-from .graphs import Digraph
+from .graphs import Digraph, EditOp, apply_edit
 from .irregularity import irr_digraph, irr_graph
-from .transforms import arc_transformation, edge_joint, edge_transformation
+from .transforms import edge_joint, edge_transformation
 
 if TYPE_CHECKING:
     from .audit import AuditRow
@@ -79,20 +79,18 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     g = read_graph_file(args.input)
     a, b = args.cut
     if isinstance(g, Digraph):
-        end = args.end or "head"
-        edited = arc_transformation(g, (a, b), args.target, end)
-        row, instance = "arc_transform_row", (g, args.input, (a, b), end, args.target)
+        op = (EditOp.retarget_tail if args.end == "tail" else EditOp.retarget_head)(a, b, args.target)
+        edited = apply_edit(g, op)
     else:
         if args.end is not None:
             raise ValueError("--end only applies to directed inputs")
-        edited = edge_transformation(g, a, b, args.target)
-        row, instance = "edge_transform_row", (g, args.input, a, b, args.target)
+        op, edited = EditOp.retarget_edge(a, b, args.target), edge_transformation(g, a, b, args.target)
     if args.out is not None:
         write_graph_file(args.out, edited)
     if args.report:
-        from . import audit
+        from .audit import transform_row
 
-        _print_report(getattr(audit, row)(0, 0, instance, edited), "irr_before")
+        _print_report(transform_row(0, 0, (g, args.input, op), edited), "irr_before")
     return 0
 
 

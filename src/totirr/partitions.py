@@ -145,17 +145,12 @@ def transform_counts(
 
     if target_degree > theta:
         relation = Relation.ABOVE
-    elif target_degree == theta:
-        relation = Relation.EQUAL
-    else:
-        relation = Relation.BELOW
-
-    if target_degree > theta:
         m = dm.count_le(target_degree) - dm.count_le(theta)
         if source_degree <= target_degree:
             m -= 1  # the source sits in this band but is not an s member
     else:
-        m = 0
+        relation = Relation.EQUAL if target_degree == theta else Relation.BELOW
+        m = 0  # no s member has degree <= target_degree <= theta
     l = s - m
 
     m1 = dm.count_le(min(theta - 1, target_degree))

@@ -97,14 +97,12 @@ def thm33_predict(base_irr: int, p: TransformPartitionCounts) -> int:
 _CASES = {Relation.EQUAL: 1, Relation.ABOVE: 2, Relation.BELOW: 3}
 
 
-def thm33_formula_id(relation: Relation) -> FormulaId:
-    return FormulaId(f"Thm33Case{_CASES[relation]}")
-
-
-def prop47_formula_id(mode: str, relation: Relation) -> FormulaId:
-    if mode not in ("in", "out"):
+def transform_formula_id(mode: str, relation: Relation) -> FormulaId:
+    """The case of Thm 3.3 (mode undirected) or of Prop 4.7 (in or out) that relation selects."""
+    if mode not in ("undirected", "in", "out"):
         raise GraphError(f"no formula for mode {mode!r}")
-    return FormulaId(f"Prop47{mode.title()}Case{_CASES[relation]}")
+    family = "Thm33" if mode == "undirected" else f"Prop47{mode.title()}"
+    return FormulaId(f"{family}Case{_CASES[relation]}")
 
 
 def path_closed_form(n: int, reversed_arc: Optional[int] = None) -> IrrPair:

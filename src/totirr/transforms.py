@@ -38,6 +38,7 @@ def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
     master = cut_side(g, v1, u1)
     if master is None:
         raise GraphError(f"edge ({u1}, {v1}) is not a cut edge")
+    _check_vertex(g, u_i)
     if u_i not in master:
         raise GraphError(f"target {u_i} is not on the side of {u1}")
     return apply_edit(g, EditOp.retarget_edge(u1, v1, u_i))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from totirr import Graph, GraphError, SplitMix64, audit, graphs, irr_naive, irregularity, transforms
+from totirr import EditOp, Graph, GraphError, SplitMix64, audit, graphs, irr_naive, irregularity, transforms
 from totirr.audit import (
     CSV_HEADER,
     _branch_candidates,
@@ -91,7 +91,8 @@ def test_suites_check_operation_preconditions(monkeypatch):
 
     triangle_tail = Graph(4, ((0, 1), (1, 2), (0, 2), (2, 3)))
     with pytest.raises(GraphError, match="not a cut edge"):
-        suite_on("_edge_transform_witnesses", run_edge_transform_suite, (triangle_tail, "triangle-tail", 0, 1, 3))
+        instance = (triangle_tail, "triangle-tail", EditOp.retarget_edge(0, 1, 3))
+        suite_on("_edge_transform_witnesses", run_edge_transform_suite, instance)
     chain = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     with pytest.raises(GraphError, match="needs >= 3"):
         suite_on("_lemma34_witnesses", lemma34_suite, (chain, "path(5)", 1, 0, 4))  # deg(u) = 2

@@ -171,6 +171,33 @@ def test_transform_directed_head(tmp_path, capsys):
     assert "formula=Prop47InCase2 predicted=6 agrees=true" in lines
 
 
+def test_transform_directed_tail_report(tmp_path, capsys):
+    # the tail of 0->1 moves onto 4: out-degrees (2, 1, 1, 1, 0) become all 1, in-degrees stay
+    d5 = write(tmp_path, "d5.txt", "D 5\n0 1\n0 2\n1 2\n2 3\n3 4\n")
+    out_file = tmp_path / "out.txt"
+    code, out, _ = run(
+        capsys, "transform", "--input", d5, "--cut", "0", "1", "--target", "4",
+        "--end", "tail", "--out", str(out_file), "--report",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == ["irr_before=8", "oracle_irr=0", "engine_delta=-8", "formula=Prop47OutCase3 predicted=0 agrees=true"]
+    before, oracle, delta = (int(line.split("=")[1]) for line in lines[:3])
+    assert delta == oracle - before
+    code, out, _ = run(capsys, "compute", "--input", str(out_file))
+    assert (code, out) == (0, f"irr_in=8 irr_out={oracle}\n")
+
+
+def test_transform_target_outside_the_range(tmp_path, capsys):
+    # both paths name the vertex; the undirected one used to fail its side test instead
+    p3 = write(tmp_path, "p3.txt", "U 3\n0 1\n1 2\n")
+    d3 = write(tmp_path, "d3.txt", "D 3\n0 1\n1 2\n")
+    for path in (p3, d3):
+        for target in ("-1", "5"):
+            code, out, err = run(capsys, "transform", "--input", path, "--cut", "0", "1", "--target", target)
+            assert (code, out, err) == (2, "", f"error: vertex {target} outside range 0..2\n"), (path, target)
+
+
 def test_transform_end_flag_rejected_for_undirected(tmp_path, capsys):
     p4 = write(tmp_path, "p4.txt", "U 4\n0 1\n1 2\n2 3\n")
     code, _, err = run(

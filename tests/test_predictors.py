@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -15,11 +16,10 @@ from totirr.predictors import (
     path_closed_form,
     prop27,
     prop27_formula_id,
-    prop47_formula_id,
     thm21_final,
     thm21_interim,
-    thm33_formula_id,
     thm33_predict,
+    transform_formula_id,
 )
 
 
@@ -83,9 +83,12 @@ def test_transform_prediction_cases():
 
 
 def test_transform_formula_ids():
-    assert thm33_formula_id(Relation.EQUAL) is FormulaId.THM33_CASE1
-    assert thm33_formula_id(Relation.ABOVE) is FormulaId.THM33_CASE2
-    assert thm33_formula_id(Relation.BELOW) is FormulaId.THM33_CASE3
+    assert transform_formula_id("undirected", Relation.EQUAL) is FormulaId.THM33_CASE1
+    assert transform_formula_id("undirected", Relation.ABOVE) is FormulaId.THM33_CASE2
+    assert transform_formula_id("undirected", Relation.BELOW) is FormulaId.THM33_CASE3
+    for bad in ("both", "", ["in"]):
+        with pytest.raises(GraphError, match=re.escape(f"no formula for mode {bad!r}")):
+            transform_formula_id(bad, Relation.EQUAL)
 
 
 def test_arc_prediction_cases():
@@ -96,12 +99,13 @@ def test_arc_prediction_cases():
 
 
 def test_arc_formula_ids():
-    assert prop47_formula_id("in", Relation.EQUAL) is FormulaId.PROP47_IN_CASE1
-    assert prop47_formula_id("in", Relation.ABOVE) is FormulaId.PROP47_IN_CASE2
-    assert prop47_formula_id("in", Relation.BELOW) is FormulaId.PROP47_IN_CASE3
-    assert prop47_formula_id("out", Relation.EQUAL) is FormulaId.PROP47_OUT_CASE1
-    assert prop47_formula_id("out", Relation.ABOVE) is FormulaId.PROP47_OUT_CASE2
-    assert prop47_formula_id("out", Relation.BELOW) is FormulaId.PROP47_OUT_CASE3
+    # Prop 4.7 is the Thm 3.3 case split taken on in- or out-degrees
+    assert transform_formula_id("in", Relation.EQUAL) is FormulaId.PROP47_IN_CASE1
+    assert transform_formula_id("in", Relation.ABOVE) is FormulaId.PROP47_IN_CASE2
+    assert transform_formula_id("in", Relation.BELOW) is FormulaId.PROP47_IN_CASE3
+    assert transform_formula_id("out", Relation.EQUAL) is FormulaId.PROP47_OUT_CASE1
+    assert transform_formula_id("out", Relation.ABOVE) is FormulaId.PROP47_OUT_CASE2
+    assert transform_formula_id("out", Relation.BELOW) is FormulaId.PROP47_OUT_CASE3
 
 
 # --- closed forms -----------------------------------------------------------

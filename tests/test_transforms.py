@@ -121,6 +121,9 @@ def test_edge_transformation_validation():
         edge_transformation(chain, 1, 2, 3)  # target on the slave side
     with pytest.raises(GraphError):
         edge_transformation(chain, 1, 0, 1)  # target equals moved end
+    for target in (-1, 4):  # range-checked before the side test, so the message names the vertex
+        with pytest.raises(GraphError, match=f"^vertex {target} outside range 0..3$"):
+            edge_transformation(chain, 1, 0, target)
 
 
 def test_branch_transformation_spider():
