@@ -351,7 +351,7 @@ _RETARGETS = {
 def _retargeted(g: AnyGraph, desc: str, op: EditOp) -> AnyGraph:
     """g after op. edge_transformation checks a simple graph's cut edge and target side on every instance;
     a multigraph has no cut edge to check, and an arc move has no check beyond apply_edit's."""
-    if isinstance(g, Graph) and not g.allow_parallel:
+    if isinstance(g, Graph) and not g.multigraph:
         return edge_transformation(g, *op.endpoints, op.target)
     return apply_edit(g, op)
 
@@ -361,7 +361,7 @@ def transform_row(iid: int, seed: int, instance: tuple[AnyGraph, str, EditOp], e
     g, desc, op = instance
     mode, moved, label = _RETARGETS[op.kind]
     a, b = op.endpoints
-    if g.allow_parallel:
+    if g.multigraph:
         operation = f"edge-transform graph={desc} edge=({min(a, b)} {max(a, b)}) moved={a} target={op.target}"
     else:
         operation = label.format(desc, a, b, op.target)
@@ -387,7 +387,7 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
         n = 3 + rng.below(15)
         edge_count = n + rng.below(2 * n)
         ends = rng._belows([n] * (2 * edge_count))
-        g = Graph(n, tuple(zip(ends[::2], ends[1::2])), allow_parallel=True, allow_loops=True)
+        g = Graph(n, tuple(zip(ends[::2], ends[1::2])), multigraph=True)
         a, b = g.edges[rng.below(g.edge_count)]
         moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
         others = [t for t in range(n) if t != moved]

@@ -132,6 +132,8 @@ def graph_to_text(g: AnyGraph) -> str:
     kind = next((kind for kind, cls in _KINDS.items() if isinstance(g, cls)), None)
     if kind is None:
         raise FormatError(f"unsupported value {type(g).__name__}")
+    if g.multigraph:
+        raise FormatError("a multigraph has no edge-list text: the format holds simple values only")
     pairs = getattr(g, g._PAIRS)
     # %s, not %d: an id that is not an int is written as it is, for the reader to refuse, never truncated
     return f"{kind} {g.vertex_count}\n" + "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))

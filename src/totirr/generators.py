@@ -79,7 +79,7 @@ def orient_by_labeling(g: Graph, labels: Sequence[int]) -> Digraph:
     identity permutation on complete(n) yields the transitive orientation
     with in-degree sequence 0, 1, ..., n-1.
     """
-    if g.allow_parallel or g.allow_loops:
+    if g.multigraph:
         raise GraphError("orientation requires a simple graph")
     if sorted(labels) != list(range(g.vertex_count)):
         raise GraphError("labels must be a permutation of the vertex ids")

@@ -6,8 +6,8 @@ bookkeeping from ever sharing mutable state. Both are one core, _Value, with
 one validating constructor, one degree count and one tuple of degree
 multisets, one per degree mode. A class's mode table maps each mode to its
 index and to the ends of a pair it counts: "undirected" both ends of an edge,
-"in" an arc's head and "out" its tail. A digraph is the core with loops and
-parallel pairs fixed off. The constructor sorts the pairs and validates them
+"in" an arc's head and "out" its tail. Graph.multigraph allows loops and
+parallel pairs together. The constructor sorts the pairs and validates them
 in bulk passes, walking pair by pair only to name the first bad one.
 apply_edit does not call it: every edit removes at most one pair and adds at
 most one, and one rule checks every kind against the parent (_edit_plan). The
@@ -47,9 +47,10 @@ def _normalize(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _check_vertex(g: "AnyGraph", v: int) -> None:
-    if not (0 <= v < g.vertex_count):
-        raise GraphError(f"vertex {v} outside range 0..{g.vertex_count - 1}")
+def _check_vertex(g: "AnyGraph", *vertices: int) -> None:
+    for v in vertices:
+        if not (0 <= v < g.vertex_count):
+            raise GraphError(f"vertex {v} outside range 0..{g.vertex_count - 1}")
 
 
 class _cached:
@@ -85,16 +86,15 @@ class _Value:
         # The loop runs only when the bulk passes find a bad pair, to name the first.
         if pairs and (
             not in_range
-            or not self.allow_loops and any(starmap(eq, pairs))
-            or not self.allow_parallel and any(map(eq, pairs, pairs[1:]))
+            or not self.multigraph and (any(starmap(eq, pairs)) or any(map(eq, pairs, pairs[1:])))
         ):
             prev = None
             for a, b in pairs:
                 if not (0 <= a < n and 0 <= b < n):
                     raise GraphError(f"{self._NOUN} ({a}, {b}) outside vertex range 0..{n - 1}")
-                if a == b and not self.allow_loops:
+                if a == b and not self.multigraph:
                     raise GraphError(self._LOOP.format(a))
-                if (a, b) == prev and not self.allow_parallel:
+                if (a, b) == prev and not self.multigraph:
                     raise GraphError(self._PARALLEL.format(a, b))
                 prev = (a, b)
 
@@ -110,19 +110,18 @@ class _Value:
 
 @dataclass(frozen=True)
 class Graph(_Value):
-    """Undirected labeled graph; multigraph features are opt-in via flags.
+    """Undirected labeled graph; multigraph=True allows loops and parallel edges together.
 
     Edges are stored as a canonically sorted tuple of (low, high) pairs, so
     equality is plain structural equality of the edge multiset.
     """
 
     edges: tuple[tuple[int, int], ...] = ()
-    allow_parallel: bool = False
-    allow_loops: bool = False
+    multigraph: bool = False
 
     _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
-    _LOOP, _PARALLEL = "loop at vertex {} requires allow_loops", "parallel edge ({}, {}) requires allow_parallel"
+    _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
 
     @staticmethod
     def _sorted(edges: Iterable, n: int) -> tuple[list[tuple[int, int]], bool]:
@@ -159,7 +158,7 @@ class Graph(_Value):
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         # Sorted (low, high) edges list each vertex's lower neighbours, its loop, then its higher ones.
         nb: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for a, b in dict.fromkeys(self.edges) if self.allow_parallel else self.edges:
+        for a, b in dict.fromkeys(self.edges) if self.multigraph else self.edges:
             nb[a].append(b)
             if a != b:
                 nb[b].append(a)
@@ -176,7 +175,7 @@ class Digraph(_Value):
 
     arcs: tuple[tuple[int, int], ...] = ()
 
-    allow_parallel = allow_loops = False  # class constants, not fields
+    multigraph = False  # a class constant, not a field
     _PAIRS, _MODES, _key = "arcs", {"in": (0, (1,)), "out": (1, (0,))}, staticmethod(lambda tail, head: (tail, head))
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
@@ -412,8 +411,7 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tu
     if not isinstance(g, fits):
         raise EditError(f"{op.kind.value} does not apply to {g._CALLED}")
     a, b = op.endpoints
-    _check_vertex(g, a)
-    _check_vertex(g, b)
+    _check_vertex(g, a, b)
     entries = getattr(g, g._PAIRS)
     removed = () if op.kind is EditKind.ADD_EDGE else (g._key(a, b),)
     if removed and not _multiplicity(entries, removed[0]):
@@ -429,9 +427,9 @@ def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tu
     added = g._key(x, y)
     if removed == (added,):
         raise EditError(f"new end {op.target} equals the end it replaces")
-    if x == y and not g.allow_loops:
+    if x == y and not g.multigraph:
         raise EditError(g._LOOP.format(x))
-    if not g.allow_parallel and _multiplicity(entries, added):
+    if not g.multigraph and _multiplicity(entries, added):
         raise EditError(f"{g._NOUN} ({x}, {y}) already present")
     return removed, (added,)
 
@@ -455,8 +453,8 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     The rule, in order: g's type is supported and op's kind fits it; a and b
     are in range; every kind but ADD_EDGE removes the entry (a, b), which
     must be present; a retarget has a target, in range; the added entry differs
-    from the removed one, is a loop only where g allows loops and is new
-    unless g allows parallel edges (a digraph allows neither). The child is
+    from the removed one, and unless g is a multigraph it is no loop and is
+    not present already (a digraph is never a multigraph). The child is
     g's spliced tuple, never re-validated. If g has counted its degrees, the
     child takes them with the touched entries patched (_carried); otherwise it
     counts its own lazily. Either way it counts its degree multisets lazily.

@@ -22,8 +22,7 @@ def edge_joint(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
     _check_vertex(g2, v)
     offset = g1.vertex_count
     edges = g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges) + ((u, offset + v),)
-    parallel, loops = g1.allow_parallel or g2.allow_parallel, g1.allow_loops or g2.allow_loops
-    return Graph(offset + g2.vertex_count, edges, parallel, loops)
+    return Graph(offset + g2.vertex_count, edges, g1.multigraph or g2.multigraph)
 
 
 def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
@@ -33,6 +32,7 @@ def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
     edge cannot previously exist, because the cut edge was the only bridge
     between the two sides.
     """
+    _check_vertex(g, u1, v1)
     if not g.has_edge(u1, v1):
         raise GraphError(f"edge ({u1}, {v1}) not present")
     master = cut_side(g, v1, u1)

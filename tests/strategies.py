@@ -84,7 +84,7 @@ def connected_components(g):
     return comps
 
 
-def checked_edges(n, edges, allow_parallel=False, allow_loops=False):
+def checked_edges(n, edges, multigraph=False):
     """The sorted (low, high) edges Graph(n, edges, ...) stores, or its error, edge by edge."""
     if n < 0:
         raise GraphError("vertex_count must be nonnegative")
@@ -93,10 +93,10 @@ def checked_edges(n, edges, allow_parallel=False, allow_loops=False):
     for a, b in norm:
         if not (0 <= a < n and 0 <= b < n):
             raise GraphError(f"edge ({a}, {b}) outside vertex range 0..{n - 1}")
-        if a == b and not allow_loops:
-            raise GraphError(f"loop at vertex {a} requires allow_loops")
-        if (a, b) == prev and not allow_parallel:
-            raise GraphError(f"parallel edge ({a}, {b}) requires allow_parallel")
+        if a == b and not multigraph:
+            raise GraphError(f"loop at vertex {a} requires multigraph=True")
+        if (a, b) == prev and not multigraph:
+            raise GraphError(f"parallel edge ({a}, {b}) requires multigraph=True")
         prev = (a, b)
     return tuple(norm)
 

@@ -175,7 +175,7 @@ def branchy_graphs(draw):
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
     if kind == "simple":
         return Graph(n, tuple({(min(a, b), max(a, b)) for a, b in pairs if a != b}))
-    return Graph(n, tuple(pairs), allow_parallel=True, allow_loops=True)
+    return Graph(n, tuple(pairs), multigraph=True)
 
 
 @settings(max_examples=400, deadline=None)

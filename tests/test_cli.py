@@ -189,13 +189,28 @@ def test_transform_directed_tail_report(tmp_path, capsys):
 
 
 def test_transform_target_outside_the_range(tmp_path, capsys):
-    # both paths name the vertex; the undirected one used to fail its side test instead
+    # both paths name the first vertex out of range, a cut end before the target; the undirected one
+    # used to fail its side test for a target, and its edge test for a cut end, instead
     p3 = write(tmp_path, "p3.txt", "U 3\n0 1\n1 2\n")
     d3 = write(tmp_path, "d3.txt", "D 3\n0 1\n1 2\n")
+    cases = [(("0", "1", "-1"), "-1"), (("0", "1", "5"), "5"), (("5", "1", "2"), "5"), (("0", "-1", "2"), "-1")]
     for path in (p3, d3):
-        for target in ("-1", "5"):
-            code, out, err = run(capsys, "transform", "--input", path, "--cut", "0", "1", "--target", target)
-            assert (code, out, err) == (2, "", f"error: vertex {target} outside range 0..2\n"), (path, target)
+        for (a, b, target), bad in cases:
+            code, out, err = run(capsys, "transform", "--input", path, "--cut", a, b, "--target", target)
+            assert (code, out, err) == (2, "", f"error: vertex {bad} outside range 0..2\n"), (path, a, b, target)
+
+
+def test_transform_directed_moves_the_head_without_end(tmp_path, capsys):
+    ring = write(tmp_path, "ring.txt", "D 4\n0 1\n1 2\n2 3\n3 0\n")
+    results = []
+    for i, end in enumerate(([], ["--end", "head"])):
+        out_file = tmp_path / f"out{i}.txt"
+        argv = ["--input", ring, "--cut", "0", "1", "--target", "2", *end, "--out", str(out_file), "--report"]
+        code, out, err = run(capsys, "transform", *argv)
+        assert (code, err) == (0, "")
+        results.append((out, out_file.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][1] == b"D 4\n0 2\n1 2\n2 3\n3 0\n"
 
 
 def test_transform_end_flag_rejected_for_undirected(tmp_path, capsys):

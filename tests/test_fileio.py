@@ -218,6 +218,13 @@ def test_canonical_output():
         graph_to_text("x")
 
 
+def test_writer_refuses_a_multigraph():
+    # the format holds simple values only: a loop or a parallel edge would not read back, nor would the flag
+    for edges in (((0, 0), (0, 1), (0, 1)), ((0, 1),)):
+        with pytest.raises(FormatError, match="multigraph"):
+            graph_to_text(Graph(2, edges, multigraph=True))
+
+
 def test_empty_graph_round_trip():
     g = Graph(5, ())
     assert graph_to_text(g) == "U 5\n"

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,11 +47,14 @@ def test_loops_and_parallels_rejected_by_default():
 
 
 def test_loops_and_parallels_allowed_when_flagged():
-    g = Graph(3, ((1, 1), (0, 1), (1, 0)), allow_parallel=True, allow_loops=True)
+    g = Graph(3, ((1, 1), (0, 1), (1, 0)), multigraph=True)
     assert g.edge_count == 3
     # a loop contributes 2 to its endpoint
     assert g.degrees == (2, 4, 0)
     assert g.edges == ((0, 1), (0, 1), (1, 1))
+    # one flag allows both; a digraph's is a class constant, not a field
+    assert [f.name for f in fields(Graph)] == ["vertex_count", "edges", "multigraph"]
+    assert [f.name for f in fields(Digraph)] == ["vertex_count", "arcs"]
 
 
 def test_digraph_rejects_self_arcs_and_duplicates():
@@ -110,10 +113,9 @@ def _outcome(build):
 @example((2, [(0, 1), (1, 0), (1, 1), (-1, 0), (0, 2)]))
 def test_constructor_checks_match_the_per_edge_reference(case):
     n, edges = case
-    for parallel in (False, True):
-        for loops in (False, True):
-            got = _outcome(lambda: Graph(n, tuple(edges), parallel, loops).edges)
-            assert got == _outcome(lambda: checked_edges(n, edges, parallel, loops))
+    for multigraph in (False, True):
+        got = _outcome(lambda: Graph(n, tuple(edges), multigraph).edges)
+        assert got == _outcome(lambda: checked_edges(n, edges, multigraph))
     assert _outcome(lambda: Digraph(n, tuple(edges)).arcs) == _outcome(lambda: checked_arcs(n, edges))
 
 
@@ -231,7 +233,7 @@ def test_cut_edge_detection():
     assert cut_side(g, 0, 3) is not None
     assert cut_side(g, 3, 0) is not None
     assert cut_side(g, 0, 1) is None
-    loopy = Graph(2, ((0, 0), (0, 1)), allow_loops=True)
+    loopy = Graph(2, ((0, 0), (0, 1)), multigraph=True)
     assert cut_side(loopy, 0, 0) is None
     assert cut_side(loopy, 0, 1) is not None
 
@@ -241,15 +243,15 @@ def multigraphs(draw, max_n=10):
     n = draw(st.integers(1, max_n))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=2 * n + 2))
-    return Graph(n, tuple(edges), allow_parallel=True, allow_loops=True)
+    return Graph(n, tuple(edges), multigraph=True)
 
 
 @settings(max_examples=300)
 @given(multigraphs(), st.booleans())
-def test_adjacency_matches_the_neighbour_sets(g, parallel):
-    # without allow_parallel the edges go straight to the neighbour lists, loops and all
-    if not parallel:
-        g = Graph(g.vertex_count, tuple(set(g.edges)), allow_loops=True)
+def test_adjacency_matches_the_neighbour_sets(g, multigraph):
+    # a simple graph's edges go straight to the neighbour lists; a multigraph's are deduplicated first
+    if not multigraph:
+        g = Graph(g.vertex_count, tuple({(a, b) for a, b in g.edges if a != b}))
     assert g._adjacency == adjacency(g)
 
 
@@ -314,7 +316,7 @@ def test_retarget_edge():
 
 
 def test_retarget_edge_multigraph():
-    g = Graph(4, ((0, 1), (1, 2), (2, 3)), allow_parallel=True)
+    g = Graph(4, ((0, 1), (1, 2), (2, 3)), multigraph=True)
     g2 = apply_edit(g, EditOp.retarget_edge(1, 2, 3))
     assert g2.edges == ((0, 1), (2, 3), (2, 3))
     assert g2.degrees == (1, 1, 2, 2)
@@ -387,7 +389,7 @@ def test_retarget_head_duplicate_rejected():
 
 def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
     simple = Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
-    multi = Graph(5, ((0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4)), allow_parallel=True, allow_loops=True)
+    multi = Graph(5, ((0, 1), (0, 1), (0, 2), (0, 3), (2, 2), (3, 4)), multigraph=True)
     d = Digraph(4, ((0, 1), (1, 0), (1, 2), (2, 3)))
 
     def refuse(self):
@@ -414,7 +416,7 @@ def test_edits_do_not_rerun_the_validating_constructor(monkeypatch):
         assert type(child) is type(parent) and child.vertex_count == parent.vertex_count
         if isinstance(parent, Graph):
             assert child.edges == want
-            assert (child.allow_parallel, child.allow_loops) == (parent.allow_parallel, parent.allow_loops)
+            assert child.multigraph == parent.multigraph
         else:
             assert child.arcs == want
 
@@ -424,7 +426,7 @@ GRAPH_KINDS = (EditKind.ADD_EDGE, EditKind.REMOVE_EDGE, EditKind.RETARGET_EDGE_E
 
 @st.composite
 def edit_cases(draw):
-    """A simple graph, a multigraph under any flag pair or a digraph, and any EditOp with operands in -1..n."""
+    """A simple graph, a multigraph or a digraph, and any EditOp with operands in -1..n."""
     n = draw(st.integers(1, 5))
     vertex = st.integers(0, n - 1)
     if draw(st.booleans()):
@@ -432,9 +434,9 @@ def edit_cases(draw):
         value = Digraph(n, tuple(arcs))
         present, fitting = value.arcs, [k for k in EditKind if k not in GRAPH_KINDS]
     else:
-        parallel, loops = draw(st.tuples(st.booleans(), st.booleans()))
-        pairs = st.tuples(vertex, vertex).map(sorted).map(tuple).filter(lambda e: loops or e[0] != e[1])
-        value = Graph(n, tuple(draw(st.lists(pairs, unique=not parallel, max_size=2 * n))), parallel, loops)
+        multigraph = draw(st.booleans())
+        pairs = st.tuples(vertex, vertex).map(sorted).map(tuple).filter(lambda e: multigraph or e[0] != e[1])
+        value = Graph(n, tuple(draw(st.lists(pairs, unique=not multigraph, max_size=2 * n))), multigraph)
         present, fitting = value.edges, GRAPH_KINDS
     # any kind, with those that fit the value drawn more often
     kind = draw(st.sampled_from(fitting) | st.sampled_from(EditKind))
@@ -477,8 +479,7 @@ def _reference_child(value, op):
     try:
         if directed:
             return Digraph(n, checked_arcs(n, spliced))
-        flags = (value.allow_parallel, value.allow_loops)
-        return Graph(n, checked_edges(n, spliced, *flags), *flags)
+        return Graph(n, checked_edges(n, spliced, value.multigraph), value.multigraph)
     except GraphError:
         return None
 

@@ -74,17 +74,17 @@ def test_edit_delta_fixed_cases():
     assert exact_delta_for_edit(ring, EditOp.reverse_arc(0, 1)) == (8, 8)
 
     # each case: parent, op, and the child the test spells out itself
-    star = Graph(4, ((0, 1), (0, 2), (0, 3)), allow_loops=True)
-    hooked = Graph(3, ((0, 1), (1, 1), (1, 2)), allow_loops=True)
-    path3 = Graph(3, ((0, 1), (1, 2)), allow_loops=True)
+    star = Graph(4, ((0, 1), (0, 2), (0, 3)), multigraph=True)
+    hooked = Graph(3, ((0, 1), (1, 1), (1, 2)), multigraph=True)
+    path3 = Graph(3, ((0, 1), (1, 2)), multigraph=True)
     path5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     chain = Digraph(4, ((0, 1), (2, 0), (3, 2)))
     cases = [
         # a loop takes vertex 1 from degree 1 to 3, past the absent degree 2
-        (star, EditOp.add_edge(1, 1), Graph(4, star.edges + ((1, 1),), allow_loops=True)),
+        (star, EditOp.add_edge(1, 1), Graph(4, star.edges + ((1, 1),), multigraph=True)),
         (hooked, EditOp.remove_edge(1, 1), path3),
         # vertex 1 loses the moved end and gains both ends of the loop
-        (path3, EditOp.retarget_edge(0, 1, 1), Graph(3, ((1, 1), (1, 2)), allow_loops=True)),
+        (path3, EditOp.retarget_edge(0, 1, 1), Graph(3, ((1, 1), (1, 2)), multigraph=True)),
         # both ends start at degree 1
         (path5, EditOp.add_edge(0, 4), Graph(5, path5.edges + ((0, 4),))),
         # tail 0 and head 1 both have in-degree 1
@@ -104,7 +104,7 @@ def test_edit_delta_fixed_cases():
 def test_exact_delta_rejects_what_apply_edit_rejects():
     # one case per clause of the edit rule, per kind where the clause applies, in the rule's order
     g = Graph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4)))
-    multi = Graph(3, ((0, 1), (0, 1)), allow_parallel=True)
+    multi = Graph(3, ((0, 1), (0, 1)), multigraph=True)
     d = Digraph(4, ((0, 1), (1, 2), (2, 1), (2, 3), (3, 1)))
     cases = [
         # the value's type is supported and the kind fits it
@@ -140,12 +140,12 @@ def test_exact_delta_rejects_what_apply_edit_rejects():
         (multi, EditOp.retarget_edge(0, 1, 0), EditError, "new end 0 equals the end it replaces"),
         (d, EditOp.retarget_tail(0, 1, 0), EditError, "new end 0 equals the end it replaces"),
         (d, EditOp.retarget_head(0, 1, 1), EditError, "new end 1 equals the end it replaces"),
-        # it is a loop only where the value allows loops, and a digraph never does
-        (g, EditOp.add_edge(4, 4), EditError, "loop at vertex 4 requires allow_loops"),
-        (g, EditOp.retarget_edge(3, 2, 2), EditError, "loop at vertex 2 requires allow_loops"),
+        # it is a loop only in a multigraph, and a digraph never is one
+        (g, EditOp.add_edge(4, 4), EditError, "loop at vertex 4 requires multigraph=True"),
+        (g, EditOp.retarget_edge(3, 2, 2), EditError, "loop at vertex 2 requires multigraph=True"),
         (d, EditOp.retarget_tail(0, 1, 1), EditError, "self-arc at vertex 1 not allowed"),
         (d, EditOp.retarget_head(0, 1, 0), EditError, "self-arc at vertex 0 not allowed"),
-        # it is new unless the value allows parallel edges, and a digraph never does
+        # it is new unless the value is a multigraph, and a digraph never is one
         (g, EditOp.add_edge(1, 0), EditError, "edge (1, 0) already present"),
         (g, EditOp.retarget_edge(4, 3, 2), EditError, "edge (2, 3) already present"),
         (d, EditOp.reverse_arc(1, 2), EditError, "arc (2, 1) already present"),
@@ -192,7 +192,7 @@ def test_a_remembered_plan_serves_only_its_own_value_and_op():
 
 
 def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
-    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 1)), allow_parallel=True, allow_loops=True)
+    g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (1, 1)), multigraph=True)
     d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
     cases = [
         (g, EditOp.add_edge(0, 4)),
@@ -360,10 +360,10 @@ def _norm(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _graph_moves(n, counts, parallel, loops):
-    """Every valid (op, removed, added) on the multigraph whose edge counts are counts."""
+def _graph_moves(n, counts, multigraph):
+    """Every valid (op, removed, added) on the graph whose edge counts are counts."""
     def free(e):
-        return (e[0] != e[1] or loops) and (parallel or not counts[e])
+        return multigraph or e[0] != e[1] and not counts[e]
 
     moves = []
     for a in range(n):
@@ -403,12 +403,10 @@ def walk_starts(draw, kind):
         pool = [(i, j) for i in range(n) for j in range(n) if i != j]
         arcs = {(0, 1), (1, 0)} | set(draw(st.lists(st.sampled_from(pool), max_size=len(pool) // 2)))
         return Digraph(n, tuple(arcs)), Counter(arcs)
-    parallel, loops = (False, False)
-    if kind == "multigraph":
-        parallel, loops = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    pool = [(i, j) for i in range(n) for j in range(i if loops else i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pool), unique=not parallel, max_size=2 * n))
-    return Graph(n, tuple(edges), parallel, loops), Counter(edges)
+    multigraph = kind == "multigraph"
+    pool = [(i, j) for i in range(n) for j in range(i if multigraph else i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=not multigraph, max_size=2 * n))
+    return Graph(n, tuple(edges), multigraph), Counter(edges)
 
 
 def _walk(kind, data):
@@ -417,8 +415,8 @@ def _walk(kind, data):
     value, counts = data.draw(walk_starts(kind))
     n = value.vertex_count
     directed = kind == "digraph"
-    # flags come from the start value, so a child that loses them cannot compare equal
-    parallel, loops = (False, False) if directed else (value.allow_parallel, value.allow_loops)
+    # the flag comes from the start value, so a child that loses it cannot compare equal
+    multigraph = value.multigraph
 
     def own_degrees():
         """(degrees,) of a graph or (in-degrees, out-degrees) of a digraph, from counts alone."""
@@ -443,7 +441,7 @@ def _walk(kind, data):
         if directed:
             moves = _digraph_moves(n, counts)
         else:
-            moves = _graph_moves(n, counts, parallel, loops)
+            moves = _graph_moves(n, counts, multigraph)
         op, removed, added = data.draw(st.sampled_from(moves))
         # pricing counts the parent's degrees, so every child after the first carries them
         delta = exact_delta_for_edit(value, op)
@@ -459,7 +457,7 @@ def _walk(kind, data):
             assert all(value.has_arc(t, h) == (counts[(t, h)] > 0) for t in range(n) for h in range(n))
         else:
             running += delta
-            assert value == Graph(n, tuple(counts.elements()), parallel, loops)
+            assert value == Graph(n, tuple(counts.elements()), multigraph)
             assert all(value.has_edge(a, b) == (counts[_norm(a, b)] > 0) for a in range(n) for b in range(n))
         assert running == own_irr()
 
@@ -484,7 +482,7 @@ def test_long_edit_walk_catches_a_carry_off_by_one(kind, data):
 @pytest.mark.parametrize("kind", ["graph", "digraph"])
 def test_editing_a_child_leaves_its_parent_as_it_was(kind):
     if kind == "graph":
-        make = lambda: Graph(5, ((0, 1), (1, 2), (2, 2), (2, 3)), allow_loops=True)
+        make = lambda: Graph(5, ((0, 1), (1, 2), (2, 2), (2, 3)), multigraph=True)
         first, second = EditOp.retarget_edge(2, 1, 4), EditOp.add_edge(4, 4)
 
         def seen(g):

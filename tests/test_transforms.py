@@ -54,6 +54,15 @@ def test_edge_joint_complete_with_triangle():
     assert irr_graph(j) == 16
 
 
+def test_edge_joint_is_a_multigraph_when_either_side_is():
+    multi = Graph(2, ((0, 0), (0, 1), (0, 1)), multigraph=True)
+    k2 = Graph(2, ((0, 1),))
+    for j, want in [(edge_joint(multi, k2, 1, 0), ((0, 0), (0, 1), (0, 1), (1, 2), (2, 3))),
+                    (edge_joint(k2, multi, 1, 0), ((0, 1), (1, 2), (2, 2), (2, 3), (2, 3)))]:
+        assert (j.multigraph, j.edges) == (True, want)
+    assert not edge_joint(k2, k2, 1, 0).multigraph
+
+
 def test_edge_joint_validation():
     k1 = Graph(1, ())
     with pytest.raises(GraphError):
@@ -166,13 +175,13 @@ def test_branch_transformation_validation():
     tri = Graph(4, ((0, 1), (1, 2), (0, 2), (0, 3)))
     with pytest.raises(EditError, match="is not a bridge"):
         branch_transformation(tri, 0, 3, 1)  # {0, 1} lies on a cycle
-    doubled = Graph(4, ((0, 1), (0, 1), (0, 2), (0, 3)), allow_parallel=True)
+    doubled = Graph(4, ((0, 1), (0, 1), (0, 2), (0, 3)), multigraph=True)
     with pytest.raises(EditError, match="is not a bridge"):
         branch_transformation(doubled, 0, 2, 1)  # one of two parallel copies
     withcycle = Graph(7, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (0, 5), (0, 6)))
     with pytest.raises(EditError, match="is not a tree"):
         branch_transformation(withcycle, 0, 5, 1)  # the branch at 1 holds a cycle
-    loopy = Graph(5, ((0, 1), (1, 1), (1, 2), (0, 3), (0, 4)), allow_loops=True)
+    loopy = Graph(5, ((0, 1), (1, 1), (1, 2), (0, 3), (0, 4)), multigraph=True)
     with pytest.raises(EditError, match="is not a tree"):
         branch_transformation(loopy, 0, 3, 1)  # the branch at 1 holds a loop
 
@@ -200,7 +209,7 @@ def test_branch_transformation_delta_matches_recompute(g):
                 edges = list(g.edges)
                 edges.remove((min(u, root), max(u, root)))
                 edges.append((min(v, root), max(v, root)))
-                assert child == Graph(g.vertex_count, tuple(edges), g.allow_parallel, g.allow_loops)
+                assert child == Graph(g.vertex_count, tuple(edges), g.multigraph)
                 after = irr_naive(degree_multiset(child))
                 assert exact_delta_for_edit(g, EditOp.retarget_edge(u, root, v)) == after - before
 
