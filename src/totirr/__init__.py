@@ -17,7 +17,7 @@ _HOMES = {
         ("irregularity", "exact_delta_for_edit irr_fast irr_graph irr_naive"),
         ("partitions", "joint_partition transform_counts"),
         ("rng", "SplitMix64"),
-        ("transforms", "arc_transformation branch_transformation edge_joint edge_transformation"),
+        ("transforms", "branch_transformation edge_joint edge_transformation"),
     )
     for name in names.split()
 }

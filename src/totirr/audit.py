@@ -29,7 +29,7 @@ object with the suite metadata, per-formula stats, and the disagreement rows.
 The row builders (joint_row, and transform_row for every retarget of an edge
 end, an arc head or an arc tail) also back the CLI's --report output, so the
 agreement rule lives only in _outcome; each takes the edited value its caller
-built through the operation's own checks.
+built through the operation's own checks, a retarget's through _retarget.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from .predictors import (
     transform_formula_id,
 )
 from .rng import SplitMix64
-from .transforms import branch_transformation, edge_joint, edge_transformation
+from .transforms import _retarget, branch_transformation, edge_joint
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -348,14 +348,6 @@ _RETARGETS = {
 }
 
 
-def _retargeted(g: AnyGraph, desc: str, op: EditOp) -> AnyGraph:
-    """g after op. edge_transformation checks a simple graph's cut edge and target side on every instance;
-    a multigraph has no cut edge to check, and an arc move has no check beyond apply_edit's."""
-    if isinstance(g, Graph) and not g.multigraph:
-        return edge_transformation(g, *op.endpoints, op.target)
-    return apply_edit(g, op)
-
-
 def transform_row(iid: int, seed: int, instance: tuple[AnyGraph, str, EditOp], edited: AnyGraph) -> AuditRow:
     """Score edited: g with one end of op's edge or arc on op.target, in the degree mode the move changes."""
     g, desc, op = instance
@@ -400,8 +392,8 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
 
 def run_edge_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit cut-edge retargets; every fifth random instance is a multigraph."""
-    witnesses, draw = _edge_transform_witnesses(), _random_edge_transform_instance
-    return _run_seeded("edge-transform", count, seed, witnesses, draw, _retargeted, transform_row)
+    witnesses, edit = _edge_transform_witnesses(), lambda g, desc, op: _retarget(g, op)
+    return _run_seeded("edge-transform", count, seed, witnesses, _random_edge_transform_instance, edit, transform_row)
 
 
 def _arc_transform_witnesses() -> list[tuple[Digraph, str, EditOp]]:
@@ -438,8 +430,8 @@ def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, EditO
 
 def run_arc_transform_suite(count: int, seed: int) -> AuditReport:
     """Audit arc retargets: head moves audit in-degrees, tail moves out."""
-    witnesses, draw = _arc_transform_witnesses(), _random_arc_instance
-    return _run_seeded("arc-transform", count, seed, witnesses, draw, _retargeted, transform_row)
+    witnesses, edit = _arc_transform_witnesses(), lambda g, desc, op: _retarget(g, op)
+    return _run_seeded("arc-transform", count, seed, witnesses, _random_arc_instance, edit, transform_row)
 
 
 # --- closed-form suite ------------------------------------------------------

@@ -15,9 +15,9 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .fileio import read_graph_file, write_graph_file
-from .graphs import Digraph, EditOp, apply_edit
+from .graphs import Digraph, EditOp
 from .irregularity import irr_digraph, irr_graph
-from .transforms import edge_joint, edge_transformation
+from .transforms import _retarget, edge_joint
 
 if TYPE_CHECKING:
     from .audit import AuditRow
@@ -80,11 +80,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     a, b = args.cut
     if isinstance(g, Digraph):
         op = (EditOp.retarget_tail if args.end == "tail" else EditOp.retarget_head)(a, b, args.target)
-        edited = apply_edit(g, op)
+    elif args.end is not None:
+        raise ValueError("--end only applies to directed inputs")
     else:
-        if args.end is not None:
-            raise ValueError("--end only applies to directed inputs")
-        op, edited = EditOp.retarget_edge(a, b, args.target), edge_transformation(g, a, b, args.target)
+        op = EditOp.retarget_edge(a, b, args.target)
+    edited = _retarget(g, op)
     if args.out is not None:
         write_graph_file(args.out, edited)
     if args.report:

@@ -47,10 +47,15 @@ def _normalize(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _range(n: int, name: str = "range") -> str:
+    """How a message names the ids 0..n - 1: an empty range as empty, not as 0..-1."""
+    return f"{name} 0..{n - 1}" if n else f"empty {name}"
+
+
 def _check_vertex(g: "AnyGraph", *vertices: int) -> None:
     for v in vertices:
         if not (0 <= v < g.vertex_count):
-            raise GraphError(f"vertex {v} outside range 0..{g.vertex_count - 1}")
+            raise GraphError(f"vertex {v} outside {_range(g.vertex_count)}")
 
 
 class _cached:
@@ -91,7 +96,7 @@ class _Value:
             prev = None
             for a, b in pairs:
                 if not (0 <= a < n and 0 <= b < n):
-                    raise GraphError(f"{self._NOUN} ({a}, {b}) outside vertex range 0..{n - 1}")
+                    raise GraphError(f"{self._NOUN} ({a}, {b}) outside {_range(n, 'vertex range')}")
                 if a == b and not self.multigraph:
                     raise GraphError(self._LOOP.format(a))
                 if (a, b) == prev and not self.multigraph:

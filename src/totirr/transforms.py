@@ -1,14 +1,15 @@
 """Whole-graph operations that the prediction formulas talk about.
 
 These wrap the low-level edit machinery with the structural preconditions of
-each named operation, and return new values. Ids are stable: an edge joint
-keeps graph 1's ids and offsets graph 2's by graph 1's order; every other
-operation preserves ids outright.
+each named operation, and return new values. One function, _retarget, picks
+the checks for every move of one end of an edge or an arc. Ids are stable: an
+edge joint keeps graph 1's ids and offsets graph 2's by graph 1's order; every
+other operation preserves ids outright.
 """
 
 from __future__ import annotations
 
-from .graphs import Digraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
+from .graphs import AnyGraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
 from .graphs import _branch_component, _check_vertex
 
 
@@ -44,6 +45,15 @@ def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:
     return apply_edit(g, EditOp.retarget_edge(u1, v1, u_i))
 
 
+def _retarget(g: AnyGraph, op: EditOp) -> AnyGraph:
+    """g after op, which moves one end of an edge or an arc. A simple graph's edge goes through
+    edge_transformation, which checks the cut edge and the target's side; a multigraph has no cut
+    edge to check, and an arc move has no check beyond apply_edit's."""
+    if isinstance(g, Graph) and not g.multigraph:
+        return edge_transformation(g, *op.endpoints, op.target)
+    return apply_edit(g, op)
+
+
 def branch_transformation(g: Graph, u: int, v: int, branch_root: int) -> Graph:
     """Detach the hanging tree rooted at branch_root from u; reattach at v.
 
@@ -58,19 +68,3 @@ def branch_transformation(g: Graph, u: int, v: int, branch_root: int) -> Graph:
     if v in _branch_component(g, u, branch_root):
         raise EditError(f"destination {v} lies inside the moved branch")
     return apply_edit(g, EditOp.retarget_edge(u, branch_root, v))
-
-
-def arc_transformation(d: Digraph, arc: tuple[int, int], target: int, end: str) -> Digraph:
-    """Move one end of an arc to a new vertex.
-
-    end "head": (tail, head) becomes (tail, target), so only in-degrees move.
-    end "tail": (tail, head) becomes (target, head), so only out-degrees move.
-    The target must differ from both current endpoints and the resulting arc
-    must be fresh.
-    """
-    tail, head = arc
-    if end == "head":
-        return apply_edit(d, EditOp.retarget_head(tail, head, target))
-    if end == "tail":
-        return apply_edit(d, EditOp.retarget_tail(tail, head, target))
-    raise GraphError(f"end {end!r} must be 'head' or 'tail'")

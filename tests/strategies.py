@@ -92,7 +92,7 @@ def checked_edges(n, edges, multigraph=False):
     prev = None
     for a, b in norm:
         if not (0 <= a < n and 0 <= b < n):
-            raise GraphError(f"edge ({a}, {b}) outside vertex range 0..{n - 1}")
+            raise GraphError(f"edge ({a}, {b}) outside " + (f"vertex range 0..{n - 1}" if n else "empty vertex range"))
         if a == b and not multigraph:
             raise GraphError(f"loop at vertex {a} requires multigraph=True")
         if (a, b) == prev and not multigraph:
@@ -109,7 +109,7 @@ def checked_arcs(n, arcs):
     prev = None
     for t, h in norm:
         if not (0 <= t < n and 0 <= h < n):
-            raise GraphError(f"arc ({t}, {h}) outside vertex range 0..{n - 1}")
+            raise GraphError(f"arc ({t}, {h}) outside " + (f"vertex range 0..{n - 1}" if n else "empty vertex range"))
         if t == h:
             raise GraphError(f"self-arc at vertex {t} not allowed")
         if (t, h) == prev:

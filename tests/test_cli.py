@@ -200,6 +200,19 @@ def test_transform_target_outside_the_range(tmp_path, capsys):
             assert (code, out, err) == (2, "", f"error: vertex {bad} outside range 0..2\n"), (path, a, b, target)
 
 
+def test_empty_vertex_range_is_named_empty(tmp_path, capsys):
+    u0, d0 = write(tmp_path, "u0.txt", "U 0\n"), write(tmp_path, "d0.txt", "D 0\n")
+    cases = [
+        (["compute", "--input", write(tmp_path, "u.txt", "U 0\n0 1\n")], "edge (0, 1) outside empty vertex range"),
+        (["compute", "--input", write(tmp_path, "d.txt", "D 0\n0 1\n")], "arc (0, 1) outside empty vertex range"),
+        (["transform", "--input", u0, "--cut", "0", "1", "--target", "2"], "vertex 0 outside empty range"),
+        (["transform", "--input", d0, "--cut", "0", "1", "--target", "2"], "vertex 0 outside empty range"),
+        (["joint", "--left", u0, "--right", u0, "--u", "0", "--v", "0"], "vertex 0 outside empty range"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_transform_directed_moves_the_head_without_end(tmp_path, capsys):
     ring = write(tmp_path, "ring.txt", "D 4\n0 1\n1 2\n2 3\n3 0\n")
     results = []

@@ -1,0 +1,91 @@
+"""Every move on every small labelled graph or digraph, not a sample.
+
+The retargets run through transforms._retarget, the one path that the CLI and
+both transform suites take, and are scored by audit.transform_row. The branch
+moves compare audit._branch_candidates with the per-neighbour reference and
+check Lemma 3.4 through branch_transformation. The counts pin the enumeration,
+so a move that is silently skipped fails too.
+"""
+
+from itertools import compress, product
+
+from totirr import Digraph, EditOp, Graph, branch_transformation, cut_side, irr_graph
+from totirr.audit import _branch_candidates, transform_row
+from totirr.transforms import _retarget
+
+from strategies import branch_candidates
+
+
+def every_graph(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for keep in product((0, 1), repeat=len(pairs)):
+        yield Graph(n, tuple(compress(pairs, keep)))
+
+
+def every_digraph(n):
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for keep in product((0, 1), repeat=len(pairs)):
+        yield Digraph(n, tuple(compress(pairs, keep)))
+
+
+def bridge_moves(g):
+    """Both orientations of every bridge, onto every other vertex on the moved end's side."""
+    for a, b in g.edges:
+        for moved, kept in ((a, b), (b, a)):
+            side = cut_side(g, kept, moved)
+            for target in side or ():
+                if target != moved:
+                    yield EditOp.retarget_edge(moved, kept, target)
+
+
+def fresh_arc_moves(d):
+    """Every head and tail retarget whose new arc is fresh."""
+    for tail, head in d.arcs:
+        for target in range(d.vertex_count):
+            if target not in (tail, head):
+                if not d.has_arc(tail, target):
+                    yield EditOp.retarget_head(tail, head, target)
+                if not d.has_arc(target, head):
+                    yield EditOp.retarget_tail(tail, head, target)
+
+
+def audited(values, moves):
+    """The move count per value order, after asserting every move's row is exact and every formula agrees."""
+    counts = {}
+    for g in values:
+        for op in moves(g):
+            row = transform_row(0, 0, (g, "exhaustive", op), _retarget(g, op))
+            assert row.engine_ok, row
+            assert all(p.agrees for p in row.predictions), row
+            counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
+    return counts
+
+
+def test_every_bridge_retarget_up_to_order_5_agrees_with_thm33():
+    values = (g for n in (3, 4, 5) for g in every_graph(n))
+    counts = audited(values, bridge_moves)
+    assert sum(counts.values()) == 3870
+    assert counts[5] == 3720
+
+
+def test_every_fresh_arc_retarget_at_order_4_agrees_with_prop47():
+    assert audited(every_digraph(4), fresh_arc_moves) == {4: 49152}
+
+
+def test_branch_candidates_match_the_reference_on_every_graph_of_order_6():
+    total = 0
+    for g in every_graph(6):
+        candidates = _branch_candidates(g)
+        assert candidates == branch_candidates(g), g
+        total += len(candidates)
+    assert total == 22920
+
+
+def test_every_branch_move_of_order_5_lowers_irr_t():
+    total = 0
+    for g in every_graph(5):
+        before = irr_graph(g)
+        for u, root, v in _branch_candidates(g):
+            assert irr_graph(branch_transformation(g, u, v, root)) < before, (g, u, root, v)
+            total += 1
+    assert total == 720

@@ -10,7 +10,6 @@ from totirr import (
     Graph,
     GraphError,
     apply_edit,
-    arc_transformation,
     branch_transformation,
     edge_joint,
     edge_transformation,
@@ -230,31 +229,34 @@ def test_reverse_arc_on_chain():
     assert irr_digraph(apply_edit(chain, EditOp.reverse_arc(1, 2))).irr_in == 10
 
 
-def test_arc_transformation_head():
+def test_arc_retarget_head():
     chain = Digraph(3, ((0, 1), (1, 2)))
-    out = arc_transformation(chain, (1, 2), 0, "head")
+    out = apply_edit(chain, EditOp.retarget_head(1, 2, 0))
     assert out.arcs == ((0, 1), (1, 0))
     assert degree_multiset(out, "in").entries == ((0, 1), (1, 2))
     # head moves leave out-degrees alone
     assert degree_multiset(out, "out") == degree_multiset(chain, "out")
 
 
-def test_arc_transformation_tail():
+def test_arc_retarget_tail():
     chain = Digraph(3, ((0, 1), (1, 2)))
-    out = arc_transformation(chain, (0, 1), 2, "tail")
+    out = apply_edit(chain, EditOp.retarget_tail(0, 1, 2))
     assert out.arcs == ((1, 2), (2, 1))
     assert degree_multiset(out, "in") == degree_multiset(chain, "in")
 
 
-def test_arc_transformation_validation():
-    d = Digraph(3, ((0, 1), (0, 2)))
-    with pytest.raises(GraphError):
-        arc_transformation(d, (0, 1), 2, "head")  # (0, 2) already present
-    with pytest.raises(GraphError):
-        arc_transformation(d, (0, 1), 0, "head")  # self-arc
-    with pytest.raises(GraphError):
-        arc_transformation(d, (0, 1), 2, "sideways")
-    with pytest.raises(GraphError):
-        arc_transformation(d, (1, 2), 0, "head")  # arc absent
-    with pytest.raises(GraphError):
-        arc_transformation(d, (0, 1), 9, "head")  # target out of range
+@pytest.mark.parametrize(
+    "retarget, kept, taken", [(EditOp.retarget_head, 0, "0, 2"), (EditOp.retarget_tail, 1, "2, 1")], ids=["head", "tail"]
+)
+def test_arc_retarget_refusals(retarget, kept, taken):
+    # the arcs (0, 2) and (2, 1) are present, so 0->1 moved onto 2 at either end collides
+    d = Digraph(3, ((0, 1), (0, 2), (2, 1)))
+    cases = [
+        ((0, 1, 2), EditError, rf"^arc \({taken}\) already present$"),
+        ((0, 1, kept), EditError, f"^self-arc at vertex {kept} not allowed$"),
+        ((1, 2, 0), EditError, r"^arc \(1, 2\) not present$"),
+        ((0, 1, 9), GraphError, "^vertex 9 outside range 0..2$"),
+    ]
+    for ends, error, message in cases:
+        with pytest.raises(error, match=message):
+            apply_edit(d, retarget(*ends))
