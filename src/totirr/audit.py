@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -66,6 +65,7 @@ from .graphs import (
     EditKind,
     EditOp,
     Graph,
+    _Record,
     _cached,
     _hangs_a_tree,
     apply_edit,
@@ -93,47 +93,35 @@ from .transforms import _retarget, branch_transformation, edge_joint
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
 
-@dataclass(frozen=True)
-class PredictionOutcome:
-    formula_id: str
-    predicted: int
-    agrees: bool
-    is_delta: bool
+class PredictionOutcome(_Record):
+    def __init__(self, formula_id: str, predicted: int, agrees: bool, is_delta: bool):
+        self.__dict__.update(formula_id=formula_id, predicted=predicted, agrees=agrees, is_delta=is_delta)
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    instance_id: int
-    seed: int
-    operation: str
-    irr_before: int
-    irr_after_oracle: int
-    engine_delta: int
-    predictions: tuple[PredictionOutcome, ...]
+class AuditRow(_Record):
+    def __init__(self, instance_id: int, seed: int, operation: str, irr_before: int, irr_after_oracle: int,
+                 engine_delta: int, predictions: tuple[PredictionOutcome, ...]):
+        self.__dict__.update(instance_id=instance_id, seed=seed, operation=operation, irr_before=irr_before,
+                             irr_after_oracle=irr_after_oracle, engine_delta=engine_delta, predictions=predictions)
 
     @property
     def engine_ok(self) -> bool:
         return self.engine_delta == self.irr_after_oracle - self.irr_before
 
 
-@dataclass(frozen=True)
-class FormulaStat:
-    formula_id: str
-    agree: int
-    total: int
+class FormulaStat(_Record):
+    def __init__(self, formula_id: str, agree: int, total: int):
+        self.__dict__.update(formula_id=formula_id, agree=agree, total=total)
 
     @property
     def pct(self) -> float:
         return round(100.0 * self.agree / self.total, 4)
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    suite: str
-    seed: int
-    instance_count: int
-    config: tuple[tuple[str, str], ...]
-    rows: tuple[AuditRow, ...]
+class AuditReport(_Record):
+    def __init__(self, suite: str, seed: int, instance_count: int, config: tuple[tuple[str, str], ...],
+                 rows: tuple[AuditRow, ...]):
+        self.__dict__.update(suite=suite, seed=seed, instance_count=instance_count, config=config, rows=rows)
 
     @_cached
     def engine_ok(self) -> bool:

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import starmap
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import Iterable, Literal, Optional, Union
 
 
@@ -76,18 +75,51 @@ def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> 
     return bisect_right(items, item) - bisect_left(items, item)
 
 
-@dataclass(frozen=True)
-class _Value:
-    """The core of Graph and Digraph; a subclass gives _PAIRS, _MODES, _key, its messages, _sorted and _count."""
+class _Record:
+    """An immutable value: equal to a value of its own class with equal fields, hashed as its field tuple.
 
-    vertex_count: int
+    A subclass's fields are the parameters of its own __init__, in order (_FIELDS). That
+    __init__ stores them straight into the instance __dict__, where _cached fields land
+    too, and calls __post_init__ last if the class validates. Setting or deleting any
+    attribute raises AttributeError.
+    """
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._FIELDS = code.co_varnames[1 : code.co_argcount]
+            cls._fields_of = attrgetter(*cls._FIELDS)  # one C call per side of ==
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields_of(self) == self._fields_of(other)
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.__getitem__, self._FIELDS)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Record):
+    """The core of Graph and Digraph; a subclass gives _PAIRS, _MODES, _key, its messages, _sorted and _count."""
 
     def __post_init__(self):
         n = self.vertex_count
         if n < 0:
             raise GraphError("vertex_count must be nonnegative")
         pairs, in_range = self._sorted(getattr(self, self._PAIRS), n)
-        object.__setattr__(self, self._PAIRS, tuple(pairs))
+        self.__dict__[self._PAIRS] = tuple(pairs)
         # The loop runs only when the bulk passes find a bad pair, to name the first.
         if pairs and (
             not in_range
@@ -113,7 +145,6 @@ class _Value:
         return tuple(map(DegreeMultiset.from_degrees, self._degrees))
 
 
-@dataclass(frozen=True)
 class Graph(_Value):
     """Undirected labeled graph; multigraph=True allows loops and parallel edges together.
 
@@ -121,8 +152,9 @@ class Graph(_Value):
     equality is plain structural equality of the edge multiset.
     """
 
-    edges: tuple[tuple[int, int], ...] = ()
-    multigraph: bool = False
+    def __init__(self, vertex_count: int, edges: Iterable = (), multigraph: bool = False):
+        self.__dict__.update(vertex_count=vertex_count, edges=edges, multigraph=multigraph)
+        self.__post_init__()
 
     _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
@@ -170,7 +202,6 @@ class Graph(_Value):
         return tuple(map(tuple, nb))
 
 
-@dataclass(frozen=True)
 class Digraph(_Value):
     """Simple directed graph: no duplicate arcs, no self-arcs.
 
@@ -178,7 +209,9 @@ class Digraph(_Value):
     them into a duplicate are rejected at apply time.
     """
 
-    arcs: tuple[tuple[int, int], ...] = ()
+    def __init__(self, vertex_count: int, arcs: Iterable = ()):
+        self.__dict__.update(vertex_count=vertex_count, arcs=arcs)
+        self.__post_init__()
 
     multigraph = False  # a class constant, not a field
     _PAIRS, _MODES, _key = "arcs", {"in": (0, (1,)), "out": (1, (0,))}, staticmethod(lambda tail, head: (tail, head))
@@ -223,11 +256,12 @@ class Digraph(_Value):
 AnyGraph = Union[Graph, Digraph]
 
 
-@dataclass(frozen=True)
-class DegreeMultiset:
+class DegreeMultiset(_Record):
     """Sorted (degree, multiplicity) entries; the input of every irr function."""
 
-    entries: tuple[tuple[int, int], ...]
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        self.__dict__["entries"] = entries
+        self.__post_init__()
 
     def __post_init__(self):
         prev = None
@@ -301,8 +335,7 @@ class EditKind(Enum):
     RETARGET_ARC_HEAD = "retarget-arc-head"
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(_Record):
     """One edit against a Graph or Digraph.
 
     Operand layout by kind:
@@ -313,9 +346,8 @@ class EditOp:
       RETARGET_ARC_HEAD         endpoints = (tail, head), target = new head
     """
 
-    kind: EditKind
-    endpoints: tuple[int, int]
-    target: Optional[int] = None
+    def __init__(self, kind: EditKind, endpoints: tuple[int, int], target: Optional[int] = None):
+        self.__dict__.update(kind=kind, endpoints=endpoints, target=target)
 
     @classmethod
     def add_edge(cls, a: int, b: int) -> "EditOp":
@@ -468,7 +500,7 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     # No __init__: g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     child, parent = object.__new__(type(g)), g.__dict__
     fields = child.__dict__
-    fields.update({name: parent[name] for name in g.__dataclass_fields__})
+    fields.update({name: parent[name] for name in g._FIELDS})
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
     if "_degrees" in parent:
         fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])

@@ -13,10 +13,9 @@ about to be moved still present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import DegreeMultiset, GraphError
+from .graphs import DegreeMultiset, GraphError, _Record
 
 
 class Relation(Enum):
@@ -27,8 +26,7 @@ class Relation(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True)
-class JointPartitionCounts:
+class JointPartitionCounts(_Record):
     """Class sizes for joining two disjoint graphs with one new edge u1--v1.
 
     a / b     vertices of graph 1 other than u1 with degree <= / > deg(u1)
@@ -38,17 +36,11 @@ class JointPartitionCounts:
     r, s, n   order of graph 1, of graph 2, and r + s
     """
 
-    a: int
-    b: int
-    a_star: int
-    b_star: int
-    c: int
-    d: int
-    c_star: int
-    d_star: int
-    r: int
-    s: int
-    n: int
+    def __init__(self, a: int, b: int, a_star: int, b_star: int, c: int, d: int, c_star: int, d_star: int,
+                 r: int, s: int, n: int):
+        self.__dict__.update(a=a, b=b, a_star=a_star, b_star=b_star, c=c, d=d, c_star=c_star, d_star=d_star,
+                             r=r, s=s, n=n)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.a + self.b != self.r - 1:
@@ -89,8 +81,7 @@ def joint_partition(
     )
 
 
-@dataclass(frozen=True)
-class TransformPartitionCounts:
+class TransformPartitionCounts(_Record):
     """Class sizes for moving one edge end off a source vertex onto a target.
 
     With theta = deg(source) - 1:
@@ -104,14 +95,9 @@ class TransformPartitionCounts:
     relation compares deg(target) against theta.
     """
 
-    h: int
-    s: int
-    t: int
-    m: int
-    l: int
-    m1: int
-    l1: int
-    relation: Relation
+    def __init__(self, h: int, s: int, t: int, m: int, l: int, m1: int, l1: int, relation: Relation):
+        self.__dict__.update(h=h, s=s, t=t, m=m, l=l, m1=m1, l1=l1, relation=relation)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.m + self.l != self.s:

@@ -59,7 +59,8 @@ def test_compute_loads_no_audit_generators_or_predictors(tmp_path):
         f"sys.path.insert(0, {str(Path(totirr.__file__).parents[1])!r})\n"
         "from totirr.cli import main\n"
         f"main(['compute', '--input', {f!r}])\n"
-        "unwanted = ('totirr.audit', 'totirr.generators', 'totirr.predictors', 'totirr.partitions', 'totirr.rng')\n"
+        "unwanted = ('totirr.audit', 'totirr.generators', 'totirr.predictors', 'totirr.partitions', 'totirr.rng',"
+        " 'dataclasses', 'inspect')\n"
         "print(sorted(m for m in unwanted if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)

@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, fields
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +14,9 @@ from totirr import (
     cut_side,
     exact_delta_for_edit,
 )
-from totirr.audit import AuditReport, run_edge_joint_suite
+from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
 from totirr.graphs import EditKind, _branch_component, _cached, degree_multiset
+from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
 from strategies import adjacency, checked_arcs, checked_edges, connected_components, digraphs, graphs
 
@@ -53,8 +52,12 @@ def test_loops_and_parallels_allowed_when_flagged():
     assert g.degrees == (2, 4, 0)
     assert g.edges == ((0, 1), (0, 1), (1, 1))
     # one flag allows both; a digraph's is a class constant, not a field
-    assert [f.name for f in fields(Graph)] == ["vertex_count", "edges", "multigraph"]
-    assert [f.name for f in fields(Digraph)] == ["vertex_count", "arcs"]
+    assert Graph._FIELDS == ("vertex_count", "edges", "multigraph")
+    assert Digraph._FIELDS == ("vertex_count", "arcs")
+    assert Graph(vertex_count=3, edges=((1, 0),), multigraph=True) == Graph(3, ((0, 1),), True)
+    assert Digraph(vertex_count=3, arcs=((1, 0),)) == Digraph(3, ((1, 0),))
+    with pytest.raises(TypeError):
+        Graph(3, (), allow_loops=True)  # a flag that multigraph replaced
 
 
 def test_digraph_rejects_self_arcs_and_duplicates():
@@ -74,8 +77,80 @@ def test_values_compare_and_hash_by_type_and_pairs():
         (Digraph(3, ((2, 1), (0, 1))), Digraph(3, ((0, 1), (2, 1)))),
     ]:
         assert first == second and hash(first) == hash(second)
-    with pytest.raises(FrozenInstanceError):
+    outcome = PredictionOutcome("Prop27Equal", 10, False, True)
+    outcome_repr = "PredictionOutcome(formula_id='Prop27Equal', predicted=10, agrees=False, is_delta=True)"
+    row = AuditRow(3, 7, "add-edge(0 1)", 8, 10, 2, (outcome,))
+    row_repr = (
+        "AuditRow(instance_id=3, seed=7, operation='add-edge(0 1)', irr_before=8, irr_after_oracle=10,"
+        f" engine_delta=2, predictions=({outcome_repr},))"
+    )
+    joint = dict(a=0, b=1, a_star=1, b_star=1, c=1, d=0, c_star=2, d_star=0, r=2, s=2, n=4)
+    transform = dict(h=1, s=1, t=1, m=1, l=0, m1=1, l1=0, relation=Relation.ABOVE)
+    # (value, its repr byte for byte, its field tuple)
+    cases = [
+        (
+            Graph(3, ((1, 2), (0, 1))),
+            "Graph(vertex_count=3, edges=((0, 1), (1, 2)), multigraph=False)",
+            (3, ((0, 1), (1, 2)), False),
+        ),
+        (
+            Graph(2, ((1, 1),), multigraph=True),
+            "Graph(vertex_count=2, edges=((1, 1),), multigraph=True)",
+            (2, ((1, 1),), True),
+        ),
+        (Digraph(3, ((2, 1), (0, 1))), "Digraph(vertex_count=3, arcs=((0, 1), (2, 1)))", (3, ((0, 1), (2, 1)))),
+        (DegreeMultiset.from_degrees((1, 2, 1)), "DegreeMultiset(entries=((1, 2), (2, 1)))", (((1, 2), (2, 1)),)),
+        (
+            EditOp.add_edge(0, 1),
+            "EditOp(kind=<EditKind.ADD_EDGE: 'add-edge'>, endpoints=(0, 1), target=None)",
+            (EditKind.ADD_EDGE, (0, 1), None),
+        ),
+        (
+            EditOp.retarget_head(0, 1, 2),
+            "EditOp(kind=<EditKind.RETARGET_ARC_HEAD: 'retarget-arc-head'>, endpoints=(0, 1), target=2)",
+            (EditKind.RETARGET_ARC_HEAD, (0, 1), 2),
+        ),
+        (
+            JointPartitionCounts(**joint),
+            "JointPartitionCounts(a=0, b=1, a_star=1, b_star=1, c=1, d=0, c_star=2, d_star=0, r=2, s=2, n=4)",
+            tuple(joint.values()),
+        ),
+        (
+            TransformPartitionCounts(**transform),
+            "TransformPartitionCounts(h=1, s=1, t=1, m=1, l=0, m1=1, l1=0, relation=<Relation.ABOVE: 'above'>)",
+            tuple(transform.values()),
+        ),
+        (outcome, outcome_repr, ("Prop27Equal", 10, False, True)),
+        (row, row_repr, (3, 7, "add-edge(0 1)", 8, 10, 2, (outcome,))),
+        (
+            FormulaStat("Prop27Equal", 1, 3),
+            "FormulaStat(formula_id='Prop27Equal', agree=1, total=3)",
+            ("Prop27Equal", 1, 3),
+        ),
+        (
+            AuditReport("edge-joint", 7, 1, (("k", "v"),), (row,)),
+            f"AuditReport(suite='edge-joint', seed=7, instance_count=1, config=(('k', 'v'),), rows=({row_repr},))",
+            ("edge-joint", 7, 1, (("k", "v"),), (row,)),
+        ),
+    ]
+    for value, text, fields in cases:
+        assert repr(value) == text
+        assert hash(value) == hash(fields)
+        twin = type(value)(*fields)
+        assert twin == value and twin is not value and hash(twin) == hash(value)
+        assert value.__eq__(fields) is NotImplemented and value != fields
+    with pytest.raises(GraphError, match="strictly increasing"):
+        DegreeMultiset(((2, 1), (1, 1)))
+    with pytest.raises(GraphError, match="must be positive"):
+        DegreeMultiset(((1, 0),))
+    with pytest.raises(GraphError, match="a \\+ b = r - 1"):
+        JointPartitionCounts(**{**joint, "b": 2})
+    with pytest.raises(GraphError, match="m1 \\+ l1 = t"):
+        TransformPartitionCounts(**{**transform, "l1": 1})
+    with pytest.raises(AttributeError, match="cannot assign to field 'arcs'"):
         Digraph(2, ((0, 1),)).arcs = ()
+    with pytest.raises(AttributeError, match="cannot delete field 'edges'"):
+        del Graph(2, ((0, 1),)).edges
 
 
 @st.composite
@@ -152,9 +227,9 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
         assert sorted(computed) == sorted(names), type(value).__name__
         computed.clear()
         for name in names:
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(value, name, None)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         values[0].edges = ()
 
 
