@@ -13,9 +13,11 @@ Three quantities meet in every row:
            the ones apply_edit carries. Random suites use the definition
            summed by degree class (irr_naive); the closed-form suite uses the
            fast path, whose equivalence is covered elsewhere.
-  engine   the incremental delta from exact_delta_for_edit. Engine versus
-           oracle is the hard invariant: any mismatch marks the report as
-           failed (engine_ok False), which the CLI maps to exit code 1.
+  engine   the incremental delta of the row's degree mode, priced alone by
+           the per-mode step that exact_delta_for_edit runs for each mode
+           (irregularity._mode_delta). Engine versus oracle is the hard
+           invariant: any mismatch marks the report as failed (engine_ok
+           False), which the CLI maps to exit code 1.
   formula  predictions under their ids. A disagreeing formula is a finding,
            not a failure; the row lands in the disagreements list and the
            per-formula agreement stats.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -68,11 +70,12 @@ from .graphs import (
     _Record,
     _cached,
     _hangs_a_tree,
+    _remembered_plan,
     apply_edit,
     cut_side,
     degree_multiset,
 )
-from .irregularity import exact_delta_for_edit, irr_digraph, irr_fast, irr_naive
+from .irregularity import _mode_delta, exact_delta_for_edit, irr_digraph, irr_fast, irr_naive
 from .partitions import joint_partition, transform_counts
 from .predictors import (
     FormulaId,
@@ -88,7 +91,7 @@ from .predictors import (
     transform_formula_id,
 )
 from .rng import SplitMix64
-from .transforms import _retarget, branch_transformation, edge_joint
+from .transforms import _retarget, _union, branch_transformation, edge_joint
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -129,15 +132,10 @@ class AuditReport(_Record):
 
     @_cached
     def formula_stats(self) -> tuple[FormulaStat, ...]:
-        agree: dict[str, int] = {}
-        total: dict[str, int] = {}
-        for row in self.rows:
-            for p in row.predictions:
-                total[p.formula_id] = total.get(p.formula_id, 0) + 1
-                agree[p.formula_id] = agree.get(p.formula_id, 0) + (1 if p.agrees else 0)
-        return tuple(
-            FormulaStat(fid, agree[fid], total[fid]) for fid in sorted(total)
-        )
+        predictions = [p for row in self.rows for p in row.predictions]
+        total = Counter(p.formula_id for p in predictions)
+        agree = Counter(p.formula_id for p in predictions if p.agrees)
+        return tuple(FormulaStat(fid, agree[fid], total[fid]) for fid in sorted(total))
 
     @property
     def disagreements(self) -> tuple[AuditRow, ...]:
@@ -186,15 +184,8 @@ def _outcome(fid: FormulaId, predicted: int, irr_before: int, irr_after: int) ->
     return PredictionOutcome(fid.value, predicted, agrees, fid.is_delta)
 
 
-def _mk_row(
-    instance_id: int,
-    seed: int,
-    operation: str,
-    irr_before: int,
-    irr_after: int,
-    engine_delta: int,
-    preds: Sequence[tuple[FormulaId, int]],
-) -> AuditRow:
+def _mk_row(instance_id: int, seed: int, operation: str, irr_before: int, irr_after: int, engine_delta: int,
+            preds: Sequence[tuple[FormulaId, int]]) -> AuditRow:
     outcomes = tuple(_outcome(fid, val, irr_before, irr_after) for fid, val in preds)
     return AuditRow(instance_id, seed, operation, irr_before, irr_after, engine_delta, outcomes)
 
@@ -209,22 +200,20 @@ def _recounted(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
         ends = chain.from_iterable(g.edges)  # a loop lists its vertex twice
     else:
         ends = map(itemgetter(*g._MODES[mode][1]), g.arcs)  # a digraph mode counts one end of each arc
-    counted = Counter(ends)  # vertices on no edge or arc are missing: each has degree 0
-    return DegreeMultiset.from_degrees([*counted.values(), *repeat(0, g.vertex_count - len(counted))])
+    classes = Counter(Counter(ends).values())  # vertices per degree, among those on an edge or arc
+    classes[0] = g.vertex_count - sum(classes.values())  # the rest; + drops the class if empty
+    return DegreeMultiset.from_entries((+classes).items())
 
 
 def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undirected") -> tuple[int, int, int]:
-    """(oracle irr before, oracle irr after, engine delta) of op in one degree mode.
+    """(oracle irr before, oracle irr after, engine delta) of op in one degree mode, the only one priced.
 
     edited is g after op, built by the caller so that the operation's own
     structural checks run on every audited instance.
     """
     irr_before = irr_naive(degree_multiset(g, mode))
     irr_after = irr_naive(_recounted(edited, mode))
-    engine = exact_delta_for_edit(g, op)
-    if isinstance(engine, tuple):  # a digraph's (in, out) pair
-        engine = engine[g._MODES[mode][0]]
-    return irr_before, irr_after, engine
+    return irr_before, irr_after, _mode_delta(g, mode, *_remembered_plan(g, op))
 
 
 def _run_seeded(
@@ -276,30 +265,31 @@ def _regular_component(rng: SplitMix64) -> tuple[Graph, str]:
     return complete_bipartite(k, k), f"biclique({k} {k})"
 
 
+def _random_component(rng: SplitMix64) -> tuple[Graph, str]:
+    n = 1 + rng.below(40)
+    p = rng.below(3)
+    return random_graph(n, p, rng), f"er(n={n} p={P_TABLE[p]})"
+
+
 def _random_joint_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, Graph, str, int, int]:
-    if rng.below(4) < 3:
-        n1 = 1 + rng.below(40)
-        p1 = rng.below(3)
-        g1, d1 = random_graph(n1, p1, rng), f"er(n={n1} p={P_TABLE[p1]})"
-        n2 = 1 + rng.below(40)
-        p2 = rng.below(3)
-        g2, d2 = random_graph(n2, p2, rng), f"er(n={n2} p={P_TABLE[p2]})"
-    else:
-        g1, d1 = _regular_component(rng)
-        g2, d2 = _regular_component(rng)
+    side = _random_component if rng.below(4) < 3 else _regular_component
+    g1, d1 = side(rng)
+    g2, d2 = side(rng)
     u = rng.below(g1.vertex_count)
     v = rng.below(g2.vertex_count)
     return g1, d1, g2, d2, u, v
 
 
 def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int], joined: Graph) -> AuditRow:
-    """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2."""
+    """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2.
+
+    The engine prices that edge on the union of g1 and g2. dm1 and dm2 are read
+    first, so the union takes their degrees and merged multisets (transforms._union).
+    """
     g1, d1, g2, d2, u, v = instance
-    op = EditOp.add_edge(u, g1.vertex_count + v)
-    union = apply_edit(joined, EditOp.remove_edge(*op.endpoints))  # joined less the fresh edge
-    before, after, engine = _measure(union, op, joined)
     dm1 = degree_multiset(g1)
     dm2 = degree_multiset(g2)
+    before, after, engine = _measure(_union(g1, g2), EditOp.add_edge(u, g1.vertex_count + v), joined)
     deg_u = g1.degree(u)
     deg_v = g2.degree(v)
     counts = joint_partition(dm1, dm2, deg_u, deg_v)
@@ -310,11 +300,9 @@ def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, 
         (FormulaId.THM21_FINAL_B, form_b),
     ]
     if dm1.is_regular() and dm2.is_regular():
-        if deg_u >= deg_v:
-            value = prop27(g1.vertex_count, g2.vertex_count, deg_u, deg_v)
-        else:
-            value = prop27(g2.vertex_count, g1.vertex_count, deg_v, deg_u)
-        preds.append((prop27_formula_id(deg_u, deg_v), value))
+        # Prop 2.7 takes the side of the larger degree first; on equal degrees its value is symmetric
+        (du, n), (dv, m) = sorted(((deg_u, g1.vertex_count), (deg_v, g2.vertex_count)), reverse=True)
+        preds.append((prop27_formula_id(deg_u, deg_v), prop27(n, m, du, dv)))
     operation = f"join left={d1} right={d2} u={u} v={v}"
     return _mk_row(iid, seed, operation, before, after, engine, preds)
 
@@ -408,7 +396,8 @@ def _random_arc_instance(iid: int, rng: SplitMix64) -> tuple[Digraph, str, EditO
         arc = d.arcs[rng.below(d.arc_count)]
         kept = arc[1 - moved]
         # t is a candidate when the arc with its moved end on t, (kept, t) or (t, kept), is fresh
-        candidates = [t for t in range(n) if t not in arc and not (d.has_arc(kept, t) if moved else d.has_arc(t, kept))]
+        taken = {other[moved] for other in d.arcs if other[1 - moved] == kept}
+        candidates = [t for t in range(n) if t not in arc and t not in taken]
         if candidates:
             return d, desc, EditOp(kind, arc, candidates[rng.below(len(candidates))])
     # dense draws can exhaust retries; fall back to a path orientation

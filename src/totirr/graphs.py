@@ -3,22 +3,23 @@
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
 bookkeeping from ever sharing mutable state. Both are one core, _Value, with
-one validating constructor, one degree count and one tuple of degree
-multisets, one per degree mode. A class's mode table maps each mode to its
-index and to the ends of a pair it counts: "undirected" both ends of an edge,
-"in" an arc's head and "out" its tail. Graph.multigraph allows loops and
-parallel pairs together. The constructor sorts the pairs and validates them
-in bulk passes, walking pair by pair only to name the first bad one.
-apply_edit does not call it: every edit removes at most one pair and adds at
-most one, and one rule checks every kind against the parent (_edit_plan). The
-child splices the parent's sorted tuple and has its fields set directly, so
-an edit neither re-checks the pairs it leaves alone nor sweeps a component. A
-value remembers the plan of the last edit checked against it, so pricing an
-edit and then applying it plans once. Membership tests bisect the sorted
-tuple. A loop contributes 2 to the degree of its vertex. A value counts its
-degrees from its own pairs, unless it is an edit's child whose parent had
-counted them: then it takes the parent's with the touched entries patched.
-Lazy fields are cached in the instance __dict__ without a lock.
+one validating constructor, one degree count and one degree multiset per
+degree mode, each built on its mode's first read. A class's mode table maps
+each mode to its index and to the ends of a pair it counts: "undirected" both
+ends of an edge, "in" an arc's head and "out" its tail. Graph.multigraph
+allows loops and parallel pairs together. The constructor sorts the pairs and
+validates them in bulk passes, walking pair by pair only to name the first
+bad one. apply_edit does not call it: every edit removes at most one pair and
+adds at most one, and one rule checks every kind against the parent
+(_edit_plan). The child splices the parent's sorted tuple and is built by
+_unchecked, from fields known valid, so an edit neither re-checks the pairs
+it leaves alone nor sweeps a component. A value remembers the plan of the
+last edit checked against it, so pricing an edit and then applying it plans
+once. Membership tests bisect the sorted tuple. A loop contributes 2 to the
+degree of its vertex. A value counts its degrees from its own pairs, unless
+an edit's parent (or a joint's two sides) had counted them: then it takes
+those, with the touched entries patched. Lazy fields are cached in the
+instance __dict__ without a lock.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class _Value(_Record):
         return self._count(getattr(self, self._PAIRS), self.vertex_count)
 
     @_cached
-    def _multisets(self) -> tuple["DegreeMultiset", ...]:
-        return tuple(map(DegreeMultiset.from_degrees, self._degrees))
+    def _multisets(self) -> list[Optional["DegreeMultiset"]]:
+        """One slot per mode, in _MODES order; degree_multiset fills a mode's slot on its first read."""
+        return [None] * len(self._MODES)
 
 
 class Graph(_Value):
@@ -276,8 +278,7 @@ class DegreeMultiset(_Record):
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> "DegreeMultiset":
-        counts = Counter(degrees)
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple(sorted(Counter(degrees).items())))
 
     @classmethod
     def from_entries(cls, entries: Iterable[tuple[int, int]]) -> "DegreeMultiset":
@@ -323,7 +324,10 @@ def degree_multiset(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMulti
         index = g._MODES[mode][0]
     except (KeyError, TypeError):  # TypeError: a mode that cannot be a key
         raise GraphError(g._BAD_MODE.format(mode)) from None
-    return g._multisets[index]
+    slots = g._multisets
+    if slots[index] is None:
+        slots[index] = DegreeMultiset.from_degrees(g._degrees[index])
+    return slots[index]
 
 
 class EditKind(Enum):
@@ -484,6 +488,13 @@ def _carried(degrees: tuple[int, ...], removed: tuple, added: tuple, ends: tuple
     return tuple(out)
 
 
+def _unchecked(cls: type, fields: dict) -> AnyGraph:
+    """A cls value whose __dict__ is fields, never re-validated: every field, and any lazy one given, is known valid."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """Return a new value with op applied; the input is never mutated.
 
@@ -497,14 +508,13 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     counts its own lazily. Either way it counts its degree multisets lazily.
     """
     removed, added = _remembered_plan(g, op)
-    # No __init__: g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
-    child, parent = object.__new__(type(g)), g.__dict__
-    fields = child.__dict__
-    fields.update({name: parent[name] for name in g._FIELDS})
+    # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
+    parent = g.__dict__
+    fields = {name: parent[name] for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
     if "_degrees" in parent:
         fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
-    return child
+    return _unchecked(type(g), fields)
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:

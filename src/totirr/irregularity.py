@@ -20,20 +20,21 @@ so anything up to n = 2**20 also fits 64-bit signed words for callers that
 serialize the results.
 
 Deltas: exact_delta_for_edit prices an edit from its plan, the edges or
-arcs it removes and adds, without building another multiset. Each end of a
-removed entry steps down by one degree and each end of an added entry steps
-up by one. With le(k) the number of vertices of degree <= k, a +1 step from
-degree d changes irr by 2 le(d) - 1 - n and a -1 step by n - 1 - 2 le(d - 1),
-so each step costs one O(log distinct) lookup in the parent's multiset plus
-the shifts earlier steps made to le, and steps that share a vertex or a
-degree are priced exactly, not approximated.
+arcs it removes and adds, without building another multiset. It prices one
+degree mode at a time (_mode_delta), so a caller that reads one mode prices
+only that one. Each end of a removed entry steps down by one degree and each
+end of an added entry steps up by one. With le(k) the number of vertices of
+degree <= k, a +1 step from degree d changes irr by 2 le(d) - 1 - n and a -1
+step by n - 1 - 2 le(d - 1), so each step costs one O(log distinct) lookup in
+the parent's multiset plus the shifts earlier steps made to le, and steps
+that share a vertex or a degree are priced exactly, not approximated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
-from .graphs import AnyGraph, DegreeMultiset, Digraph, EditOp, Graph, _remembered_plan, degree_multiset
+from .graphs import AnyGraph, DegreeMode, DegreeMultiset, Digraph, EditOp, Graph, _remembered_plan, degree_multiset
 
 
 class IrrPair(NamedTuple):
@@ -100,20 +101,25 @@ def _price_steps(dm: DegreeMultiset, degrees: Sequence[int], lowered: Iterable[i
     return total
 
 
+def _mode_delta(g: AnyGraph, mode: DegreeMode, removed: tuple, added: tuple) -> int:
+    """irr change in g's degree mode when an edit plan's removed entries go and its added ones come.
+
+    The mode steps the ends it counts (both ends of an edge, an arc's head in
+    the in-degrees, its tail in the out-degrees), priced against g's own multiset of that mode.
+    """
+    i, ends = g._MODES[mode]
+    lowered, raised = [e[j] for e in removed for j in ends], [e[j] for e in added for j in ends]
+    return _price_steps(degree_multiset(g, mode), g._degrees[i], lowered, raised)
+
+
 def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]:
     """irr change caused by op, without recomputing irr from scratch.
 
     Returns an int for a Graph edit and an (in delta, out delta) pair for a
-    Digraph edit. The edit plan is the one apply_edit uses, so an op that
-    cannot be applied raises the same error here, and g keeps it for
-    apply_edit. Each degree mode steps the ends it counts: both ends of an
-    edge, an arc's head in the in-degrees and its tail in the out-degrees.
-    The steps are priced against g's own cached multisets; no other multiset
-    is built.
+    Digraph edit, each mode priced by _mode_delta. The edit plan is the one
+    apply_edit uses, so an op that cannot be applied raises the same error
+    here, and g keeps it for apply_edit.
     """
     removed, added = _remembered_plan(g, op)
-    deltas = []
-    for mode, (i, ends) in g._MODES.items():
-        lowered, raised = [e[j] for e in removed for j in ends], [e[j] for e in added for j in ends]
-        deltas.append(_price_steps(degree_multiset(g, mode), g._degrees[i], lowered, raised))
+    deltas = [_mode_delta(g, mode, removed, added) for mode in g._MODES]
     return tuple(deltas) if len(deltas) > 1 else deltas[0]

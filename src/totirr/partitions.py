@@ -55,12 +55,7 @@ class JointPartitionCounts(_Record):
             raise GraphError("joint counts violate n = r + s")
 
 
-def joint_partition(
-    g1_dm: DegreeMultiset,
-    g2_dm: DegreeMultiset,
-    deg_u1: int,
-    deg_v1: int,
-) -> JointPartitionCounts:
+def joint_partition(g1_dm: DegreeMultiset, g2_dm: DegreeMultiset, deg_u1: int, deg_v1: int) -> JointPartitionCounts:
     """Count the eight degree classes for an edge joint at (u1 in 1, v1 in 2)."""
     if g1_dm.count_eq(deg_u1) == 0:
         raise GraphError(f"graph 1 has no vertex of degree {deg_u1}")
@@ -108,11 +103,7 @@ class TransformPartitionCounts(_Record):
             raise GraphError("transform counts must be nonnegative")
 
 
-def transform_counts(
-    dm: DegreeMultiset,
-    source_degree: int,
-    target_degree: int,
-) -> TransformPartitionCounts:
+def transform_counts(dm: DegreeMultiset, source_degree: int, target_degree: int) -> TransformPartitionCounts:
     """Counts for an edge or arc end moving off a vertex of source_degree.
 
     dm is the undirected, in- or out-degree multiset the move changes. The

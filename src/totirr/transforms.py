@@ -9,21 +9,33 @@ other operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import AnyGraph, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
-from .graphs import _branch_component, _check_vertex
+from .graphs import AnyGraph, DegreeMultiset, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
+from .graphs import _branch_component, _check_vertex, _unchecked, degree_multiset
+
+
+def _union(g1: Graph, g2: Graph) -> Graph:
+    """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. If both
+    sides have counted their degrees, it takes theirs and merges their multisets; otherwise it counts its own."""
+    n1 = g1.vertex_count
+    edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
+    fields = dict(vertex_count=n1 + g2.vertex_count, edges=edges, multigraph=g1.multigraph or g2.multigraph)
+    if "_degrees" in vars(g1) and "_degrees" in vars(g2):
+        classes = dict(degree_multiset(g1).entries)
+        for degree, count in degree_multiset(g2).entries:
+            classes[degree] = classes.get(degree, 0) + count
+        fields.update(_degrees=(g1.degrees + g2.degrees,), _multisets=[DegreeMultiset.from_entries(classes.items())])
+    return _unchecked(Graph, fields)
 
 
 def edge_joint(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
     """Disjoint union of g1 and g2 plus the bridging edge u--v.
 
     u is a g1 id and v a g2 id; in the result v becomes v + g1.vertex_count.
-    One constructor call builds it: the bridge is never a loop or a parallel edge.
+    It is _union(g1, g2) with one add-edge edit: the bridge is never a loop or a parallel edge.
     """
     _check_vertex(g1, u)
     _check_vertex(g2, v)
-    offset = g1.vertex_count
-    edges = g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges) + ((u, offset + v),)
-    return Graph(offset + g2.vertex_count, edges, g1.multigraph or g2.multigraph)
+    return apply_edit(_union(g1, g2), EditOp.add_edge(u, g1.vertex_count + v))
 
 
 def edge_transformation(g: Graph, u1: int, v1: int, u_i: int) -> Graph:

@@ -205,8 +205,8 @@ def _closed_form_plans(row):
     return "reverse=" in op and "reverse=none" not in op and op.endswith("mode=in")
 
 
-# a row's edit and its price share one plan; a joint row plans a removal on the joined
-# graph, then the joint on the union
+# a row's edit and its price share one plan; a joint row plans the fresh edge twice, on
+# edge_joint's union and on the union whose degrees the row takes from its two sides
 @pytest.mark.parametrize(
     "suite, plans_per_row",
     [
@@ -247,6 +247,49 @@ def test_each_drawn_instance_is_validated_once(monkeypatch):
             built.clear()
             instance = draw(iid, root.child(iid))
             assert len(built) == 1 and built[0] is instance[0], (draw.__name__, iid)
+
+
+def test_an_arc_row_prices_and_counts_only_its_own_mode(monkeypatch):
+    calls = {"priced": 0, "multisets": 0}
+    real_price, real_check = irregularity._price_steps, audit.DegreeMultiset.__post_init__
+
+    def counting_price(*args):
+        calls["priced"] += 1
+        return real_price(*args)
+
+    def counting_check(self):
+        calls["multisets"] += 1
+        real_check(self)
+
+    monkeypatch.setattr(irregularity, "_price_steps", counting_price)
+    monkeypatch.setattr(audit.DegreeMultiset, "__post_init__", counting_check)
+    rep = run_arc_transform_suite(200, SEED)
+    # one pricing per row; two multisets: the moved mode's before the edit and the oracle's recount after it
+    assert calls == {"priced": 200, "multisets": 400} and rep.engine_ok
+
+
+def test_a_joint_row_validates_nothing_and_counts_only_its_two_sides(monkeypatch):
+    calls = {"validated": 0, "counted": 0}
+    real_check, real_count = Graph.__post_init__, Graph._count
+
+    def counting_check(self):
+        calls["validated"] += 1
+        real_check(self)
+
+    def counting_count(*args):
+        calls["counted"] += 1
+        return real_count(*args)
+
+    root = SplitMix64(SEED)
+    instances = audit._joint_witnesses() + [audit._random_joint_instance(i, root.child(i)) for i in range(3, 40)]
+    monkeypatch.setattr(Graph, "__post_init__", counting_check)
+    monkeypatch.setattr(Graph, "_count", staticmethod(counting_count))
+    for iid, instance in enumerate(instances):
+        g1, _, g2, _, u, v = instance
+        calls.update(validated=0, counted=0)
+        row = audit.joint_row(iid, 0, instance, transforms.edge_joint(g1, g2, u, v))
+        # the union takes g1's and g2's degrees; the oracle recounts the joined graph without _count
+        assert calls == {"validated": 0, "counted": 2} and row.engine_ok, iid
 
 
 def test_multigraph_rows_present_in_edge_transform():

@@ -474,4 +474,4 @@ def test_report_builds_the_edited_value_once(tmp_path, capsys, monkeypatch):
     assert calls == {"cut_side": 1, "graph": 1}  # the read; one cut-edge check
     calls.update(cut_side=0, graph=0)
     assert run(capsys, "joint", "--left", p4, "--right", p4, "--u", "0", "--v", "3", "--report")[0] == 0
-    assert calls == {"cut_side": 0, "graph": 3}  # two reads; the joined graph
+    assert calls == {"cut_side": 0, "graph": 2}  # two reads; the union and the joined graph are built unchecked

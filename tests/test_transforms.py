@@ -19,6 +19,7 @@ from totirr import (
 )
 from totirr.graphs import degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
+from totirr.transforms import _union
 
 from strategies import connected_components, graphs
 
@@ -68,6 +69,39 @@ def test_edge_joint_validation():
         edge_joint(k1, k1, 0, 1)
     with pytest.raises(GraphError):
         edge_joint(k1, k1, 1, 0)
+
+
+@st.composite
+def joint_sides(draw):
+    """A graph of order 1..6, edgeless about one time in four, and a multigraph with loops one time in three."""
+    n = draw(st.integers(1, 6))
+    multigraph = draw(st.integers(0, 2)) == 0
+    pool = [(i, j) for i in range(n) for j in range(i if multigraph else i + 1, n)]
+    if not pool or draw(st.integers(0, 3)) == 0:
+        return Graph(n, (), multigraph)
+    edges = draw(st.lists(st.sampled_from(pool), unique=not multigraph, max_size=2 * len(pool)))
+    return Graph(n, tuple(edges), multigraph)
+
+
+@given(joint_sides(), joint_sides(), st.data())
+def test_edge_joint_equals_the_validated_union_plus_one_edge(g1, g2, data):
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    shifted = tuple((a + n1, b + n1) for a, b in g2.edges)
+    multigraph = g1.multigraph or g2.multigraph
+    union_ref = Graph(n1 + n2, g1.edges + shifted, multigraph=multigraph)
+    u = data.draw(st.sampled_from((0, n1 - 1, data.draw(st.integers(0, n1 - 1)))))
+    v = data.draw(st.sampled_from((0, n2 - 1, data.draw(st.integers(0, n2 - 1)))))
+    joined = edge_joint(g1, g2, u, v)
+    want = Graph(n1 + n2, g1.edges + shifted + ((u, n1 + v),), multigraph=multigraph)
+    assert joined == want and type(joined.edges) is tuple
+    assert joined.degrees == want.degrees and degree_multiset(joined) == degree_multiset(want)
+    # a union of uncounted sides counts its own degrees; of counted ones, takes theirs side by side
+    plain = _union(g1, g2)
+    assert "_degrees" not in vars(plain) and plain == union_ref and plain.degrees == union_ref.degrees
+    degree_multiset(g1), degree_multiset(g2)
+    counted = _union(g1, g2)
+    assert "_degrees" in vars(counted) and counted == union_ref
+    assert counted.degrees == union_ref.degrees and degree_multiset(counted) == degree_multiset(union_ref)
 
 
 @given(graphs(max_n=7), graphs(max_n=7), st.data())
