@@ -58,10 +58,10 @@ def parse_graph_text(text: str) -> AnyGraph:
         kind, ends = _read(text)
     except ValueError:
         raise _first_fault(text) from None
-    ends = iter(ends)  # the only reference, so the list is freed once zip has drained it
+    ends = iter(ends)  # the only reference, so the list is freed once the constructor has drained the zip
     n = next(ends)
     try:
-        return _KINDS[kind](n, list(zip(ends, ends)))
+        return _KINDS[kind](n, zip(ends, ends))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

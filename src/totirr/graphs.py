@@ -7,19 +7,22 @@ one validating constructor, one degree count and one degree multiset per
 degree mode, each built on its mode's first read. A class's mode table maps
 each mode to its index and to the ends of a pair it counts: "undirected" both
 ends of an edge, "in" an arc's head and "out" its tail. Graph.multigraph
-allows loops and parallel pairs together. The constructor sorts the pairs and
-validates them in bulk passes, walking pair by pair only to name the first
-bad one. apply_edit does not call it: every edit removes at most one pair and
-adds at most one, and one rule checks every kind against the parent
-(_edit_plan). The child splices the parent's sorted tuple and is built by
-_unchecked, from fields known valid, so an edit neither re-checks the pairs
-it leaves alone nor sweeps a component. A value remembers the plan of the
-last edit checked against it, so pricing an edit and then applying it plans
-once. Membership tests bisect the sorted tuple. A loop contributes 2 to the
-degree of its vertex. A value counts its degrees from its own pairs, unless
-an edit's parent (or a joint's two sides) had counted them: then it takes
-those, with the touched entries patched. Lazy fields are cached in the
-instance __dict__ without a lock.
+allows loops and parallel pairs together. The constructor stores pairs as they
+are when C-level passes find each below the next and each edge's low end below
+its high end (an arc's ends distinct): that proves them sorted, normalised,
+loop- and repeat-free, as in every file the CLI writes. Other pairs are
+normalised, sorted and tested again; a bulk range pass follows, and a walk
+pair by pair only names the first bad one. apply_edit does not call it: every
+edit removes at most one pair and adds at most one, and one rule checks every
+kind against the parent (_edit_plan). The child splices the parent's sorted
+tuple and is built by _unchecked, from fields known valid, so an edit neither
+re-checks the pairs it leaves alone nor sweeps a component. A value remembers
+the plan of the last edit checked against it, so pricing an edit and then
+applying it plans once. Membership tests bisect the sorted tuple. A loop
+contributes 2 to the degree of its vertex. A value counts its degrees from its
+own pairs, unless an edit's parent (or a joint's two sides) had counted them:
+then it takes those, with the touched entries patched. Lazy fields are cached
+in the instance __dict__ without a lock.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from enum import Enum
-from itertools import starmap
-from operator import attrgetter, eq, itemgetter
+from itertools import islice, starmap
+from operator import attrgetter, itemgetter, lt, ne
 from typing import Iterable, Literal, Optional, Union
 
 
@@ -113,19 +116,21 @@ class _Record:
 
 
 class _Value(_Record):
-    """The core of Graph and Digraph; a subclass gives _PAIRS, _MODES, _key, its messages, _sorted and _count."""
+    """The Graph/Digraph core; a subclass gives _PAIRS, _MODES, _key, _APART, messages, _sorted, _in_range, _count."""
 
     def __post_init__(self):
         n = self.vertex_count
         if n < 0:
             raise GraphError("vertex_count must be nonnegative")
-        pairs, in_range = self._sorted(getattr(self, self._PAIRS), n)
-        self.__dict__[self._PAIRS] = tuple(pairs)
-        # The loop runs only when the bulk passes find a bad pair, to name the first.
-        if pairs and (
-            not in_range
-            or not self.multigraph and (any(starmap(eq, pairs)) or any(map(eq, pairs, pairs[1:])))
-        ):
+        pairs = getattr(self, self._PAIRS)
+        # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
+        pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
+        clean = self._strict(pairs)
+        if not clean:
+            pairs = self._sorted(pairs)
+            clean = self.multigraph or self._strict(pairs)
+        pairs = self.__dict__[self._PAIRS] = tuple(pairs)
+        if pairs and not (clean and self._in_range(pairs, n)):  # the loop only names the first bad pair
             prev = None
             for a, b in pairs:
                 if not (0 <= a < n and 0 <= b < n):
@@ -135,6 +140,14 @@ class _Value(_Record):
                 if (a, b) == prev and not self.multigraph:
                     raise GraphError(self._PARALLEL.format(a, b))
                 prev = (a, b)
+
+    @classmethod
+    def _strict(cls, pairs: list) -> bool:
+        """Whether each pair is below the next and its ends pass _APART; False for a non-pair."""
+        try:  # the adjacency test first, so unsorted input fails at its first descent
+            return all(map(lt, pairs, islice(pairs, 1, None))) and all(starmap(cls._APART, pairs))
+        except TypeError:  # a pair of the wrong length, or ends that do not compare
+            return False
 
     @_cached
     def _degrees(self) -> tuple[tuple[int, ...], ...]:
@@ -158,17 +171,17 @@ class Graph(_Value):
         self.__dict__.update(vertex_count=vertex_count, edges=edges, multigraph=multigraph)
         self.__post_init__()
 
-    _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
+    _PAIRS, _MODES, _key, _APART = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize), lt
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
     _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
 
+    # The edges as sorted (low, high) pairs; unpacking rejects a non-pair.
+    _sorted = staticmethod(lambda edges: sorted([e if a <= b else (b, a) for e in edges for a, b in [e]]))
+
     @staticmethod
-    def _sorted(edges: Iterable, n: int) -> tuple[list[tuple[int, int]], bool]:
-        """The edges as sorted (low, high) pairs, and whether every end lies in 0..n - 1."""
-        # Ordered pairs are kept as they are; unpacking rejects a non-pair.
-        edges = sorted([e if a <= b else (b, a) for e in map(tuple, edges) for a, b in [e]])
-        # Every edge is (low, high), so the first edge's low end is the least end.
-        return edges, not edges or 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < n
+    def _in_range(edges: tuple[tuple[int, int], ...], n: int) -> bool:
+        """Whether every end of the sorted (low, high) pairs lies in 0..n - 1: the first low end is the least."""
+        return 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < n
 
     @staticmethod
     def _count(edges: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...]]:
@@ -220,15 +233,13 @@ class Digraph(_Value):
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
+    _sorted, _APART = staticmethod(sorted), ne  # an arc is stored as given, and only a self-arc has equal ends
+
     @staticmethod
-    def _sorted(arcs: Iterable, n: int) -> tuple[list[tuple[int, ...]], bool]:
-        """The arcs sorted, and whether each is a pair with both ends in 0..n - 1."""
-        arcs = sorted(map(tuple, arcs))
-        # A non-pair fails the range; the naming loop fails to unpack it unless an earlier arc is bad.
-        if {*map(len, arcs)} != {2}:
-            return arcs, not arcs
+    def _in_range(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
+        """Whether both ends of every sorted pair lie in 0..n - 1."""
         heads = list(map(itemgetter(1), arcs))
-        return arcs, 0 <= arcs[0][0] <= arcs[-1][0] < n and 0 <= min(heads) <= max(heads) < n
+        return 0 <= arcs[0][0] <= arcs[-1][0] < n and 0 <= min(heads) <= max(heads) < n
 
     @staticmethod
     def _count(arcs: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

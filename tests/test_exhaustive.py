@@ -3,17 +3,20 @@
 The retargets run through transforms._retarget, the one path that the CLI and
 both transform suites take, and are scored by audit.transform_row. The branch
 moves compare audit._branch_candidates with the per-neighbour reference and
-check Lemma 3.4 through branch_transformation. The counts pin the enumeration,
-so a move that is silently skipped fails too.
+check Lemma 3.4 through branch_transformation. The extremal values of irr_t
+over all graphs and all labelled trees, and its bound by Albertson's
+irregularity, are found by brute force. The counts pin the enumeration, so a
+move or a graph that is silently skipped fails too.
 """
 
 from itertools import compress, product
 
 from totirr import Digraph, EditOp, Graph, branch_transformation, cut_side, irr_graph
 from totirr.audit import _branch_candidates, transform_row
+from totirr.generators import star
 from totirr.transforms import _retarget
 
-from strategies import branch_candidates
+from strategies import branch_candidates, connected_components
 
 
 def every_graph(n):
@@ -89,3 +92,65 @@ def test_every_branch_move_of_order_5_lowers_irr_t():
             assert irr_graph(branch_transformation(g, u, v, root)) < before, (g, u, root, v)
             total += 1
     assert total == 720
+
+
+def test_every_branch_move_of_order_6_lowers_irr_t():
+    total = 0
+    for g in every_graph(6):
+        before = irr_graph(g)
+        for u, root, v in _branch_candidates(g):
+            assert irr_graph(branch_transformation(g, u, v, root)) < before, (g, u, root, v)
+            total += 1
+    assert total == 22920
+
+
+def albertson_irr(g):
+    """Albertson's irregularity: the sum over edges of |d(u) - d(v)|."""
+    return sum(abs(g.degrees[a] - g.degrees[b]) for a, b in g.edges)
+
+
+def test_max_irr_t_and_the_albertson_bound_on_every_graph_up_to_order_6():
+    connected = {}
+    for n in range(1, 7):
+        top = 0
+        for g in every_graph(n):
+            irr_t = irr_graph(g)
+            top = max(top, irr_t)
+            if len(connected_components(g)) == 1:
+                assert 4 * irr_t <= n * n * albertson_irr(g), g  # irr_t <= n^2 irr / 4 on a connected graph
+                connected[n] = connected.get(n, 0) + 1
+        # the largest irr_t of a graph of order n, and the values it takes for n = 1..6
+        assert top == (2 * n**3 - 3 * n**2 - 2 * n + 3) // 12 == [0, 0, 2, 6, 14, 26][n - 1], n
+    assert connected == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+    k2_and_k1 = Graph(3, ((0, 1),))  # disconnected: the bound fails
+    assert 4 * irr_graph(k2_and_k1) == 8 > 3 * 3 * albertson_irr(k2_and_k1) == 0
+
+
+def labelled_trees(n):
+    """Every labelled tree of order n >= 2, once each, decoded from its Pruefer sequence."""
+    for code in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        edges = []
+        for v in code:
+            leaf = degree.index(1)  # the least leaf
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(u for u in range(n) if degree[u] == 1))
+        yield Graph(n, edges)
+
+
+def test_the_star_has_the_largest_irr_t_of_every_tree_up_to_order_7():
+    for n in range(2, 8):
+        seen = set()
+        top = 0
+        for tree in labelled_trees(n):
+            assert len(connected_components(tree)) == 1, tree
+            seen.add(tree.edges)
+            irr_t = irr_graph(tree)
+            assert irr_t <= (n - 2) * albertson_irr(tree), tree  # a tree's own bound by Albertson's irr
+            top = max(top, irr_t)
+        assert len(seen) == n ** (n - 2)  # Cayley's formula: no tree is missed or repeated
+        assert top == (n - 1) * (n - 2) == irr_graph(star(n - 1))

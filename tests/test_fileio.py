@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -16,7 +17,17 @@ from totirr import (
 )
 
 from totirr import fileio
-from totirr.generators import orient_by_labeling, random_tree
+from totirr.generators import (
+    complete,
+    complete_bipartite,
+    matching,
+    orient_by_labeling,
+    path,
+    random_digraph,
+    random_graph,
+    random_tree,
+    star,
+)
 
 from strategies import digraphs, graphs, read_lines
 
@@ -194,6 +205,31 @@ def test_canonical_text_runs_no_regex_over_its_lines(monkeypatch):
         monkeypatch.setattr(fileio, "_NOT_AN_EDGE", counting)
         assert parse_graph_text(text) == read_lines(text)
         assert counting.calls == calls
+
+
+def test_canonical_pairs_are_stored_without_a_sort(monkeypatch):
+    # counts calls of the constructor's one sort, not time
+    sorts = []
+    for cls in (Graph, Digraph):
+        counted = staticmethod(lambda pairs, _sort=cls._sorted: sorts.append(1) or _sort(pairs))
+        monkeypatch.setattr(cls, "_sorted", counted)
+    tree = random_tree(2_000, 7)
+    assert len(sorts) == 1  # random_tree's edges come in attachment order, not sorted
+    labels = list(range(2_000))
+    random.Random(7).shuffle(labels)
+    for value in (tree, orient_by_labeling(tree, labels)):
+        header, *lines = graph_to_text(value).splitlines(keepends=True)
+        for edge_lines, count in ((lines, 0), (lines[::-1], 1)):
+            sorts.clear()
+            assert parse_graph_text(header + "".join(edge_lines)) == value
+            assert len(sorts) == count, type(value).__name__
+    sorts.clear()
+    for family in (complete, path, star, matching):
+        family(30)
+    for family in (random_graph, random_digraph):
+        family(30, 1, 7)
+    complete_bipartite(12, 18)
+    assert sorts == []  # every canonical family takes the one-pass path
 
 
 def test_reader_peak_memory_is_bounded():

@@ -1,3 +1,5 @@
+from bisect import insort
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -153,13 +155,12 @@ def test_values_compare_and_hash_by_type_and_pairs():
         del Graph(2, ((0, 1),)).edges
 
 
-@st.composite
-def planted_faults(draw):
-    """(n, edge list) with faults planted at random places: an id below 0 or
-    past n - 1, a loop, a repeated pair or a triple, in either orientation."""
-    n = draw(st.integers(0, 6))
-    pool = [(a, b) for a in range(n) for b in range(n) if a != b]
-    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8)) if pool else []
+def _plant(draw, n, edges, in_order=False):
+    """edges with 0-3 faults planted: an id below 0 or past n - 1, a loop, a repeated pair or a triple.
+
+    Each fault is drawn in either orientation. It goes at a random place, or, when in_order
+    and a draw says so, at its sorted place, where the adjacency order test cannot see it.
+    """
     for fault in draw(st.lists(st.sampled_from(["negative", "past", "loop", "repeat", "triple"]), max_size=3)):
         v = draw(st.integers(0, max(n - 1, 0)))
         edge = {
@@ -171,8 +172,38 @@ def planted_faults(draw):
         }[fault]
         if draw(st.booleans()):
             edge = edge[::-1]
-        edges.insert(draw(st.integers(0, len(edges))), edge)
+        if in_order and draw(st.booleans()):
+            insort(edges, edge)
+        else:
+            edges.insert(draw(st.integers(0, len(edges))), edge)
     return n, edges
+
+
+def _pairs(draw, n):
+    pool = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return draw(st.lists(st.sampled_from(pool), unique=True, max_size=8)) if pool else []
+
+
+@st.composite
+def planted_faults(draw):
+    """(n, edge list) with faults planted at random places (_plant)."""
+    n = draw(st.integers(0, 6))
+    return _plant(draw, n, _pairs(draw, n))
+
+
+@st.composite
+def canonical_faults(draw):
+    """(n, edge list) that is canonical half the time before its faults are planted (_plant).
+
+    A canonical list is sorted (low, high) edges, which every value takes as it is, or sorted
+    arcs, which a Digraph takes as they are; both skip the constructor's sort.
+    """
+    n = draw(st.integers(0, 6))
+    edges = _pairs(draw, n)
+    canonical = draw(st.booleans())
+    if canonical:
+        edges = sorted({(min(e), max(e)) for e in edges} if draw(st.booleans()) else edges)
+    return _plant(draw, n, edges, in_order=canonical)
 
 
 def _outcome(build):
@@ -192,6 +223,39 @@ def test_constructor_checks_match_the_per_edge_reference(case):
         got = _outcome(lambda: Graph(n, tuple(edges), multigraph).edges)
         assert got == _outcome(lambda: checked_edges(n, edges, multigraph))
     assert _outcome(lambda: Digraph(n, tuple(edges)).arcs) == _outcome(lambda: checked_arcs(n, edges))
+
+
+def _built(build):
+    """The value build makes, with its stored pairs, hash and repr; or its error's class and message."""
+    try:
+        value = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value, getattr(value, value._PAIRS), hash(value), repr(value)
+
+
+@given(canonical_faults())
+@example((3, [(0, 1), (1, 2), (2, 2)]))
+@example((3, [(0, 1), (0, 1)]))
+@example((3, [(0, 1), (1, 3)]))
+@example((3, [(0, 1), (1, 2, 0)]))
+def test_the_one_pass_path_matches_the_sorting_path(case):
+    n, pairs = case
+    kinds = [
+        (lambda ps: Graph(n, ps), lambda: checked_edges(n, pairs)),
+        (lambda ps: Graph(n, ps, multigraph=True), lambda: checked_edges(n, pairs, True)),
+        (lambda ps: Digraph(n, ps), lambda: checked_arcs(n, pairs)),
+    ]
+    for build, reference in kinds:
+        got = _built(lambda: build(pairs))
+        # reversed, a canonical list of two or more pairs takes the sorting path; lists and
+        # a zip of the ends (the reader's hand-off) must store the same tuples of tuples
+        assert _built(lambda: build(pairs[::-1])) == got
+        assert _built(lambda: build([list(p) for p in pairs])) == got
+        if all(len(p) == 2 for p in pairs):
+            assert _built(lambda: build(zip(*zip(*pairs)))) == got
+        want = _outcome(reference)
+        assert (got[1] if isinstance(got[0], (Graph, Digraph)) else got) == want
 
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
