@@ -8,11 +8,10 @@ space before the random ones.
 
 Three quantities meet in every row:
 
-  oracle   irr recomputed from scratch on the edited value, whose degrees are
-           counted from its own edges or arcs (_recounted), never taken from
-           the ones apply_edit carries. Random suites use the definition
-           summed by degree class (irr_naive); the closed-form suite uses the
-           fast path, whose equivalence is covered elsewhere.
+  oracle   irr by the definition summed by degree class (irr_naive), in
+           every suite. On an edited value it is recomputed from scratch, with
+           degrees counted from its own edges or arcs (_recounted), never taken
+           from the ones apply_edit carries.
   engine   the incremental delta of the row's degree mode, priced alone by
            the per-mode step that exact_delta_for_edit runs for each mode
            (irregularity._mode_delta). Engine versus oracle is the hard
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -75,7 +74,7 @@ from .graphs import (
     cut_side,
     degree_multiset,
 )
-from .irregularity import _mode_delta, exact_delta_for_edit, irr_digraph, irr_fast, irr_naive
+from .irregularity import _mode_delta, irr_naive
 from .partitions import joint_partition, transform_counts
 from .predictors import (
     FormulaId,
@@ -284,7 +283,7 @@ def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, 
     """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2.
 
     The engine prices that edge on the union of g1 and g2. dm1 and dm2 are read
-    first, so the union takes their degrees and merged multisets (transforms._union).
+    first, so the union takes their degrees (transforms._union) and counts its multiset from them.
     """
     g1, d1, g2, d2, u, v = instance
     dm1 = degree_multiset(g1)
@@ -355,7 +354,7 @@ def _random_edge_transform_instance(iid: int, rng: SplitMix64) -> tuple[Graph, s
         n = 3 + rng.below(15)
         edge_count = n + rng.below(2 * n)
         ends = rng._belows([n] * (2 * edge_count))
-        g = Graph(n, tuple(zip(ends[::2], ends[1::2])), multigraph=True)
+        g = Graph(n, zip(ends[::2], ends[1::2]), multigraph=True)
         a, b = g.edges[rng.below(g.edge_count)]
         moved, kept = (a, b) if rng.below(2) == 0 else (b, a)
         others = [t for t in range(n) if t != moved]
@@ -374,7 +373,7 @@ def run_edge_transform_suite(count: int, seed: int) -> AuditReport:
 
 def _arc_transform_witnesses() -> list[tuple[Digraph, str, EditOp]]:
     c4 = Digraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
-    tournament5 = Digraph(5, tuple((i, (i + 1) % 5) for i in range(5)) + tuple((i, (i + 2) % 5) for i in range(5)))
+    tournament5 = Digraph(5, [(i, (i + step) % 5) for step in (1, 2) for i in range(5)])
     p3 = Digraph(3, ((0, 1), (1, 2)))
     return [
         (c4, "cycle-orient(4)", EditOp.retarget_head(0, 1, 2)),
@@ -422,39 +421,37 @@ def run_closed_form_suite(max_n: int) -> AuditReport:
     """Compare generated families against their closed forms, per mode.
 
     Family caps: complete, path, and cycle orientations go up to max_n
-    vertices; bipartite sides go up to max_n // 2. Deterministic, no seed.
+    vertices; bipartite sides go up to max(1, max_n // 2). Deterministic, no seed.
     """
     if not 1 <= max_n <= _CLOSED_FORMS_MAX_N:
         raise ValueError(f"closed-forms suite needs max_n in 1..{_CLOSED_FORMS_MAX_N}, got {max_n}")
     rows: list[AuditRow] = []
 
-    def emit(operation, before_pair, after_pair, delta_pair, fid, want_pair):
-        """Append the mode=in row, then the mode=out row, of one instance."""
-        for i, mode in enumerate(("in", "out")):
-            preds = [(fid, want_pair[i])]
-            row = _mk_row(len(rows), 0, f"{operation} mode={mode}", before_pair[i], after_pair[i], delta_pair[i], preds)
-            rows.append(row)
+    def emit(operation, d, op, fid, want_pair):
+        """Append the mode=in row, then the mode=out row, of d, or of op on d when op is not None."""
+        edited = None if op is None else apply_edit(d, op)
+        for mode, want in zip(("in", "out"), want_pair):
+            if op is None:  # d's own irr is before and after, and the engine prices no edit
+                before = after = irr_naive(degree_multiset(d, mode))
+                engine = 0
+            else:
+                before, after, engine = _measure(d, op, edited, mode)
+            rows.append(_mk_row(len(rows), 0, f"{operation} mode={mode}", before, after, engine, [(fid, want)]))
 
     for k in range(1, max_n + 1):
-        got = irr_digraph(orient_by_labeling(complete(k), tuple(range(k))))
-        want = complete_closed_form(k)
-        emit(f"complete-orient n={k}", got, got, (0, 0), FormulaId.LEMMA48, (want, want))
+        d = orient_by_labeling(complete(k), tuple(range(k)))
+        emit(f"complete-orient n={k}", d, None, FormulaId.LEMMA48, (complete_closed_form(k),) * 2)
 
-    side_cap = max(1, max_n // 2)
-    for m in range(1, side_cap + 1):
-        for k in range(1, side_cap + 1):
-            got = irr_digraph(orient_left_right(m, k))
-            emit(f"bipartite-orient m={m} n={k}", got, got, (0, 0), FormulaId.PROP49, bipartite_closed_form(m, k))
+    for m, k in product(range(1, max(1, max_n // 2) + 1), repeat=2):
+        d = orient_left_right(m, k)
+        emit(f"bipartite-orient m={m} n={k}", d, None, FormulaId.PROP49, bipartite_closed_form(m, k))
 
     def reversals(family, base, fid, want_none, want_at):
         """The reverse=none row, then one row per reversed arc (pos - 1, pos mod n), pos = 1..arc count."""
-        base_pair = irr_digraph(base)
-        emit(f"{family} reverse=none", base_pair, base_pair, (0, 0), fid, want_none)
+        emit(f"{family} reverse=none", base, None, fid, want_none)
         for pos in range(1, base.arc_count + 1):
             op = EditOp.reverse_arc(pos - 1, pos % base.vertex_count)
-            after = apply_edit(base, op)
-            after_pair = [irr_fast(_recounted(after, mode)) for mode in ("in", "out")]
-            emit(f"{family} reverse={pos}", base_pair, after_pair, exact_delta_for_edit(base, op), fid, want_at(pos))
+            emit(f"{family} reverse={pos}", base, op, fid, want_at(pos))
 
     for k in range(2, max_n + 1):
         base = orient_by_labeling(path(k), tuple(range(k)))
@@ -464,7 +461,7 @@ def run_closed_form_suite(max_n: int) -> AuditReport:
 
     for k in range(3, max_n + 1):
         # a consistent ring orientation, not the lower-to-higher labeling one
-        ring = Digraph(k, tuple((i, (i + 1) % k) for i in range(k)))
+        ring = Digraph(k, ((i, (i + 1) % k) for i in range(k)))
         want = cycle_closed_form(k, reverse=True)
         reversals(f"cycle-orient n={k}", ring, FormulaId.PROP44, cycle_closed_form(k), lambda pos: want)
 
@@ -539,7 +536,7 @@ def _random_branch_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, int,
         desc = f"er-conn(n={n0} p={P_TABLE[p]})"
     anchor = rng.below(n0)
     # three planted pendants guarantee at least one valid move
-    g = Graph(n0 + 3, base + ((anchor, n0), (anchor, n0 + 1), (anchor, n0 + 2)))
+    g = Graph(n0 + 3, [*base, (anchor, n0), (anchor, n0 + 1), (anchor, n0 + 2)])
     candidates = _branch_candidates(g)
     u, root, v = candidates[rng.below(len(candidates))]
     return g, f"{desc}+3p", u, root, v

@@ -6,7 +6,8 @@ come from the fixed table (0.2, 0.5, 0.8), selected by index and realized as
 exact tenth-draws so no float enters the sampling path. Each constructor
 draws for all its candidate pairs (or tree vertices) in one packed-lane
 call, the same values as one `below` per candidate; an edge draw comes back
-as a 0/1 flag that picks its pair out of an itertools pair iterator.
+as a 0/1 flag that picks its pair out of an itertools pair iterator. The
+families build no tuple of pairs first: the value's constructor collects them.
 """
 
 from __future__ import annotations
@@ -30,33 +31,33 @@ def _stream(seed: SeedLike) -> SplitMix64:
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least 1 vertex")
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def star(leaves: int) -> Graph:
     """Center 0 joined to `leaves` pendant vertices."""
     if leaves < 0:
         raise GraphError("leaf count must be nonnegative")
-    return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
+    return Graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     """Left block 0..m-1, right block m..m+n-1, all cross edges."""
     if m < 1 or n < 1:
         raise GraphError("both sides need at least 1 vertex")
-    return Graph(m + n, tuple((i, m + j) for i in range(m) for j in range(n)))
+    return Graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -69,7 +70,7 @@ def matching(pairs: int) -> Graph:
     """`pairs` disjoint edges on 2 * pairs vertices; 1-regular."""
     if pairs < 1:
         raise GraphError("matching needs at least 1 pair")
-    return Graph(2 * pairs, tuple((2 * i, 2 * i + 1) for i in range(pairs)))
+    return Graph(2 * pairs, ((2 * i, 2 * i + 1) for i in range(pairs)))
 
 
 def orient_by_labeling(g: Graph, labels: Sequence[int]) -> Digraph:
@@ -83,15 +84,14 @@ def orient_by_labeling(g: Graph, labels: Sequence[int]) -> Digraph:
         raise GraphError("orientation requires a simple graph")
     if sorted(labels) != list(range(g.vertex_count)):
         raise GraphError("labels must be a permutation of the vertex ids")
-    arcs = tuple((a, b) if labels[a] < labels[b] else (b, a) for a, b in g.edges)
-    return Digraph(g.vertex_count, arcs)
+    return Digraph(g.vertex_count, ((a, b) if labels[a] < labels[b] else (b, a) for a, b in g.edges))
 
 
 def orient_left_right(m: int, n: int) -> Digraph:
     """Complete bipartite digraph with every arc pointing left to right."""
     if m < 1 or n < 1:
         raise GraphError("both sides need at least 1 vertex")
-    return Digraph(m + n, tuple((i, m + j) for i in range(m) for j in range(n)))
+    return Digraph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def random_graph(n: int, p_index: int, seed: SeedLike) -> Graph:
@@ -140,30 +140,30 @@ def random_connected_with_cut_edge(n: int, seed: SeedLike) -> tuple[Graph, tuple
     p1 = rng.below(3)
     p2 = rng.below(3)
     left = _connected_edges(n1, p1, rng)
-    right = tuple((a + n1, b + n1) for a, b in _connected_edges(n2, p2, rng))
+    right = [(a + n1, b + n1) for a, b in _connected_edges(n2, p2, rng)]
     u1 = rng.below(n1)
     v1 = n1 + rng.below(n2)
-    return Graph(n, left + right + ((u1, v1),)), (u1, v1)
+    return Graph(n, [*left, *right, (u1, v1)]), (u1, v1)
 
 
-def _tree_edges(n: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+def _tree_edges(n: int, rng: SplitMix64) -> Iterator[tuple[int, int]]:
     """random_tree's edges, unchecked: the caller builds the one validated value."""
     later = range(1, n)
-    return tuple(zip(rng._belows(later), later))
+    return zip(rng._belows(later), later)
 
 
-def _connected_edges(n: int, p_index: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+def _connected_edges(n: int, p_index: int, rng: SplitMix64) -> list[tuple[int, int]]:
     """random_connected's edges, unchecked, as _tree_edges."""
     tenths = _edge_tenths(p_index)
     later = range(1, n)
     tree = set(zip(rng._belows(later), later))
     pairs = filterfalse(tree.__contains__, combinations(range(n), 2))
-    return tuple(tree) + _kept(pairs, n * (n - 1) // 2 - (n - 1), tenths, rng)
+    return [*tree, *_kept(pairs, n * (n - 1) // 2 - (n - 1), tenths, rng)]
 
 
-def _kept(pairs: Iterator[tuple[int, int]], count: int, tenths: int, rng: SplitMix64) -> tuple[tuple[int, int], ...]:
-    """The count pairs whose tenth-draw, one per pair in order, falls below tenths."""
-    return tuple(compress(pairs, rng._tenth_flags(count, tenths)))
+def _kept(pairs: Iterator[tuple[int, int]], count: int, tenths: int, rng: SplitMix64) -> Iterator[tuple[int, int]]:
+    """The count pairs whose tenth-draw, one per pair in order, falls below tenths; the draws run at once."""
+    return compress(pairs, rng._tenth_flags(count, tenths))
 
 
 def _edge_tenths(p_index: int) -> int:

@@ -536,9 +536,10 @@ def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
     steps over the removed copy, and stops as soon as it reaches a, so it
     costs at most the size of b's side.
     """
-    if not g.has_edge(a, b):
+    copies = _multiplicity(g.edges, _normalize(a, b))
+    if not copies:
         raise GraphError(f"edge ({a}, {b}) not present")
-    if a == b or _multiplicity(g.edges, _normalize(a, b)) > 1:
+    if a == b or copies > 1:
         return None
     adjacency = g._adjacency
     seen = {b}

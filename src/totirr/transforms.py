@@ -9,21 +9,18 @@ other operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import AnyGraph, DegreeMultiset, EditError, EditOp, Graph, GraphError, apply_edit, cut_side
-from .graphs import _branch_component, _check_vertex, _unchecked, degree_multiset
+from .graphs import AnyGraph, EditError, EditOp, Graph, GraphError, _branch_component, _check_vertex, _unchecked
+from .graphs import apply_edit, cut_side
 
 
 def _union(g1: Graph, g2: Graph) -> Graph:
     """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. If both
-    sides have counted their degrees, it takes theirs and merges their multisets; otherwise it counts its own."""
+    sides have counted their degrees, it takes theirs; otherwise it counts its own. It counts its own multiset."""
     n1 = g1.vertex_count
     edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
     fields = dict(vertex_count=n1 + g2.vertex_count, edges=edges, multigraph=g1.multigraph or g2.multigraph)
     if "_degrees" in vars(g1) and "_degrees" in vars(g2):
-        classes = dict(degree_multiset(g1).entries)
-        for degree, count in degree_multiset(g2).entries:
-            classes[degree] = classes.get(degree, 0) + count
-        fields.update(_degrees=(g1.degrees + g2.degrees,), _multisets=[DegreeMultiset.from_entries(classes.items())])
+        fields["_degrees"] = (g1.degrees + g2.degrees,)
     return _unchecked(Graph, fields)
 
 

@@ -237,7 +237,7 @@ def test_each_drawn_instance_is_validated_once(monkeypatch):
     real = Graph.__post_init__
 
     def counting(self):
-        built.append(self)
+        built.append((self, type(self.edges)))  # what the draw handed over, before the constructor collects it
         real(self)
 
     monkeypatch.setattr(Graph, "__post_init__", counting)
@@ -246,7 +246,9 @@ def test_each_drawn_instance_is_validated_once(monkeypatch):
         for iid in range(3, 40):  # every fifth edge-transform instance is a multigraph
             built.clear()
             instance = draw(iid, root.child(iid))
-            assert len(built) == 1 and built[0] is instance[0], (draw.__name__, iid)
+            assert len(built) == 1 and built[0][0] is instance[0], (draw.__name__, iid)
+            # the constructor collects the pairs in a list itself, so a tuple built first is one more copy
+            assert built[0][1] is not tuple, (draw.__name__, iid)
 
 
 def test_an_arc_row_prices_and_counts_only_its_own_mode(monkeypatch):

@@ -3,7 +3,8 @@
 The retargets run through transforms._retarget, the one path that the CLI and
 both transform suites take, and are scored by audit.transform_row. The branch
 moves compare audit._branch_candidates with the per-neighbour reference and
-check Lemma 3.4 through branch_transformation. The extremal values of irr_t
+check Lemma 3.4 through branch_transformation, and, with its hypotheses
+dropped, which of them the decrease needs. The extremal values of irr_t
 over all graphs and all labelled trees, and its bound by Albertson's
 irregularity, are found by brute force. The counts pin the enumeration, so a
 move or a graph that is silently skipped fails too.
@@ -11,7 +12,7 @@ move or a graph that is silently skipped fails too.
 
 from itertools import compress, product
 
-from totirr import Digraph, EditOp, Graph, branch_transformation, cut_side, irr_graph
+from totirr import Digraph, EditOp, Graph, apply_edit, branch_transformation, cut_side, irr_graph
 from totirr.audit import _branch_candidates, transform_row
 from totirr.generators import star
 from totirr.transforms import _retarget
@@ -96,12 +97,32 @@ def test_every_branch_move_of_order_5_lowers_irr_t():
 
 def test_every_branch_move_of_order_6_lowers_irr_t():
     total = 0
+    # Lemma 3.4 without its hypotheses: every other bridge end u, onto every pendant v off root's side,
+    # tallied by (deg u >= 3, the side is a tree) as [moves, moves that lower irr_t]
+    ablated = {}
     for g in every_graph(6):
         before = irr_graph(g)
         for u, root, v in _branch_candidates(g):
             assert irr_graph(branch_transformation(g, u, v, root)) < before, (g, u, root, v)
             total += 1
+        deg = g.degrees
+        pendants = [v for v in range(6) if deg[v] == 1]
+        for a, b in g.edges if pendants else ():
+            for u, root in ((a, b), (b, a)):
+                side = cut_side(g, u, root)
+                if side is None:
+                    break  # no bridge, seen from either end
+                tree = sum(deg[w] for w in side) == 2 * len(side) - 1  # inner edges counted twice, the bridge once
+                if deg[u] >= 3 and tree:
+                    continue  # a valid move, checked above
+                tally = ablated.setdefault((deg[u] >= 3, tree), [0, 0])
+                for v in pendants:
+                    if v != u and v not in side:
+                        tally[0] += 1
+                        tally[1] += irr_graph(apply_edit(g, EditOp.retarget_edge(u, root, v))) < before
     assert total == 22920
+    # a cyclic side lowers irr_t too; an attachment of degree <= 2 never does, whatever its side
+    assert ablated == {(True, False): [360, 360], (False, True): [22680, 0], (False, False): [3720, 0]}
 
 
 def albertson_irr(g):

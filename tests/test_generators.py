@@ -1,6 +1,7 @@
 import pytest
 
-from totirr import Digraph, EditOp, Graph, GraphError, SplitMix64, apply_edit, cut_side, generators
+from totirr import Digraph, EditOp, Graph, GraphError, SplitMix64, apply_edit, cut_side, generators, graphs
+from totirr.audit import run_closed_form_suite
 from totirr.generators import (
     P_TABLE,
     complete,
@@ -193,6 +194,38 @@ def test_edge_draws_skip_the_single_and_listed_draws(monkeypatch):
     assert calls == {"below": 0, "_belows": 0}
     random_connected(40, 1, 3)
     assert calls == {"below": 0, "_belows": 1}
+
+
+def test_every_family_hands_the_constructor_no_tuple(monkeypatch):
+    # The constructor collects any iterable of pairs in a list itself, so a tuple built first is one more copy.
+    handed = []
+    real = graphs._Value.__post_init__
+
+    def recording(self):
+        handed.append(type(self.__dict__[self._PAIRS]))
+        real(self)
+
+    monkeypatch.setattr(graphs._Value, "__post_init__", recording)
+    builds = {
+        "path": lambda: path(5),
+        "cycle": lambda: cycle(5),
+        "complete": lambda: complete(5),
+        "star": lambda: star(4),
+        "complete_bipartite": lambda: complete_bipartite(2, 3),
+        "matching": lambda: matching(3),
+        "orient_by_labeling": lambda: orient_by_labeling(path(5), tuple(range(5))),
+        "orient_left_right": lambda: orient_left_right(2, 3),
+        "random_graph": lambda: random_graph(9, 1, 3),
+        "random_digraph": lambda: random_digraph(9, 1, 3),
+        "random_tree": lambda: random_tree(9, 3),
+        "random_connected": lambda: random_connected(9, 1, 3),
+        "random_connected_with_cut_edge": lambda: random_connected_with_cut_edge(9, 3),
+        "the closed-forms suite": lambda: run_closed_form_suite(6),  # its ring orientations too
+    }
+    for name, build in builds.items():
+        handed.clear()
+        build()
+        assert handed and tuple not in handed, (name, handed)
 
 
 def test_generator_accepts_stream_or_int():

@@ -10,6 +10,7 @@ oracle counts an edited value's degrees from its own edges.
 
 import hashlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,21 @@ def test_audit_report_bytes_do_not_read_carried_degrees(suite, monkeypatch):
     assert _sha(report.to_json()) == json_digest
     # these two suites edit values whose degrees were already counted
     assert bool(calls) == (suite in ("closed-forms", "lemma34"))
+
+
+def test_closed_forms_bytes_need_no_fast_path(monkeypatch):
+    # every closed-form row is scored as every other suite's: the irr_naive oracle and one priced mode
+    def refuse(*args):
+        raise AssertionError("the closed-forms suite called a fast path")
+
+    for module in [m for name, m in sys.modules.items() if name == "totirr" or name.startswith("totirr.")]:
+        for name in ("irr_fast", "irr_digraph", "exact_delta_for_edit"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    run, csv_digest, json_digest = GOLDEN["closed-forms"]
+    report = run()
+    assert _sha(report.to_csv()) == csv_digest
+    assert _sha(report.to_json()) == json_digest
 
 
 def _cli(capsys, *argv):
