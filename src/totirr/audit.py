@@ -26,7 +26,9 @@ pre-edit irregularity as a strict upper bound and agrees means the edit
 strictly decreased it.
 
 Report formats: CSV with one line per prediction per instance, and a JSON
-object with the suite metadata, per-formula stats, and the disagreement rows.
+object with the suite metadata, per-formula stats, and the disagreement rows,
+byte for byte json.dumps(obj, indent=2, sort_keys=True) plus a newline but
+written from templates, so no report runs json's pure-Python encoder.
 The row builders (joint_row, and transform_row for every retarget of an edge
 end, an arc head or an arc tail) also back the CLI's --report output, so the
 agreement rule lives only in _outcome; each takes the edited value its caller
@@ -35,9 +37,9 @@ built through the operation's own checks, a retarget's through _retarget.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -93,6 +95,24 @@ from .rng import SplitMix64
 from .transforms import _retarget, _union, branch_transformation, edge_joint
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
+
+
+def _json_object(keys: str, depth: int) -> str:
+    """%-template of an object at depth as json.dumps(indent=2) lays it out: keys given sorted, one %s each."""
+    pad = "  " * depth
+    return f"\n{pad}{{" + ",".join(f'\n{pad}  "{key}": %s' for key in keys.split()) + f"\n{pad}}}"
+
+
+def _json_items(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A list (or object) closed at depth, of items that each lead with their own newline and indent."""
+    return f"{brackets[0]}{','.join(items)}\n{'  ' * depth}{brackets[1]}" if items else brackets
+
+
+# to_json's fixed layout, one template per object kind of the report
+_REPORT_JSON = _json_object("config disagreements engine_ok formula_stats instance_count seed suite", 0)[1:] + "\n"
+_STAT_JSON = _json_object("agree formula_id pct total", 2)
+_ROW_JSON = _json_object("engine_delta engine_ok instance_id irr_after_oracle irr_before operation predictions seed", 2)
+_PREDICTION_JSON = _json_object("agrees formula_id is_delta predicted", 4)
 
 
 class PredictionOutcome(_Record):
@@ -155,22 +175,18 @@ class AuditReport(_Record):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        obj = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "instance_count": self.instance_count,
-            "config": dict(self.config),
-            "engine_ok": self.engine_ok,
-            "formula_stats": [
-                {"formula_id": s.formula_id, "agree": s.agree, "total": s.total, "pct": s.pct}
-                for s in self.formula_stats
-            ],
-            "disagreements": [
-                {**vars(row), "engine_ok": row.engine_ok, "predictions": [vars(p) for p in row.predictions]}
-                for row in self.disagreements
-            ],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        """json.dumps(obj, indent=2, sort_keys=True) + "\\n" of the report object, from the templates."""
+        enc, flag = encode_basestring_ascii, ("false", "true").__getitem__
+        config = [f"\n    {enc(key)}: {enc(value)}" for key, value in sorted(dict(self.config).items())]
+        stats = [_STAT_JSON % (s.agree, enc(s.formula_id), s.pct, s.total) for s in self.formula_stats]
+        rows = []
+        for r in self.disagreements:
+            preds = [_PREDICTION_JSON % (flag(p.agrees), enc(p.formula_id), flag(p.is_delta), p.predicted)
+                     for p in r.predictions]
+            rows.append(_ROW_JSON % (r.engine_delta, flag(r.engine_ok), r.instance_id, r.irr_after_oracle,
+                                     r.irr_before, enc(r.operation), _json_items(preds, 3), r.seed))
+        return _REPORT_JSON % (_json_items(config, 1, "{}"), _json_items(rows, 1), flag(self.engine_ok),
+                               _json_items(stats, 1), self.instance_count, self.seed, enc(self.suite))
 
 
 def _outcome(fid: FormulaId, predicted: int, irr_before: int, irr_after: int) -> PredictionOutcome:
@@ -199,9 +215,11 @@ def _recounted(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
         ends = chain.from_iterable(g.edges)  # a loop lists its vertex twice
     else:
         ends = map(itemgetter(*g._MODES[mode][1]), g.arcs)  # a digraph mode counts one end of each arc
-    classes = Counter(Counter(ends).values())  # vertices per degree, among those on an edge or arc
-    classes[0] = g.vertex_count - sum(classes.values())  # the rest; + drops the class if empty
-    return DegreeMultiset.from_entries((+classes).items())
+    per_vertex = Counter(ends)
+    classes = Counter(per_vertex.values())  # vertices per degree, among those on an edge or arc
+    if g.vertex_count > len(per_vertex):
+        classes[0] = g.vertex_count - len(per_vertex)  # the rest
+    return DegreeMultiset.from_entries(classes.items())
 
 
 def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undirected") -> tuple[int, int, int]:

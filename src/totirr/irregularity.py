@@ -32,6 +32,7 @@ that share a vertex or a degree are priced exactly, not approximated.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .graphs import AnyGraph, DegreeMode, DegreeMultiset, Digraph, EditOp, Graph, _remembered_plan, degree_multiset
@@ -45,12 +46,10 @@ class IrrPair(NamedTuple):
 
 
 def irr_naive(dm: DegreeMultiset) -> int:
-    """Definitional total irregularity: m_i * m_j * |v_i - v_j| over every pair i < j of degree classes."""
-    entries = dm.entries
+    """Definitional total irregularity: m_i * m_j * |v_i - v_j| over each pair of degree classes, copying none."""
     total = 0
-    for i, (vi, mi) in enumerate(entries):
-        for vj, mj in entries[i + 1 :]:
-            total += mi * mj * abs(vi - vj)
+    for (vi, mi), (vj, mj) in combinations(dm.entries, 2):
+        total += mi * mj * abs(vi - vj)
     return total
 
 

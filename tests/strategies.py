@@ -4,9 +4,11 @@ search, the vertex-pair loop behind the irr_naive oracle, the per-edge loops
 behind the Graph and Digraph constructor checks, the line-by-line reader
 behind parse_graph_text, the per-neighbour branch probe behind lemma34's
 candidate list, the per-vertex neighbour sets behind Graph._adjacency, and the
-listed-pairs construction behind the random generators. Also the wrong degree
-carry that the oracle-independence tests install."""
+listed-pairs construction behind the random generators, and the json.dumps
+call behind AuditReport.to_json. Also the wrong degree carry that the
+oracle-independence tests install."""
 
+import json
 import re
 from itertools import compress
 
@@ -216,3 +218,23 @@ def off_by_one_carry(real, calls):
         return tuple(out)
 
     return carry
+
+
+def report_json(report):
+    """AuditReport.to_json by the standard library: the report object through json.dumps(indent=2, sort_keys=True)."""
+    obj = {
+        "suite": report.suite,
+        "seed": report.seed,
+        "instance_count": report.instance_count,
+        "config": dict(report.config),
+        "engine_ok": report.engine_ok,
+        "formula_stats": [
+            {"formula_id": s.formula_id, "agree": s.agree, "total": s.total, "pct": s.pct}
+            for s in report.formula_stats
+        ],
+        "disagreements": [
+            {**vars(row), "engine_ok": row.engine_ok, "predictions": [vars(p) for p in row.predictions]}
+            for row in report.disagreements
+        ],
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

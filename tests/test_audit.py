@@ -1,12 +1,28 @@
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from totirr import EditOp, Graph, GraphError, SplitMix64, audit, graphs, irr_naive, irregularity, transforms
+from totirr import (
+    DegreeMultiset,
+    Digraph,
+    EditOp,
+    Graph,
+    GraphError,
+    SplitMix64,
+    audit,
+    graphs,
+    irr_naive,
+    irregularity,
+    transforms,
+)
 from totirr.audit import (
     CSV_HEADER,
+    AuditReport,
+    AuditRow,
+    PredictionOutcome,
     _branch_candidates,
     lemma34_suite,
     run_arc_transform_suite,
@@ -16,7 +32,8 @@ from totirr.audit import (
 )
 from totirr.graphs import degree_multiset
 
-from strategies import branch_candidates
+from strategies import branch_candidates, report_json
+from test_golden import GOLDEN
 
 SEED = 0xC0FFEE
 
@@ -294,6 +311,33 @@ def test_a_joint_row_validates_nothing_and_counts_only_its_two_sides(monkeypatch
         assert calls == {"validated": 0, "counted": 2} and row.engine_ok, iid
 
 
+_ARCS = Digraph(5, ((0, 1), (0, 2), (3, 1), (1, 2)))  # 0 and 3 have no in-arc, 2 no out-arc, 4 neither
+
+
+@pytest.mark.parametrize(
+    "g, mode",
+    [
+        (Graph(0), "undirected"),
+        (Graph(4), "undirected"),
+        (Graph(6, ((0, 1), (1, 2), (1, 3))), "undirected"),  # 4 and 5 isolated
+        (Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))), "undirected"),  # none isolated
+        (Graph(4, ((0, 0), (0, 1), (0, 1), (2, 2)), multigraph=True), "undirected"),  # loops count twice
+        (_ARCS, "in"),
+        (_ARCS, "out"),
+    ],
+)
+def test_recounted_is_the_multiset_of_a_per_vertex_count(g, mode):
+    degrees = [0] * g.vertex_count
+    if isinstance(g, Graph):
+        for a, b in g.edges:
+            degrees[a] += 1
+            degrees[b] += 1
+    else:
+        for tail, head in g.arcs:
+            degrees[head if mode == "in" else tail] += 1
+    assert audit._recounted(g, mode) == DegreeMultiset.from_degrees(degrees)
+
+
 def test_multigraph_rows_present_in_edge_transform():
     rep = run_edge_transform_suite(30, SEED)
     multis = [r for r in rep.rows if "multi(" in r.operation]
@@ -344,6 +388,59 @@ def test_json_shape():
     # only disagreeing rows are embedded
     for row in obj["disagreements"]:
         assert any(not p["agrees"] for p in row["predictions"]) or not row["engine_ok"]
+
+
+def test_to_json_never_enters_the_pure_python_encoder(monkeypatch):
+    # json.dumps with indent=2 builds its encoder with _make_iterencode; to_json must need none
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_json entered json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    run, _, json_digest = GOLDEN["edge-joint"]
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == json_digest
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates, besides any code point
+_SPECIAL = st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\ud800\udfff')
+_TEXT = st.text(st.characters(exclude_categories=()) | _SPECIAL, max_size=8)
+_INTS = st.integers(-(2**63), 2**64 - 1)
+
+
+@st.composite
+def audit_reports(draw):
+    """Reports with up to 4 rows, each engine-exact or not, with 0-4 predictions over a few formula ids."""
+    fids = st.sampled_from(["A", "B", "C"]) | _TEXT
+    predictions = st.lists(st.builds(PredictionOutcome, fids, _INTS, st.booleans(), st.booleans()), max_size=4)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        before, after = draw(_INTS), draw(_INTS)
+        engine = after - before if draw(st.booleans()) else draw(_INTS)
+        rows.append(AuditRow(draw(_INTS), draw(_INTS), draw(_TEXT), before, after, engine, tuple(draw(predictions))))
+    config = draw(st.lists(st.tuples(_TEXT, _TEXT), max_size=3))
+    return AuditReport(draw(_TEXT), draw(_INTS), draw(_INTS), tuple(config), tuple(rows))
+
+
+# formula A agrees 1 of 3 times (pct 33.3333), B 0 of 1 (0.0), C 1 of 1 (100.0)
+_PCT_PREDICTIONS = (
+    PredictionOutcome("A", 1, True, True),
+    PredictionOutcome("A", 2, False, True),
+    PredictionOutcome("A", 3, False, False),
+    PredictionOutcome("B", 0, False, False),
+    PredictionOutcome("C", -5, True, False),
+)
+_PCT_REPORT = AuditReport("s", -1, 1, (("k", "v"),), (AuditRow(0, 2**64 - 1, "op", 0, 1, 1, _PCT_PREDICTIONS),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(audit_reports())
+@example(AuditReport("", 0, 0, (), ()))
+@example(_PCT_REPORT)
+def test_to_json_equals_json_dumps_of_the_report_object(report):
+    assert report.to_json() == report_json(report)
+
+
+def test_the_pinned_report_has_each_pct_shape():
+    assert [s.pct for s in _PCT_REPORT.formula_stats] == [33.3333, 0.0, 100.0]
 
 
 def test_reports_are_reproducible():
