@@ -1,11 +1,11 @@
 """Published prediction formulas, implemented literally and never trusted.
 
 Each function transcribes one closed-form claim about how total irregularity
-behaves under a graph operation. The formula ids are the artifact's stable
-wire tokens: audit reports and CLI output identify every prediction by them.
-Predictions are delta-valued or absolute-valued per formula; the audit layer
-compares each against the matching oracle quantity and records agreement,
-so nothing here is allowed to consult a graph. Counts in, numbers out.
+behaves under a graph operation; it takes the domain its one caller in `audit`
+guarantees and checks no argument. Formula ids are the stable wire tokens that
+audit reports and CLI output name every prediction by. Each prediction is a
+delta or an absolute irr that the audit compares against the oracle, so
+nothing here consults a graph. Counts in, numbers out.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Tuple
 
-from .graphs import GraphError
 from .irregularity import IrrPair
 from .partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
@@ -68,10 +67,6 @@ def prop27(n: int, m: int, deg_u: int, deg_v: int) -> int:
 
     n and deg_u belong to the side with the larger (or equal) degree.
     """
-    if n < 1 or m < 1:
-        raise GraphError("component orders must be at least 1")
-    if deg_u < deg_v:
-        raise GraphError("requires deg_u >= deg_v; swap the operands")
     if deg_u == deg_v:
         return 2 * (n + m) - 2
     return n * m * (deg_u - deg_v) + 2 * (n - 1)
@@ -99,8 +94,6 @@ _CASES = {Relation.EQUAL: 1, Relation.ABOVE: 2, Relation.BELOW: 3}
 
 def transform_formula_id(mode: str, relation: Relation) -> FormulaId:
     """The case of Thm 3.3 (mode undirected) or of Prop 4.7 (in or out) that relation selects."""
-    if mode not in ("undirected", "in", "out"):
-        raise GraphError(f"no formula for mode {mode!r}")
     family = "Thm33" if mode == "undirected" else f"Prop47{mode.title()}"
     return FormulaId(f"{family}Case{_CASES[relation]}")
 
@@ -113,12 +106,8 @@ def path_closed_form(n: int, reversed_arc: Optional[int] = None) -> IrrPair:
     the first arc and position n-1 as the last; for n = 2 the two closed forms
     coincide at n - 1.
     """
-    if n < 2:
-        raise GraphError("path orientation needs at least 2 vertices")
     if reversed_arc is None:
         return IrrPair(n - 1, n - 1)
-    if not 1 <= reversed_arc <= n - 1:
-        raise GraphError(f"arc position {reversed_arc} outside 1..{n - 1}")
     irr_in = n - 1 if reversed_arc == 1 else 3 * n - 5
     irr_out = n - 1 if reversed_arc == n - 1 else 3 * n - 5
     return IrrPair(irr_in, irr_out)
@@ -126,25 +115,16 @@ def path_closed_form(n: int, reversed_arc: Optional[int] = None) -> IrrPair:
 
 def cycle_closed_form(n: int, reverse: bool = False) -> IrrPair:
     """(in, out) irr of a consistently oriented cycle; any one arc reversed."""
-    if n < 3:
-        raise GraphError("cycle orientation needs at least 3 vertices")
     if not reverse:
         return IrrPair(0, 0)
     return IrrPair(2 * (n - 1), 2 * (n - 1))
 
 
 def complete_closed_form(n: int) -> int:
-    """Common in and out irr of the transitively oriented complete graph."""
-    if n < 1:
-        raise GraphError("complete orientation needs at least 1 vertex")
-    numerator = n * (n * n - 1)
-    if numerator % 6 != 0:
-        raise GraphError(f"n(n^2 - 1) = {numerator} is not divisible by 6")  # pragma: no cover
-    return numerator // 6
+    """Common in and out irr of the transitive complete orientation; 6 divides n(n^2 - 1) = (n - 1)n(n + 1)."""
+    return n * (n * n - 1) // 6
 
 
 def bipartite_closed_form(m: int, n: int) -> IrrPair:
     """(in, out) irr of the complete bipartite left-to-right orientation."""
-    if m < 1 or n < 1:
-        raise GraphError("both sides need at least 1 vertex")
     return IrrPair(m * m * n, m * n * n)

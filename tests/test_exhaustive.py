@@ -7,14 +7,17 @@ check Lemma 3.4 through branch_transformation, and, with its hypotheses
 dropped, which of them the decrease needs. The extremal values of irr_t
 over all graphs and all labelled trees, and its bound by Albertson's
 irregularity, are found by brute force. The counts pin the enumeration, so a
-move or a graph that is silently skipped fails too.
+move or a graph that is silently skipped fails too. Since irr_t is a function
+of the degree sequence, its maximum is also found over every graphic sequence,
+up to order 10.
 """
 
-from itertools import compress, product
+from itertools import accumulate, combinations_with_replacement, compress, product
 
-from totirr import Digraph, EditOp, Graph, apply_edit, branch_transformation, cut_side, irr_graph
+from totirr import DegreeMultiset, Digraph, EditOp, Graph, apply_edit, branch_transformation, cut_side, irr_graph
 from totirr.audit import _branch_candidates, transform_row
 from totirr.generators import star
+from totirr.irregularity import irr_fast
 from totirr.transforms import _retarget
 
 from strategies import branch_candidates, connected_components
@@ -175,3 +178,28 @@ def test_the_star_has_the_largest_irr_t_of_every_tree_up_to_order_7():
             top = max(top, irr_t)
         assert len(seen) == n ** (n - 2)  # Cayley's formula: no tree is missed or repeated
         assert top == (n - 1) * (n - 2) == irr_graph(star(n - 1))
+
+
+def graphic_sequences(n):
+    """Every non-increasing degree sequence of a simple graph of order n, by the Erdos-Gallai test."""
+    for ascending in combinations_with_replacement(range(n), n):
+        seq = ascending[::-1]
+        head = list(accumulate(seq))
+        if head[-1] % 2 == 0 and all(
+            head[k - 1] <= k * (k - 1) + sum(min(d, k) for d in seq[k:]) for k in range(1, n + 1)
+        ):
+            yield seq
+
+
+def test_max_irr_t_over_every_graphic_sequence_up_to_order_10():
+    counts = []
+    tops = []
+    for n in range(1, 11):
+        scores = [irr_fast(DegreeMultiset.from_degrees(seq)) for seq in graphic_sequences(n)]
+        counts.append(len(scores))
+        tops.append(max(scores))
+    # graphic sequences of order n, OEIS A004251: no sequence is missed or repeated
+    assert counts == [1, 2, 4, 11, 31, 102, 342, 1213, 4361, 16016]
+    # the labelled-graph maximum above, carried on to n = 7..10
+    assert tops == [(2 * n**3 - 3 * n**2 - 2 * n + 3) // 12 for n in range(1, 11)]
+    assert tops == [0, 0, 2, 6, 14, 26, 44, 68, 100, 140]

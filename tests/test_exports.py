@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,26 @@ def test_no_submodule_imports_dataclasses():
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "10 False\n", "")
+
+
+def _unused_imports(source):
+    """The names that source imports and never reads, string annotations included."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.partition(".")[0])
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    quoted = [ast.parse(a.value, mode="eval") for a in annotations if isinstance(getattr(a, "value", None), str)]
+    read = {n.id for root in (tree, *quoted) for n in ast.walk(root) if isinstance(n, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a guard deleted with its exception class must take the class's import with it
+    found = {p.name: _unused_imports(p.read_text()) for p in Path(totirr.__file__).parent.glob("*.py")}
+    assert {name: unused for name, unused in found.items() if unused} == {}
+    assert _unused_imports("from __future__ import annotations\nfrom .graphs import GraphError\n") == ["GraphError"]
+    assert _unused_imports("from typing import Sequence\ndef f(x: 'Sequence[int]'): pass\n") == []

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from totirr import DegreeMultiset, Digraph, Graph, GraphError, joint_partition, transform_counts
 from totirr.graphs import degree_multiset
-from totirr.partitions import Relation, TransformPartitionCounts
+from totirr.partitions import Relation
 
 from strategies import multisets
 
@@ -101,6 +101,7 @@ def test_transform_counts_invariants(m, data):
     assert p.h + p.s + p.t == m.vertex_count
     assert p.m + p.l == p.s
     assert p.m1 + p.l1 == p.t
+    assert min(p.h, p.s, p.t, p.m, p.l, p.m1, p.l1) >= 0
     theta = source - 1
     if target > theta:
         assert p.relation is Relation.ABOVE
@@ -108,11 +109,6 @@ def test_transform_counts_invariants(m, data):
         assert p.relation is Relation.EQUAL
     else:
         assert p.relation is Relation.BELOW
-
-
-def test_counts_dataclass_validation():
-    with pytest.raises(GraphError):
-        TransformPartitionCounts(h=1, s=2, t=0, m=1, l=0, m1=0, l1=0, relation=Relation.EQUAL)
 
 
 # --- arc partition ----------------------------------------------------------

@@ -1,11 +1,9 @@
-import re
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from totirr import DegreeMultiset, Digraph, Graph, GraphError, joint_partition
+from totirr import DegreeMultiset, Digraph, joint_partition
 from totirr.irregularity import IrrPair, irr_digraph
 from totirr.partitions import Relation, TransformPartitionCounts
 from totirr.predictors import (
@@ -35,7 +33,7 @@ def test_interim_on_fixed_counts():
     assert thm21_interim(p) == 8
     q = joint_partition(dm(3, 3, 3, 3), dm(2, 2, 2), 3, 2)
     assert thm21_interim(q) == 2
-    # formula at the origin, bypassing count validation on purpose
+    # formula at the origin, on counts that no joint_partition returns
     zero = SimpleNamespace(a=0, b=0, a_star=0, b_star=0, c=0, d=0, c_star=0, d_star=0, n=0)
     assert thm21_interim(zero) == -2
 
@@ -53,13 +51,6 @@ def test_regular_joint_formula():
     assert prop27(3, 3, 2, 2) == 10
     assert prop27(4, 3, 3, 2) == 18
     assert prop27(1, 1, 0, 0) == 2
-
-
-def test_regular_joint_validation():
-    with pytest.raises(GraphError):
-        prop27(3, 3, 1, 2)  # needs deg_u >= deg_v
-    with pytest.raises(GraphError):
-        prop27(0, 3, 2, 2)
 
 
 def test_regular_joint_formula_ids():
@@ -86,9 +77,6 @@ def test_transform_formula_ids():
     assert transform_formula_id("undirected", Relation.EQUAL) is FormulaId.THM33_CASE1
     assert transform_formula_id("undirected", Relation.ABOVE) is FormulaId.THM33_CASE2
     assert transform_formula_id("undirected", Relation.BELOW) is FormulaId.THM33_CASE3
-    for bad in ("both", "", ["in"]):
-        with pytest.raises(GraphError, match=re.escape(f"no formula for mode {bad!r}")):
-            transform_formula_id(bad, Relation.EQUAL)
 
 
 def test_arc_prediction_cases():
@@ -120,37 +108,22 @@ def test_path_closed_form_values():
     assert path_closed_form(2, 1) == IrrPair(1, 1)
 
 
-def test_path_closed_form_validation():
-    with pytest.raises(GraphError):
-        path_closed_form(1)
-    with pytest.raises(GraphError):
-        path_closed_form(5, 0)
-    with pytest.raises(GraphError):
-        path_closed_form(5, 5)
-
-
 def test_cycle_closed_form_values():
     assert cycle_closed_form(7) == IrrPair(0, 0)
     assert cycle_closed_form(7, reverse=True) == IrrPair(12, 12)
     assert cycle_closed_form(3, reverse=True) == IrrPair(4, 4)
-    with pytest.raises(GraphError):
-        cycle_closed_form(2)
 
 
 def test_complete_closed_form_values():
     assert complete_closed_form(1) == 0
     assert complete_closed_form(4) == 10
     assert complete_closed_form(6) == 35
-    with pytest.raises(GraphError):
-        complete_closed_form(0)
 
 
 def test_bipartite_closed_form_values():
     assert bipartite_closed_form(2, 3) == IrrPair(12, 18)
     assert bipartite_closed_form(1, 5) == IrrPair(5, 25)
     assert bipartite_closed_form(1, 1) == IrrPair(1, 1)
-    with pytest.raises(GraphError):
-        bipartite_closed_form(0, 3)
 
 
 @given(st.integers(1, 40))
