@@ -300,8 +300,8 @@ def _random_joint_instance(iid: int, rng: SplitMix64) -> tuple[Graph, str, Graph
 def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, int], joined: Graph) -> AuditRow:
     """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2.
 
-    The engine prices that edge on the union of g1 and g2. dm1 and dm2 are read
-    first, so the union takes their degrees (transforms._union) and counts its multiset from them.
+    The engine prices that edge on the union of g1 and g2, which takes their degrees
+    (transforms._union) and counts its multiset from them.
     """
     g1, d1, g2, d2, u, v = instance
     dm1 = degree_multiset(g1)

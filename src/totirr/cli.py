@@ -120,24 +120,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 # family -> (parameter count, builder of the graph from the generators module, the parameters and
-# the parsed flags, vertex pairs a quadratic family examines for nonnegative parameters, or None for
-# a linear one); generate refuses more than _MAX_PAIRS pairs before building anything
+# the parsed flags, and what the family builds for nonnegative parameters: the vertex pairs a
+# quadratic family examines, or the order of a linear one); generate refuses more than _MAX_PAIRS
+# of either before building anything
+_PAIRS, _ORDER = "examine {} vertex pairs", "build {} vertices"
+_UNORDERED, _ORDERED = (lambda n: n * (n - 1) // 2, _PAIRS), (lambda n: n * (n - 1), _PAIRS)
+_LINEAR = (lambda n: n, _ORDER)
 _FAMILIES = {
-    "path": (1, lambda gen, p, args: gen.path(*p), None),
-    "cycle": (1, lambda gen, p, args: gen.cycle(*p), None),
-    "complete": (1, lambda gen, p, args: gen.complete(*p), lambda n: n * (n - 1) // 2),
-    "star": (1, lambda gen, p, args: gen.star(*p), None),
-    "complete-bipartite": (2, lambda gen, p, args: gen.complete_bipartite(*p), lambda m, n: m * n),
-    "empty": (1, lambda gen, p, args: gen.empty_graph(*p), None),
-    "matching": (1, lambda gen, p, args: gen.matching(*p), None),
-    "random": (1, lambda gen, p, args: gen.random_graph(*p, args.p_index, args.seed), lambda n: n * (n - 1) // 2),
-    "tree": (1, lambda gen, p, args: gen.random_tree(*p, args.seed), None),
-    "connected": (
-        1,
-        lambda gen, p, args: gen.random_connected(*p, args.p_index, args.seed),
-        lambda n: n * (n - 1) // 2,
-    ),
-    "random-digraph": (1, lambda gen, p, args: gen.random_digraph(*p, args.p_index, args.seed), lambda n: n * (n - 1)),
+    "path": (1, lambda gen, p, args: gen.path(*p), _LINEAR),
+    "cycle": (1, lambda gen, p, args: gen.cycle(*p), _LINEAR),
+    "complete": (1, lambda gen, p, args: gen.complete(*p), _UNORDERED),
+    "star": (1, lambda gen, p, args: gen.star(*p), (lambda leaves: leaves + 1, _ORDER)),
+    "complete-bipartite": (2, lambda gen, p, args: gen.complete_bipartite(*p), (lambda m, n: m * n, _PAIRS)),
+    "empty": (1, lambda gen, p, args: gen.empty_graph(*p), _LINEAR),
+    "matching": (1, lambda gen, p, args: gen.matching(*p), (lambda pairs: 2 * pairs, _ORDER)),
+    "random": (1, lambda gen, p, args: gen.random_graph(*p, args.p_index, args.seed), _UNORDERED),
+    "tree": (1, lambda gen, p, args: gen.random_tree(*p, args.seed), _LINEAR),
+    "connected": (1, lambda gen, p, args: gen.random_connected(*p, args.p_index, args.seed), _UNORDERED),
+    "random-digraph": (1, lambda gen, p, args: gen.random_digraph(*p, args.p_index, args.seed), _ORDERED),
 }
 _MAX_PAIRS = 2_000_000
 
@@ -146,14 +146,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from . import generators
 
     family, params = args.family, args.params
-    arity, build, pair_count = _FAMILIES[family]
+    arity, build, (size, what) = _FAMILIES[family]
     if len(params) != arity:
         raise ValueError(f"family {family} takes {arity} parameter(s), got {len(params)}")
     if family == "random-digraph" and args.orient != "none":
         raise ValueError("random-digraph is already directed")
-    pairs = pair_count(*(max(x, 0) for x in params)) if pair_count else 0
-    if pairs > _MAX_PAIRS:
-        raise ValueError(f"family {family} would examine {pairs} vertex pairs, more than {_MAX_PAIRS}")
+    count = size(*(max(x, 0) for x in params))
+    if count > _MAX_PAIRS:
+        raise ValueError(f"family {family} would {what.format(count)}, more than {_MAX_PAIRS}")
     if args.orient == "left-right":
         if family != "complete-bipartite":
             raise ValueError("left-right orientation only applies to complete-bipartite")

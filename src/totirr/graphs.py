@@ -3,26 +3,27 @@
 Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
 bookkeeping from ever sharing mutable state. Both are one core, _Value, with
-one validating constructor, one degree count and one degree multiset per
-degree mode, each built on its mode's first read. A class's mode table maps
-each mode to its index and to the ends of a pair it counts: "undirected" both
-ends of an edge, "in" an arc's head and "out" its tail. Graph.multigraph
-allows loops and parallel pairs together. The constructor stores pairs as they
-are when C-level passes find each below the next and each edge's low end below
-its high end (an arc's ends distinct): that proves them sorted, normalised,
-loop- and repeat-free, as in every file the CLI writes. Other pairs are
-normalised, sorted and tested again; a bulk range pass follows, and a walk
-pair by pair only names the first bad one. apply_edit does not call it: every
-edit removes at most one pair and adds at most one, and one rule checks every
-kind against the parent (_edit_plan). The child splices the parent's sorted
-tuple and is built by _unchecked, from fields known valid, so an edit neither
-re-checks the pairs it leaves alone nor sweeps a component. A value remembers
-the plan of the last edit checked against it, so pricing an edit and then
-applying it plans once. Membership tests bisect the sorted tuple. A loop
-contributes 2 to the degree of its vertex. A value counts its degrees from its
-own pairs, unless an edit's parent (or a joint's two sides) had counted them:
-then it takes those, with the touched entries patched. Lazy fields are cached
-in the instance __dict__ without a lock.
+one validating constructor and one degree multiset per degree mode, built on
+its mode's first read. A class's mode table maps each mode to its index and
+to the ends of a pair it counts: "undirected" both ends of an edge, "in" an
+arc's head and "out" its tail. Graph.multigraph allows loops and parallel
+pairs together. The constructor counts degrees in the loop that validates
+the pairs (_scan): each pair must be above the one before it, its ends
+distinct (an edge's low end below its high end; a multigraph's pairs may
+repeat and be loops), in range and integers. Pairs that pass, as in every
+file the CLI writes, are stored as they are, in one pass. At the first pair
+that does not, the pairs are normalised and sorted, and a second scan
+counts them or names the first bad one. A loop contributes 2 to the degree
+of its vertex. apply_edit does not validate:
+every edit removes at most one pair and adds at most one, and one rule
+checks every kind against the parent (_edit_plan). The child splices the
+parent's sorted tuple and is built by _unchecked, from fields known valid,
+so an edit neither re-checks the pairs it leaves alone nor sweeps a
+component. It takes its parent's degrees with the touched entries patched,
+as a joint's union (transforms._union) takes its two sides' degrees. A value
+remembers the plan of the last edit checked against it, so pricing an edit
+and then applying it plans once. Membership tests bisect the sorted tuple.
+Lazy fields are cached in the instance __dict__ without a lock.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from enum import Enum
-from itertools import islice, starmap
-from operator import attrgetter, itemgetter, lt, ne
+from operator import attrgetter
 from typing import Iterable, Literal, Optional, Union
 
 
@@ -53,6 +53,9 @@ def _normalize(a: int, b: int) -> tuple[int, int]:
 def _range(n: int, name: str = "range") -> str:
     """How a message names the ids 0..n - 1: an empty range as empty, not as 0..-1."""
     return f"{name} 0..{n - 1}" if n else f"empty {name}"
+
+
+_NOT_AN_INTEGER = "has an end that is not an integer"
 
 
 def _check_vertex(g: "AnyGraph", *vertices: int) -> None:
@@ -116,7 +119,7 @@ class _Record:
 
 
 class _Value(_Record):
-    """The Graph/Digraph core; a subclass gives _PAIRS, _MODES, _key, _APART, messages, _sorted, _in_range, _count."""
+    """The Graph/Digraph core; a subclass gives _PAIRS, _MODES, _key, messages, _sorted and _scan."""
 
     def __post_init__(self):
         n = self.vertex_count
@@ -125,34 +128,23 @@ class _Value(_Record):
         pairs = getattr(self, self._PAIRS)
         # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
         pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
-        clean = self._strict(pairs)
-        if not clean:
+        try:
+            degrees = self._scan(pairs, n)
+        except ValueError:  # a fault, or pairs out of order: the scan of the sorted pairs names the first fault
             pairs = self._sorted(pairs)
-            clean = self.multigraph or self._strict(pairs)
-        pairs = self.__dict__[self._PAIRS] = tuple(pairs)
-        if pairs and not (clean and self._in_range(pairs, n)):  # the loop only names the first bad pair
-            prev = None
-            for a, b in pairs:
-                if not (0 <= a < n and 0 <= b < n):
-                    raise GraphError(f"{self._NOUN} ({a}, {b}) outside {_range(n, 'vertex range')}")
-                if a == b and not self.multigraph:
-                    raise GraphError(self._LOOP.format(a))
-                if (a, b) == prev and not self.multigraph:
-                    raise GraphError(self._PARALLEL.format(a, b))
-                prev = (a, b)
+            degrees = self._scan(pairs, n)
+        self.__dict__.update({self._PAIRS: tuple(pairs), "_degrees": degrees})
 
-    @classmethod
-    def _strict(cls, pairs: list) -> bool:
-        """Whether each pair is below the next and its ends pass _APART; False for a non-pair."""
-        try:  # the adjacency test first, so unsorted input fails at its first descent
-            return all(map(lt, pairs, islice(pairs, 1, None))) and all(starmap(cls._APART, pairs))
-        except TypeError:  # a pair of the wrong length, or ends that do not compare
-            return False
-
-    @_cached
-    def _degrees(self) -> tuple[tuple[int, ...], ...]:
-        """One degree tuple per mode, in _MODES order."""
-        return self._count(getattr(self, self._PAIRS), self.vertex_count)
+    def _fault(self, a, b, prev: tuple, n: int, otherwise: str) -> GraphError:
+        """The error for the pair (a, b) at which a scan stopped, prev being the pair before it: an end out of
+        range, else a loop, else a repeat where the class forbids them, else the caller's reason."""
+        if not (0 <= a < n and 0 <= b < n):
+            return GraphError(f"{self._NOUN} ({a}, {b}) outside {_range(n, 'vertex range')}")
+        if a == b and not self.multigraph:
+            return GraphError(self._LOOP.format(a))
+        if (a, b) == prev and not self.multigraph:
+            return GraphError(self._PARALLEL.format(a, b))
+        return GraphError(f"{self._NOUN} ({a}, {b}) {otherwise}")
 
     @_cached
     def _multisets(self) -> list[Optional["DegreeMultiset"]]:
@@ -171,24 +163,29 @@ class Graph(_Value):
         self.__dict__.update(vertex_count=vertex_count, edges=edges, multigraph=multigraph)
         self.__post_init__()
 
-    _PAIRS, _MODES, _key, _APART = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize), lt
+    _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
     _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
 
     # The edges as sorted (low, high) pairs; unpacking rejects a non-pair.
     _sorted = staticmethod(lambda edges: sorted([e if a <= b else (b, a) for e in edges for a, b in [e]]))
 
-    @staticmethod
-    def _in_range(edges: tuple[tuple[int, int], ...], n: int) -> bool:
-        """Whether every end of the sorted (low, high) pairs lies in 0..n - 1: the first low end is the least."""
-        return 0 <= edges[0][0] <= max(map(itemgetter(1), edges)) < n
-
-    @staticmethod
-    def _count(edges: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...]]:
+    def _scan(self, edges: list, n: int) -> tuple[tuple[int, ...]]:
+        """(degrees,) of edges, a loop counting 2, if each is a (low, high) pair in range and above the one
+        before it (a multigraph's: low at most high, and at or above); else raises at the first that is not."""
         deg = [0] * n
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1  # a == b adds 2: loops count twice
+        multigraph = self.multigraph
+        pa, pb = 0, -1  # the edge before the first: below it exactly when its low end is >= 0
+        try:
+            for a, b in edges:  # a ValueError for a non-pair
+                if not (a < b and (pa < a or pa == a and pb < b)):
+                    if not (multigraph and a <= b and (pa < a or pa == a and pb <= b)):
+                        raise self._fault(a, b, (pa, pb), n, "is below the one before it")
+                deg[a] += 1  # an IndexError for an end past n - 1; the order keeps every end >= 0
+                deg[b] += 1
+                pa, pb = a, b
+        except (IndexError, TypeError):  # TypeError: an end that indexes no list
+            raise self._fault(a, b, (pa, pb), n, _NOT_AN_INTEGER) from None
         return (tuple(deg),)
 
     @property
@@ -233,21 +230,23 @@ class Digraph(_Value):
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
-    _sorted, _APART = staticmethod(sorted), ne  # an arc is stored as given, and only a self-arc has equal ends
+    _sorted = staticmethod(sorted)  # an arc is stored as given
 
-    @staticmethod
-    def _in_range(arcs: tuple[tuple[int, int], ...], n: int) -> bool:
-        """Whether both ends of every sorted pair lie in 0..n - 1."""
-        heads = list(map(itemgetter(1), arcs))
-        return 0 <= arcs[0][0] <= arcs[-1][0] < n and 0 <= min(heads) <= max(heads) < n
-
-    @staticmethod
-    def _count(arcs: tuple[tuple[int, int], ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _scan(self, arcs: list, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(in-degrees, out-degrees) of arcs, if each is in range, no self-arc and above the one before it; else
+        raises at the first that is not."""
         ins = [0] * n
         outs = [0] * n
-        for t, h in arcs:
-            outs[t] += 1
-            ins[h] += 1
+        pt, ph = 0, -1  # the arc before the first: below it exactly when its tail is >= 0
+        try:
+            for t, h in arcs:  # a ValueError for a non-pair
+                if not (0 <= h != t and (pt < t or pt == t and ph < h)):
+                    raise self._fault(t, h, (pt, ph), n, "is below the one before it")
+                outs[t] += 1  # an IndexError for an end past n - 1; the order keeps every tail >= 0
+                ins[h] += 1
+                pt, ph = t, h
+        except (IndexError, TypeError):  # TypeError: an end that indexes no list
+            raise self._fault(t, h, (pt, ph), n, _NOT_AN_INTEGER) from None
         return tuple(ins), tuple(outs)
 
     @property
@@ -500,7 +499,7 @@ def _carried(degrees: tuple[int, ...], removed: tuple, added: tuple, ends: tuple
 
 
 def _unchecked(cls: type, fields: dict) -> AnyGraph:
-    """A cls value whose __dict__ is fields, never re-validated: every field, and any lazy one given, is known valid."""
+    """A cls value whose __dict__ is fields, never re-validated: every field, and the _degrees given, is known valid."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -514,17 +513,15 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     must be present; a retarget has a target, in range; the added entry differs
     from the removed one, and unless g is a multigraph it is no loop and is
     not present already (a digraph is never a multigraph). The child is
-    g's spliced tuple, never re-validated. If g has counted its degrees, the
-    child takes them with the touched entries patched (_carried); otherwise it
-    counts its own lazily. Either way it counts its degree multisets lazily.
+    g's spliced tuple, never re-validated. It takes g's degrees with the
+    touched entries patched (_carried), and counts its degree multisets lazily.
     """
     removed, added = _remembered_plan(g, op)
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     parent = g.__dict__
     fields = {name: parent[name] for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
-    if "_degrees" in parent:
-        fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
+    fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
     return _unchecked(type(g), fields)
 
 

@@ -14,13 +14,12 @@ from .graphs import apply_edit, cut_side
 
 
 def _union(g1: Graph, g2: Graph) -> Graph:
-    """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. If both
-    sides have counted their degrees, it takes theirs; otherwise it counts its own. It counts its own multiset."""
+    """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. It takes
+    both sides' degrees and counts its own multiset."""
     n1 = g1.vertex_count
     edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
     fields = dict(vertex_count=n1 + g2.vertex_count, edges=edges, multigraph=g1.multigraph or g2.multigraph)
-    if "_degrees" in vars(g1) and "_degrees" in vars(g2):
-        fields["_degrees"] = (g1.degrees + g2.degrees,)
+    fields["_degrees"] = (g1.degrees + g2.degrees,)
     return _unchecked(Graph, fields)
 
 

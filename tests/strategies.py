@@ -1,7 +1,8 @@
 """Shared hypothesis strategies for graph-shaped test data, and the references
 the package is checked against: the component sweep behind the cut-edge
 search, the vertex-pair loop behind the irr_naive oracle, the per-edge loops
-behind the Graph and Digraph constructor checks, the line-by-line reader
+behind the Graph and Digraph constructor checks and the per-vertex count
+behind their degrees, the line-by-line reader
 behind parse_graph_text, the per-neighbour branch probe behind lemma34's
 candidate list, the per-vertex neighbour sets behind Graph._adjacency, and the
 listed-pairs construction behind the random generators, and the json.dumps
@@ -11,6 +12,7 @@ oracle-independence tests install."""
 import json
 import re
 from itertools import compress
+from operator import index
 
 from hypothesis import strategies as st
 
@@ -99,6 +101,7 @@ def checked_edges(n, edges, multigraph=False):
             raise GraphError(f"loop at vertex {a} requires multigraph=True")
         if (a, b) == prev and not multigraph:
             raise GraphError(f"parallel edge ({a}, {b}) requires multigraph=True")
+        _integral("edge", a, b)
         prev = (a, b)
     return tuple(norm)
 
@@ -116,8 +119,24 @@ def checked_arcs(n, arcs):
             raise GraphError(f"self-arc at vertex {t} not allowed")
         if (t, h) == prev:
             raise GraphError(f"duplicate arc ({t}, {h}) not allowed")
+        _integral("arc", t, h)
         prev = (t, h)
     return tuple(norm)
+
+
+def _integral(noun, a, b):
+    """Refuse a pair with an end that cannot index a list, as a vertex id must."""
+    try:
+        index(a), index(b)
+    except TypeError:
+        raise GraphError(f"{noun} ({a}, {b}) has an end that is not an integer") from None
+
+
+def counted_degrees(n, pairs, directed=False):
+    """(degrees,) of stored edges, a loop counting 2, or (in-degrees, out-degrees) of stored arcs, vertex by vertex."""
+    if directed:
+        return tuple(tuple(sum(pair[end] == v for pair in pairs) for v in range(n)) for end in (1, 0))
+    return (tuple(sum(pair.count(v) for pair in pairs) for v in range(n)),)
 
 
 def read_lines(text):

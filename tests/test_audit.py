@@ -14,7 +14,6 @@ from totirr import (
     SplitMix64,
     audit,
     graphs,
-    irr_naive,
     irregularity,
     transforms,
 )
@@ -30,7 +29,6 @@ from totirr.audit import (
     run_edge_joint_suite,
     run_edge_transform_suite,
 )
-from totirr.graphs import degree_multiset
 
 from strategies import branch_candidates, report_json
 from test_golden import GOLDEN
@@ -289,26 +287,27 @@ def test_an_arc_row_prices_and_counts_only_its_own_mode(monkeypatch):
 
 def test_a_joint_row_validates_nothing_and_counts_only_its_two_sides(monkeypatch):
     calls = {"validated": 0, "counted": 0}
-    real_check, real_count = Graph.__post_init__, Graph._count
+    real_check, real_scan = Graph.__post_init__, Graph._scan
 
     def counting_check(self):
         calls["validated"] += 1
         real_check(self)
 
-    def counting_count(*args):
+    def counting_scan(*args):
         calls["counted"] += 1
-        return real_count(*args)
+        return real_scan(*args)
 
     root = SplitMix64(SEED)
     instances = audit._joint_witnesses() + [audit._random_joint_instance(i, root.child(i)) for i in range(3, 40)]
     monkeypatch.setattr(Graph, "__post_init__", counting_check)
-    monkeypatch.setattr(Graph, "_count", staticmethod(counting_count))
+    monkeypatch.setattr(Graph, "_scan", counting_scan)
     for iid, instance in enumerate(instances):
         g1, _, g2, _, u, v = instance
         calls.update(validated=0, counted=0)
         row = audit.joint_row(iid, 0, instance, transforms.edge_joint(g1, g2, u, v))
-        # the union takes g1's and g2's degrees; the oracle recounts the joined graph without _count
-        assert calls == {"validated": 0, "counted": 2} and row.engine_ok, iid
+        # the union takes g1's and g2's degrees, counted when they were built; the oracle recounts the joined
+        # graph without the constructor's scan
+        assert calls == {"validated": 0, "counted": 0} and row.engine_ok, iid
 
 
 _ARCS = Digraph(5, ((0, 1), (0, 2), (3, 1), (1, 2)))  # 0 and 3 have no in-arc, 2 no out-arc, 4 neither

@@ -374,6 +374,44 @@ def test_generate_refuses_more_than_the_pair_cap(tmp_path, capsys, monkeypatch, 
     assert not out_file.exists()
 
 
+_LINEAR_BUILDERS = ("path", "cycle", "star", "empty_graph", "matching", "random_tree")
+
+
+@pytest.mark.parametrize(
+    "family, size, order",
+    [
+        ("empty", "1000000000", 1000000000),
+        ("path", "2000001", 2000001),
+        ("cycle", "2000001", 2000001),
+        ("star", "2000000", 2000001),
+        ("matching", "1000001", 2000002),
+        ("tree", "2000001", 2000001),
+    ],
+)
+def test_generate_refuses_a_linear_family_above_the_cap(tmp_path, capsys, monkeypatch, family, size, order):
+    # every value counts its degrees when it is built, so its order costs memory before any edge is written
+    def refuse(*args):
+        raise AssertionError("the graph was built before the order cap was checked")
+
+    for name in _LINEAR_BUILDERS:
+        monkeypatch.setattr(generators, name, refuse)
+    out_file = tmp_path / "x.txt"
+    code, out, err = run(capsys, "generate", "--family", family, "--params", size, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: family {family} would build {order} vertices, more than 2000000\n"
+    assert not out_file.exists()
+
+
+def test_generate_allows_a_linear_family_at_the_cap(tmp_path, capsys, monkeypatch):
+    built = []
+    for name in _LINEAR_BUILDERS:
+        monkeypatch.setattr(generators, name, lambda *args: built.append(args[0]) or Graph(1))
+    out_file = tmp_path / "x.txt"
+    for family, size in (("tree", "1000000"), ("empty", "2000000"), ("star", "1999999"), ("matching", "1000000")):
+        assert run(capsys, "generate", "--family", family, "--params", size, "--out", str(out_file)) == (0, "", "")
+    assert built == [1000000, 2000000, 1999999, 1000000]
+
+
 def test_generate_left_right_builds_only_the_orientation(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense family was built for a left-right orientation")

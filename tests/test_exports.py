@@ -58,8 +58,10 @@ def _unused_imports(source):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # a guard deleted with its exception class must take the class's import with it
-    found = {p.name: _unused_imports(p.read_text()) for p in Path(totirr.__file__).parent.glob("*.py")}
+    # a guard deleted with its exception class must take the class's import with it, and a test that stops
+    # reading a name must drop its import
+    files = [*Path(totirr.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    found = {f"{p.parent.name}/{p.name}": _unused_imports(p.read_text()) for p in files}
     assert {name: unused for name, unused in found.items() if unused} == {}
     assert _unused_imports("from __future__ import annotations\nfrom .graphs import GraphError\n") == ["GraphError"]
     assert _unused_imports("from typing import Sequence\ndef f(x: 'Sequence[int]'): pass\n") == []

@@ -10,6 +10,7 @@ from totirr import (
     Digraph,
     FormatError,
     Graph,
+    GraphError,
     graph_to_text,
     parse_graph_text,
     read_graph_file,
@@ -278,11 +279,12 @@ def test_round_trip_directed(d):
 
 
 def test_writer_never_turns_a_value_into_another_graph():
-    # the constructor only range-checks ids; the writer prints them as they are, and the reader refuses them
-    text = graph_to_text(Graph(3, ((0.0, 1.5),)))
-    assert text == "U 3\n0.0 1.5\n"
+    # the constructor refuses an id that is not an integer, so no value holds one for the writer to print;
+    # text that holds one is refused by the reader at its line
+    with pytest.raises(GraphError, match=r"^edge \(0\.0, 1\.5\) has an end that is not an integer$"):
+        Graph(3, ((0.0, 1.5),))
     with pytest.raises(FormatError, match="line 2"):
-        parse_graph_text(text)
+        parse_graph_text("U 3\n0.0 1.5\n")
 
 
 def test_file_round_trip_bytes(tmp_path):

@@ -20,7 +20,7 @@ from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, 
 from totirr.graphs import EditKind, _branch_component, _cached, degree_multiset
 from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
-from strategies import adjacency, checked_arcs, checked_edges, connected_components, digraphs, graphs
+from strategies import adjacency, checked_arcs, checked_edges, connected_components, counted_degrees, graphs
 
 
 # --- construction -----------------------------------------------------------
@@ -152,12 +152,13 @@ def test_values_compare_and_hash_by_type_and_pairs():
 
 
 def _plant(draw, n, edges, in_order=False):
-    """edges with 0-3 faults planted: an id below 0 or past n - 1, a loop, a repeated pair or a triple.
+    """edges with 0-3 faults planted: an id below 0 or past n - 1, a loop, a repeated pair, a triple or an
+    id that is not an integer.
 
     Each fault is drawn in either orientation. It goes at a random place, or, when in_order
     and a draw says so, at its sorted place, where the adjacency order test cannot see it.
     """
-    for fault in draw(st.lists(st.sampled_from(["negative", "past", "loop", "repeat", "triple"]), max_size=3)):
+    for fault in draw(st.lists(st.sampled_from(["negative", "past", "loop", "repeat", "triple", "float"]), max_size=3)):
         v = draw(st.integers(0, max(n - 1, 0)))
         edge = {
             "negative": (-draw(st.integers(1, 2)), v),
@@ -165,6 +166,7 @@ def _plant(draw, n, edges, in_order=False):
             "loop": (v, v),
             "repeat": draw(st.sampled_from(edges)) if edges else (v, v),
             "triple": (v, v, v),
+            "float": (v + 0.5, v),  # never equal to an int pair, whose place in a sort would tie with it
         }[fault]
         if draw(st.booleans()):
             edge = edge[::-1]
@@ -209,25 +211,51 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _stored(value):
+    """The pairs a value stores and its degrees: (degrees,) of a Graph, (in-degrees, out-degrees) of a Digraph."""
+    if isinstance(value, Graph):
+        return value.edges, (value.degrees,)
+    return value.arcs, (value.in_degrees, value.out_degrees)
+
+
+def _kinds(n, pairs):
+    """For each class and flag: its builder from given pairs, and the reference's stored pairs with their degrees."""
+
+    def counted(stored, directed=False):
+        return stored, counted_degrees(n, stored, directed)
+
+    return [
+        (lambda ps: Graph(n, ps), lambda: counted(checked_edges(n, pairs))),
+        (lambda ps: Graph(n, ps, multigraph=True), lambda: counted(checked_edges(n, pairs, True))),
+        (lambda ps: Digraph(n, ps), lambda: counted(checked_arcs(n, pairs), True)),
+    ]
+
+
 @given(planted_faults())
 @example((3, [(0, 1, 2)]))
 @example((3, [(0, 1), (0, 1, 2)]))
 @example((2, [(0, 1), (1, 0), (1, 1), (-1, 0), (0, 2)]))
+@example((3, [(-1, 0), (0, 1)]))  # a negative first id in canonical order
+@example((3, [(0, 1), (3, 0)]))  # an id equal to n
+@example((3, [(0.0, 1.5)]))  # a non-integer id
+@example((3, [(1.0, 1.0)]))  # a whole float loop: a loop to a simple graph, a non-integer to a multigraph
+@example((3, [(0, 1), (1, 2), (2,)]))  # a wrong-length pair after a canonical run
 def test_constructor_checks_match_the_per_edge_reference(case):
     n, edges = case
-    for multigraph in (False, True):
-        got = _outcome(lambda: Graph(n, tuple(edges), multigraph).edges)
-        assert got == _outcome(lambda: checked_edges(n, edges, multigraph))
-    assert _outcome(lambda: Digraph(n, tuple(edges)).arcs) == _outcome(lambda: checked_arcs(n, edges))
+    for build, reference in _kinds(n, edges):
+        want = _outcome(reference)
+        assert _outcome(lambda: _stored(build(tuple(edges)))) == want
+        if all(len(e) == 2 for e in edges):  # the reader's hand-off: a zip of the ends
+            assert _outcome(lambda: _stored(build(zip(*zip(*edges))))) == want
 
 
 def _built(build):
-    """The value build makes, with its stored pairs, hash and repr; or its error's class and message."""
+    """The value build makes, with its stored pairs, degrees, hash and repr; or its error's class and message."""
     try:
         value = build()
     except ValueError as exc:
         return type(exc), str(exc)
-    return value, getattr(value, value._PAIRS), hash(value), repr(value)
+    return value, *_stored(value), hash(value), repr(value)
 
 
 @given(canonical_faults())
@@ -235,14 +263,14 @@ def _built(build):
 @example((3, [(0, 1), (0, 1)]))
 @example((3, [(0, 1), (1, 3)]))
 @example((3, [(0, 1), (1, 2, 0)]))
+@example((3, [(-1, 0), (0, 1)]))  # a negative first id in canonical order
+@example((3, [(0, 1), (1, -1)]))  # a negative head after a canonical run
+@example((3, [(0, 1), (2, 3)]))  # an id equal to n
+@example((3, [(0, 1), (1.5, 2)]))  # a non-integer id
+@example((3, [(0, 1), (1, 2), (2,)]))  # a wrong-length pair after a canonical run
 def test_the_one_pass_path_matches_the_sorting_path(case):
     n, pairs = case
-    kinds = [
-        (lambda ps: Graph(n, ps), lambda: checked_edges(n, pairs)),
-        (lambda ps: Graph(n, ps, multigraph=True), lambda: checked_edges(n, pairs, True)),
-        (lambda ps: Digraph(n, ps), lambda: checked_arcs(n, pairs)),
-    ]
-    for build, reference in kinds:
+    for build, reference in _kinds(n, pairs):
         got = _built(lambda: build(pairs))
         # reversed, a canonical list of two or more pairs takes the sorting path; lists and
         # a zip of the ends (the reader's hand-off) must store the same tuples of tuples
@@ -251,13 +279,13 @@ def test_the_one_pass_path_matches_the_sorting_path(case):
         if all(len(p) == 2 for p in pairs):
             assert _built(lambda: build(zip(*zip(*pairs)))) == got
         want = _outcome(reference)
-        assert (got[1] if isinstance(got[0], (Graph, Digraph)) else got) == want
+        assert (got[1:3] if isinstance(got[0], (Graph, Digraph)) else got) == want
 
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
-        Graph: {"_degrees", "_multisets", "degrees", "_adjacency"},
-        Digraph: {"_degrees", "_multisets"},
+        Graph: {"_multisets", "degrees", "_adjacency"},
+        Digraph: {"_multisets"},
         DegreeMultiset: {"vertex_count", "_values", "_prefix"},
         AuditReport: {"engine_ok", "formula_stats"},
     }
