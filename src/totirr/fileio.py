@@ -24,6 +24,11 @@ misplaced '-'. Text that fails is stripped of padding, blank lines and
 comments and checked again the same way. Text that fails both checks or the
 conversion (a negative vertex count, a numeral over int()'s 4,300 digits)
 is walked line by line, to name its first bad line.
+
+The value's constructor takes json's list of numbers as it is (graphs._Flat)
+and scans its pairs through one zip that builds none. The value builds its
+pair tuple on first read, so `compute`, which reads degrees only, never
+builds one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import re
 from itertools import chain
 from typing import Optional, Union
 
-from .graphs import AnyGraph, Digraph, Graph
+from .graphs import AnyGraph, Digraph, Graph, _Flat
 
 
 class FormatError(ValueError):
@@ -58,10 +63,8 @@ def parse_graph_text(text: str) -> AnyGraph:
         kind, ends = _read(text)
     except ValueError:
         raise _first_fault(text) from None
-    ends = iter(ends)  # the only reference, so the list is freed once the constructor has drained the zip
-    n = next(ends)
     try:
-        return _KINDS[kind](n, zip(ends, ends))
+        return _KINDS[kind](ends[0], _Flat(ends))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -135,8 +138,8 @@ def graph_to_text(g: AnyGraph) -> str:
     if g.multigraph:
         raise FormatError("a multigraph has no edge-list text: the format holds simple values only")
     pairs = getattr(g, g._PAIRS)
-    # %s, not %d: an id that is not an int is written as it is, for the reader to refuse, never truncated
-    return f"{kind} {g.vertex_count}\n" + "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))
+    # d, not s: the constructor took every number as an integer, so a bool is written as the 0 or 1 it equals
+    return f"{kind} {g.vertex_count:d}\n" + "%d %d\n" * len(pairs) % tuple(chain.from_iterable(pairs))
 
 
 def read_graph_file(path: Union[str, os.PathLike]) -> AnyGraph:

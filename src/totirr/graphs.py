@@ -14,7 +14,9 @@ repeat and be loops), in range and integers. Pairs that pass, as in every
 file the CLI writes, are stored as they are, in one pass. At the first pair
 that does not, the pairs are normalised and sorted, and a second scan
 counts them or names the first bad one. A loop contributes 2 to the degree
-of its vertex. apply_edit does not validate:
+of its vertex. A value read from text (a _Flat of the reader's numbers) is
+scanned without building a pair and builds its pair tuple on first read;
+every other value holds its pairs from birth. apply_edit does not validate:
 every edit removes at most one pair and adds at most one, and one rule
 checks every kind against the parent (_edit_plan). The child splices the
 parent's sorted tuple and is built by _unchecked, from fields known valid,
@@ -68,7 +70,10 @@ class _cached:
     """functools.cached_property without the lock Python 3.11 takes on a miss: the first read fills __dict__."""
 
     def __init__(self, compute):
-        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+        self.compute, self.__doc__ = compute, compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
@@ -87,7 +92,8 @@ class _Record:
 
     A subclass's fields are the parameters of its own __init__, in order (_FIELDS). That
     __init__ stores them straight into the instance __dict__, where _cached fields land
-    too, and calls __post_init__ last if the class validates. Setting or deleting any
+    too, and calls __post_init__ last if the class validates. A field may be _cached
+    (a read value's pairs), so fields are read by attribute. Setting or deleting any
     attribute raises AttributeError.
     """
 
@@ -105,10 +111,10 @@ class _Record:
         return self._fields_of(self) == self._fields_of(other)
 
     def __hash__(self):
-        return hash(tuple(map(self.__dict__.__getitem__, self._FIELDS)))
+        return hash(tuple([getattr(self, name) for name in self._FIELDS]))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._FIELDS)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -118,6 +124,19 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _Flat:
+    """The reader's numbers [vertex count, a0, b0, a1, b1, ...] as a value's pairs: iterating zips their ends,
+    and the zip reuses its result tuple while a scan unpacks each pair at once, so a scan builds no pair."""
+
+    def __init__(self, numbers: list[int]):
+        self.numbers = numbers
+
+    def __iter__(self):
+        ends = iter(self.numbers)
+        next(ends)
+        return zip(ends, ends)
+
+
 class _Value(_Record):
     """The Graph/Digraph core; a subclass gives _PAIRS, _MODES, _key, messages, _sorted and _scan."""
 
@@ -125,15 +144,29 @@ class _Value(_Record):
         n = self.vertex_count
         if n < 0:
             raise GraphError("vertex_count must be nonnegative")
-        pairs = getattr(self, self._PAIRS)
-        # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
-        pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
+        fields = self.__dict__
+        pairs = fields[self._PAIRS]
+        if type(pairs) is not _Flat:
+            # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
+            pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
         try:
             degrees = self._scan(pairs, n)
         except ValueError:  # a fault, or pairs out of order: the scan of the sorted pairs names the first fault
             pairs = self._sorted(pairs)
             degrees = self._scan(pairs, n)
-        self.__dict__.update({self._PAIRS: tuple(pairs), "_degrees": degrees})
+        fields["_degrees"] = degrees
+        if type(pairs) is _Flat:
+            fields["_flat"] = fields.pop(self._PAIRS)  # _pairs builds them on first read
+        else:
+            fields[self._PAIRS] = tuple(pairs)
+
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs of a value read from text, built from the reader's numbers on first read. The numbers are
+        dropped only once the pairs are stored, so a concurrent first read finds one or the other."""
+        fields = self.__dict__
+        pairs = fields[self._PAIRS] = tuple([*fields["_flat"]])  # a list first, as in __post_init__
+        fields.pop("_flat", None)
+        return pairs
 
     def _fault(self, a, b, prev: tuple, n: int, otherwise: str) -> GraphError:
         """The error for the pair (a, b) at which a scan stopped, prev being the pair before it: an end out of
@@ -164,13 +197,14 @@ class Graph(_Value):
         self.__post_init__()
 
     _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
+    edges = _cached(_Value._pairs)  # a value read from text only; every other value holds its edges from birth
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
     _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
 
     # The edges as sorted (low, high) pairs; unpacking rejects a non-pair.
     _sorted = staticmethod(lambda edges: sorted([e if a <= b else (b, a) for e in edges for a, b in [e]]))
 
-    def _scan(self, edges: list, n: int) -> tuple[tuple[int, ...]]:
+    def _scan(self, edges: Iterable, n: int) -> tuple[tuple[int, ...]]:
         """(degrees,) of edges, a loop counting 2, if each is a (low, high) pair in range and above the one
         before it (a multigraph's: low at most high, and at or above); else raises at the first that is not."""
         deg = [0] * n
@@ -227,12 +261,13 @@ class Digraph(_Value):
 
     multigraph = False  # a class constant, not a field
     _PAIRS, _MODES, _key = "arcs", {"in": (0, (1,)), "out": (1, (0,))}, staticmethod(lambda tail, head: (tail, head))
+    arcs = _cached(_Value._pairs)  # a value read from text only; every other value holds its arcs from birth
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
     _sorted = staticmethod(sorted)  # an arc is stored as given
 
-    def _scan(self, arcs: list, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _scan(self, arcs: Iterable, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(in-degrees, out-degrees) of arcs, if each is in range, no self-arc and above the one before it; else
         raises at the first that is not."""
         ins = [0] * n
@@ -518,8 +553,7 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     """
     removed, added = _remembered_plan(g, op)
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
-    parent = g.__dict__
-    fields = {name: parent[name] for name in g._FIELDS}
+    fields = {name: getattr(g, name) for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
     fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
     return _unchecked(type(g), fields)

@@ -3,14 +3,17 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from totirr import (
     Digraph,
+    EditOp,
     FormatError,
     Graph,
     GraphError,
+    apply_edit,
+    exact_delta_for_edit,
     graph_to_text,
     parse_graph_text,
     read_graph_file,
@@ -18,6 +21,7 @@ from totirr import (
 )
 
 from totirr import fileio
+from totirr.graphs import EditKind, degree_multiset
 from totirr.generators import (
     complete,
     complete_bipartite,
@@ -243,7 +247,71 @@ def test_reader_peak_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * len(text), type(value).__name__
+        assert peak <= 11 * len(text), type(value).__name__
+
+
+@st.composite
+def _read_cases(draw):
+    """(text, its value class, n, the pairs it lists, an edit): a U or D text of order n whose lines are canonical,
+    valid but shuffled, or as drawn, ends from -1 to n so that some fall out of range, loops and repeats included."""
+    kind = draw(st.sampled_from("UD"))
+    n = draw(st.integers(0, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12))
+    shape = draw(st.sampled_from(["canonical", "shuffled", "as drawn"]))
+    if shape != "as drawn":
+        valid = {(min(p), max(p)) if kind == "U" else p for p in pairs if 0 <= min(p) and max(p) < n and p[0] != p[1]}
+        pairs = sorted(valid)
+        if shape == "shuffled":
+            pairs = draw(st.permutations(pairs))
+    text = f"{kind} {n}\n" + "".join(f"{a} {b}\n" for a, b in pairs)
+    ends = st.integers(0, max(n - 1, 0))
+    edit_kind = draw(st.sampled_from([k for k in EditKind if ("arc" in k.value) == (kind == "D")]))
+    op = EditOp(edit_kind, (draw(ends), draw(ends)), draw(ends))
+    return text, Graph if kind == "U" else Digraph, n, pairs, op
+
+
+# Each reads one thing of a value, given an edit to try on it.
+_PROBES = {
+    "==": lambda g, op: g,
+    "hash": lambda g, op: hash(g),
+    "repr": lambda g, op: repr(g),
+    "degrees": lambda g, op: (g.degrees,) if isinstance(g, Graph) else (g.in_degrees, g.out_degrees),
+    "degree multisets": lambda g, op: [degree_multiset(g, mode) for mode in g._MODES],
+    "text": lambda g, op: graph_to_text(g),
+    "edit": lambda g, op: (exact_delta_for_edit(g, op), apply_edit(g, op)),
+}
+
+
+def _seen(probe, value, op):
+    try:
+        return probe(value, op)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(_read_cases())
+@example(("U 3\n0 1\n1 2\n", Graph, 3, [(0, 1), (1, 2)], EditOp.remove_edge(1, 2)))
+@example(("D 3\n1 2\n0 1\n", Digraph, 3, [(1, 2), (0, 1)], EditOp.reverse_arc(0, 1)))
+@example(("U 3\n0 1\n0 1\n1 1\n", Graph, 3, [(0, 1), (0, 1), (1, 1)], EditOp.add_edge(0, 2)))
+@example(("D 2\n0 1\n-1 0\n", Digraph, 2, [(0, 1), (-1, 0)], EditOp.reverse_arc(0, 1)))
+def test_a_read_value_equals_the_value_built_from_its_pairs(case):
+    # before and after its pairs are first built, a read value shows what the constructor's value shows
+    text, cls, n, pairs, op = case
+    try:
+        built = cls(n, tuple(pairs))
+    except GraphError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_graph_text(text)
+        assert str(got.value) == str(exc)
+        return
+    for name, probe in _PROBES.items():
+        fresh = parse_graph_text(text)
+        assert (fresh._PAIRS in vars(fresh)) == (text != graph_to_text(built)), name  # canonical text: unbuilt
+        assert _seen(probe, fresh, op) == _seen(probe, built, op), name
+    touched = parse_graph_text(text)
+    assert getattr(touched, touched._PAIRS) == getattr(built, built._PAIRS)
+    for name, probe in _PROBES.items():
+        assert _seen(probe, touched, op) == _seen(probe, built, op), name
 
 
 def test_canonical_output():
@@ -285,6 +353,17 @@ def test_writer_never_turns_a_value_into_another_graph():
         Graph(3, ((0.0, 1.5),))
     with pytest.raises(FormatError, match="line 2"):
         parse_graph_text("U 3\n0.0 1.5\n")
+
+
+def test_a_value_with_bool_numbers_round_trips_to_an_equal_value():
+    # bools index a list, so the constructor takes them as the ids 0 and 1; the writer prints those
+    for value, text in (
+        (Graph(3, ((False, True),)), "U 3\n0 1\n"),
+        (Digraph(2, ((True, False),)), "D 2\n1 0\n"),
+        (Graph(True, ()), "U 1\n"),
+    ):
+        assert graph_to_text(value) == text
+        assert parse_graph_text(text) == value
 
 
 def test_file_round_trip_bytes(tmp_path):

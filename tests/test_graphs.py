@@ -15,6 +15,7 @@ from totirr import (
     branch_transformation,
     cut_side,
     exact_delta_for_edit,
+    parse_graph_text,
 )
 from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
 from totirr.graphs import EditKind, _branch_component, _cached, degree_multiset
@@ -284,8 +285,8 @@ def test_the_one_pass_path_matches_the_sorting_path(case):
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
-        Graph: {"_multisets", "degrees", "_adjacency"},
-        Digraph: {"_multisets"},
+        Graph: {"_multisets", "degrees", "_adjacency", "edges"},
+        Digraph: {"_multisets", "arcs"},
         DegreeMultiset: {"vertex_count", "_values", "_prefix"},
         AuditReport: {"engine_ok", "formula_stats"},
     }
@@ -299,10 +300,10 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     computed = []
     for name, field in fields.values():
         monkeypatch.setattr(field, "compute", lambda obj, _f=field.compute, _n=name: computed.append(_n) or _f(obj))
-    values = [
-        Graph(3, ((0, 1), (1, 2))),
-        Graph(3, ((0, 1), (1, 2))),
-        Digraph(3, ((0, 1), (2, 1))),
+    values = [  # read from text, as only those values build their pairs on first read
+        parse_graph_text("U 3\n0 1\n1 2\n"),
+        parse_graph_text("U 3\n0 1\n1 2\n"),
+        parse_graph_text("D 3\n0 1\n2 1\n"),
         DegreeMultiset.from_degrees((1, 2, 1)),
         run_edge_joint_suite(2, 7),
     ]
@@ -319,6 +320,8 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
                 setattr(value, name, None)
     with pytest.raises(AttributeError, match="cannot assign to field"):
         values[0].edges = ()
+    assert Graph(3, ((0, 1),)).edges == ((0, 1),) and Digraph(3, ((1, 0),)).arcs == ((1, 0),)
+    assert computed == []  # a value built from pairs holds them from birth
 
 
 def test_degrees_small_cases():
