@@ -70,8 +70,8 @@ from .graphs import (
     Graph,
     _Record,
     _cached,
+    _edit_plan,
     _hangs_a_tree,
-    _remembered_plan,
     apply_edit,
     cut_side,
     degree_multiset,
@@ -230,7 +230,7 @@ def _measure(g: AnyGraph, op: EditOp, edited: AnyGraph, mode: DegreeMode = "undi
     """
     irr_before = irr_naive(degree_multiset(g, mode))
     irr_after = irr_naive(_recounted(edited, mode))
-    return irr_before, irr_after, _mode_delta(g, mode, *_remembered_plan(g, op))
+    return irr_before, irr_after, _mode_delta(g, mode, *_edit_plan(g, op))
 
 
 def _run_seeded(

@@ -22,9 +22,9 @@ checks every kind against the parent (_edit_plan). The child splices the
 parent's sorted tuple and is built by _unchecked, from fields known valid,
 so an edit neither re-checks the pairs it leaves alone nor sweeps a
 component. It takes its parent's degrees with the touched entries patched,
-as a joint's union (transforms._union) takes its two sides' degrees. A value
-remembers the plan of the last edit checked against it, so pricing an edit
-and then applying it plans once. Membership tests bisect the sorted tuple.
+as a joint's union (transforms._union) takes its two sides' degrees. Pricing
+an edit and applying it each plan it afresh (a few bisects), and neither
+stores anything on the value. Membership tests bisect the sorted tuple.
 Lazy fields are cached in the instance __dict__ without a lock.
 """
 
@@ -475,24 +475,13 @@ _EDIT_RULES = {
 }
 
 
-def _remembered_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """_edit_plan(g, op), kept on g for the last op g accepted, so pricing op and then applying it plans once.
-
-    The plan is a pair of tuples, so no caller can change it; apply_edit's child starts without one.
-    """
-    if not isinstance(g, _Value):
-        raise EditError(f"unsupported value {type(g).__name__}")
-    last = g.__dict__.get("_last_plan")
-    if last is None or last[0] != op:
-        last = g.__dict__["_last_plan"] = op, _edit_plan(g, op)
-    return last[1]
-
-
 def _edit_plan(g: AnyGraph, op: EditOp) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """Check op on a Graph or Digraph g by the rule apply_edit states.
 
     Returns (entries removed, entries added) as tuples, edges normalized.
     """
+    if not isinstance(g, _Value):
+        raise EditError(f"unsupported value {type(g).__name__}")
     fits, picks = _EDIT_RULES[op.kind]
     if not isinstance(g, fits):
         raise EditError(f"{op.kind.value} does not apply to {g._CALLED}")
@@ -550,8 +539,9 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     not present already (a digraph is never a multigraph). The child is
     g's spliced tuple, never re-validated. It takes g's degrees with the
     touched entries patched (_carried), and counts its degree multisets lazily.
+    g keeps no plan: exact_delta_for_edit checks op again (_edit_plan).
     """
-    removed, added = _remembered_plan(g, op)
+    removed, added = _edit_plan(g, op)
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     fields = {name: getattr(g, name) for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)

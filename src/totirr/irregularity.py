@@ -19,7 +19,7 @@ Values are exact Python ints. The magnitude is bounded by max_degree * n^2 / 2,
 so anything up to n = 2**20 also fits 64-bit signed words for callers that
 serialize the results.
 
-Deltas: exact_delta_for_edit prices an edit from its plan, the edges or
+Deltas: exact_delta_for_edit prices an edit from a fresh plan, the edges or
 arcs it removes and adds, without building another multiset. It prices one
 degree mode at a time (_mode_delta), so a caller that reads one mode prices
 only that one. Each end of a removed entry steps down by one degree and each
@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
-from .graphs import AnyGraph, DegreeMode, DegreeMultiset, Digraph, EditOp, Graph, _remembered_plan, degree_multiset
+from .graphs import AnyGraph, DegreeMode, DegreeMultiset, Digraph, EditOp, Graph, _edit_plan, degree_multiset
 
 
 class IrrPair(NamedTuple):
@@ -115,10 +115,10 @@ def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]
     """irr change caused by op, without recomputing irr from scratch.
 
     Returns an int for a Graph edit and an (in delta, out delta) pair for a
-    Digraph edit, each mode priced by _mode_delta. The edit plan is the one
-    apply_edit uses, so an op that cannot be applied raises the same error
-    here, and g keeps it for apply_edit.
+    Digraph edit, each mode priced by _mode_delta. The edit plan comes from
+    the check apply_edit runs (_edit_plan), so an op that cannot be applied
+    raises the same error here; g is left as it was.
     """
-    removed, added = _remembered_plan(g, op)
+    removed, added = _edit_plan(g, op)
     deltas = [_mode_delta(g, mode, removed, added) for mode in g._MODES]
     return tuple(deltas) if len(deltas) > 1 else deltas[0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -215,25 +216,26 @@ def test_lemma34_sweeps_one_side_per_row(monkeypatch):
 
 
 def _closed_form_plans(row):
-    """A reversal instance writes its mode=in row, then its mode=out row, from one plan; other rows edit nothing."""
+    """A reversal instance plans its reversal three times, on its mode=in row: once to apply it and once to
+    price each mode's row; other rows edit nothing."""
     op = row.operation
-    return "reverse=" in op and "reverse=none" not in op and op.endswith("mode=in")
+    return 3 * ("reverse=" in op and "reverse=none" not in op and op.endswith("mode=in"))
 
 
-# a row's edit and its price share one plan; a joint row plans the fresh edge twice, on
-# edge_joint's union and on the union whose degrees the row takes from its two sides
+# a row's edit is planned once for each use, to apply it and to price it, as no value keeps a plan; a joint
+# row applies the fresh edge on edge_joint's union and prices it on the union whose degrees it takes from its sides
 @pytest.mark.parametrize(
-    "suite, plans_per_row",
+    "suite, plans_per_row, total",
     [
-        (lambda: run_edge_joint_suite(40, SEED), lambda row: 2),
-        (lambda: run_edge_transform_suite(40, SEED), lambda row: 1),
-        (lambda: run_arc_transform_suite(40, SEED), lambda row: 1),
-        (lambda: lemma34_suite(40, SEED), lambda row: 1),
-        (lambda: run_closed_form_suite(10), _closed_form_plans),
+        (lambda: run_edge_joint_suite(40, SEED), lambda row: 2, 80),
+        (lambda: run_edge_transform_suite(40, SEED), lambda row: 2, 80),
+        (lambda: run_arc_transform_suite(40, SEED), lambda row: 2, 80),
+        (lambda: lemma34_suite(40, SEED), lambda row: 2, 80),
+        (lambda: run_closed_form_suite(10), _closed_form_plans, 291),
     ],
     ids=["edge-joint", "edge-transform", "arc-transform", "lemma34", "closed-forms"],
 )
-def test_each_audited_edit_is_planned_once(monkeypatch, suite, plans_per_row):
+def test_each_audited_edit_is_planned_once(monkeypatch, suite, plans_per_row, total):
     plans = []
     real = graphs._edit_plan
 
@@ -241,10 +243,13 @@ def test_each_audited_edit_is_planned_once(monkeypatch, suite, plans_per_row):
         plans.append(op)
         return real(g, op)
 
-    for module in (graphs, irregularity):  # and any alias a caller imported by name
-        monkeypatch.setattr(module, "_edit_plan", counting, raising=False)
+    # every module that binds the planner, so a call through an alias imported by name is counted too
+    binders = [m for name, m in sys.modules.items() if name.startswith("totirr") and vars(m).get("_edit_plan") is real]
+    assert {audit, graphs, irregularity} <= set(binders)
+    for module in binders:
+        monkeypatch.setattr(module, "_edit_plan", counting)
     report = suite()
-    assert len(plans) == sum(map(plans_per_row, report.rows)) > 0
+    assert len(plans) == sum(map(plans_per_row, report.rows)) == total
 
 
 def test_each_drawn_instance_is_validated_once(monkeypatch):

@@ -9,7 +9,8 @@ over all graphs and all labelled trees, and its bound by Albertson's
 irregularity, are found by brute force. The counts pin the enumeration, so a
 move or a graph that is silently skipped fails too. Since irr_t is a function
 of the degree sequence, its maximum is also found over every graphic sequence,
-up to order 10.
+up to order 10, and its tree maximum over every tree degree sequence, up to
+order 16.
 """
 
 from itertools import accumulate, combinations_with_replacement, compress, product
@@ -203,3 +204,29 @@ def test_max_irr_t_over_every_graphic_sequence_up_to_order_10():
     # the labelled-graph maximum above, carried on to n = 7..10
     assert tops == [(2 * n**3 - 3 * n**2 - 2 * n + 3) // 12 for n in range(1, 11)]
     assert tops == [0, 0, 2, 6, 14, 26, 44, 68, 100, 140]
+
+
+def partitions(total, largest):
+    """Every partition of total into parts of at most largest, as a non-increasing tuple, once."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part, *rest)
+
+
+def test_the_star_has_the_largest_irr_t_of_every_tree_degree_sequence_up_to_order_16():
+    counts = []
+    tops = []
+    for n in range(2, 17):
+        # n parts >= 1 summing to 2n - 2 are a tree's degrees, and each is n ones plus a partition of the n - 2 excess
+        scores = [
+            irr_fast(DegreeMultiset.from_degrees([1 + p for p in excess] + [1] * (n - len(excess))))
+            for excess in partitions(n - 2, n - 2)
+        ]
+        counts.append(len(scores))
+        tops.append(max(scores))
+    # partitions of n - 2, OEIS A000041: no sequence is missed or repeated
+    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
+    assert tops == [(n - 1) * (n - 2) for n in range(2, 17)]

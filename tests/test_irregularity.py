@@ -20,7 +20,8 @@ from totirr import (
     irr_naive,
 )
 from totirr import graphs as graphs_module
-from totirr.graphs import EditKind, degree_multiset
+from totirr.fileio import parse_graph_text
+from totirr.graphs import EditKind, _cached, degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
 
 from strategies import degree_lists, digraphs, graphs, multisets, off_by_one_carry, pairwise_irr
@@ -189,6 +190,20 @@ def test_a_remembered_plan_serves_only_its_own_value_and_op():
         with pytest.raises(EditError, match=r"edge \(1, 0\) already present"):
             call(g, rejected)
     assert exact_delta_for_edit(g, accepted) == want == _recomputed(g, apply_edit(g, accepted))
+
+
+def test_pricing_and_applying_an_edit_store_nothing_on_the_value():
+    cases = (
+        (Graph(5, ((0, 1), (1, 2), (2, 3))), EditOp.add_edge(0, 4)),
+        (Digraph(4, ((0, 1), (1, 2), (2, 3))), EditOp.retarget_head(1, 2, 3)),
+        (parse_graph_text("U 4\n0 1\n1 2\n"), EditOp.retarget_edge(0, 1, 3)),
+    )
+    for g, op in cases:
+        cls = type(g)
+        lazy = {name for klass in cls.__mro__ for name, attr in vars(klass).items() if isinstance(attr, _cached)}
+        exact_delta_for_edit(g, op)
+        apply_edit(g, op)
+        assert set(vars(g)) <= {*cls._FIELDS, "_degrees", "_flat", *lazy}, (g, op)
 
 
 def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
