@@ -72,6 +72,7 @@ from .graphs import (
     _cached,
     _edit_plan,
     _hangs_a_tree,
+    _union,
     apply_edit,
     cut_side,
     degree_multiset,
@@ -92,7 +93,7 @@ from .predictors import (
     transform_formula_id,
 )
 from .rng import SplitMix64
-from .transforms import _retarget, _union, branch_transformation, edge_joint
+from .transforms import _retarget, branch_transformation, edge_joint
 
 CSV_HEADER = "instance_id,seed,operation,irr_before,irr_after_oracle,engine_delta,formula_id,predicted,agrees"
 
@@ -150,15 +151,23 @@ class AuditReport(_Record):
         return all(row.engine_ok for row in self.rows)
 
     @_cached
-    def formula_stats(self) -> tuple[FormulaStat, ...]:
-        predictions = [p for row in self.rows for p in row.predictions]
-        total = Counter(p.formula_id for p in predictions)
-        agree = Counter(p.formula_id for p in predictions if p.agrees)
-        return tuple(FormulaStat(fid, agree[fid], total[fid]) for fid in sorted(total))
+    def _tally(self) -> tuple[tuple[FormulaStat, ...], tuple[AuditRow, ...]]:
+        """(formula_stats, disagreements), from one pass over the rows."""
+        outcomes, missed = [], []
+        for row in self.rows:
+            agreed = row.engine_ok
+            for p in row.predictions:
+                outcomes.append((p.formula_id, p.agrees))
+                agreed = agreed and p.agrees
+            if not agreed:
+                missed.append(row)
+        counts = Counter(outcomes)  # (formula id, agrees) -> predictions
+        stats = [FormulaStat(fid, counts[fid, True], counts[fid, True] + counts[fid, False])
+                 for fid in sorted({fid for fid, _ in counts})]
+        return tuple(stats), tuple(missed)
 
-    @property
-    def disagreements(self) -> tuple[AuditRow, ...]:
-        return tuple(row for row in self.rows if not row.engine_ok or not all(p.agrees for p in row.predictions))
+    formula_stats = property(lambda self: self._tally[0], doc="Agreement counts per formula, sorted by formula id.")
+    disagreements = property(lambda self: self._tally[1], doc="The rows where the engine or a formula missed.")
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -208,13 +217,13 @@ def _mk_row(instance_id: int, seed: int, operation: str, irr_before: int, irr_af
 def _recounted(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMultiset:
     """g's degree multiset in mode, counted afresh from g's own edges or arcs.
 
-    An edited value's oracle irr reads this, never the degrees apply_edit
-    carried from its parent, so the oracle shares no bookkeeping with the engine.
+    An edited value's oracle irr reads this, never the degrees apply_edit carried, and it counts a mode's
+    ends by its own rule, not the engine's mode table: the oracle shares no bookkeeping with the engine.
     """
     if isinstance(g, Graph):
         ends = chain.from_iterable(g.edges)  # a loop lists its vertex twice
     else:
-        ends = map(itemgetter(*g._MODES[mode][1]), g.arcs)  # a digraph mode counts one end of each arc
+        ends = map(itemgetter(1 if mode == "in" else 0), g.arcs)  # an arc's head is an in-end, its tail an out-end
     per_vertex = Counter(ends)
     classes = Counter(per_vertex.values())  # vertices per degree, among those on an edge or arc
     if g.vertex_count > len(per_vertex):
@@ -301,7 +310,7 @@ def joint_row(iid: int, seed: int, instance: tuple[Graph, str, Graph, str, int, 
     """Score every joint formula on joined: g1 and g2 plus a fresh edge from u in g1 to v in g2.
 
     The engine prices that edge on the union of g1 and g2, which takes their degrees
-    (transforms._union) and counts its multiset from them.
+    (graphs._union) and counts its multiset from them.
     """
     g1, d1, g2, d2, u, v = instance
     dm1 = degree_multiset(g1)
@@ -351,7 +360,7 @@ def transform_row(iid: int, seed: int, instance: tuple[AnyGraph, str, EditOp], e
     else:
         operation = label.format(desc, a, b, op.target)
     before, after, engine = _measure(g, op, edited, mode)
-    degrees = g._degrees[g._MODES[mode][0]]
+    degrees = getattr(g, g._MODES[mode][0])
     counts = transform_counts(degree_multiset(g, mode), degrees[op.endpoints[moved]], degrees[op.target])
     preds = [(transform_formula_id(mode, counts.relation), thm33_predict(before, counts))]
     return _mk_row(iid, seed, operation, before, after, engine, preds)

@@ -4,32 +4,33 @@ Vertices are dense 0-based integers. Graph and Digraph are immutable: every
 edit produces a new value, which keeps oracle recomputation and incremental
 bookkeeping from ever sharing mutable state. Both are one core, _Value, with
 one validating constructor and one degree multiset per degree mode, built on
-its mode's first read. A class's mode table maps each mode to its index and
-to the ends of a pair it counts: "undirected" both ends of an edge, "in" an
-arc's head and "out" its tail. Graph.multigraph allows loops and parallel
-pairs together. The constructor counts degrees in the loop that validates
-the pairs (_scan): each pair must be above the one before it, its ends
-distinct (an edge's low end below its high end; a multigraph's pairs may
-repeat and be loops), in range and integers. Pairs that pass, as in every
-file the CLI writes, are stored as they are, in one pass. At the first pair
-that does not, the pairs are normalised and sorted, and a second scan
-counts them or names the first bad one. A loop contributes 2 to the degree
-of its vertex. A value read from text (a _Flat of the reader's numbers) is
-scanned without building a pair and builds its pair tuple on first read;
-every other value holds its pairs from birth. apply_edit does not validate:
-every edit removes at most one pair and adds at most one, and one rule
-checks every kind against the parent (_edit_plan). The child splices the
-parent's sorted tuple and is built by _unchecked, from fields known valid,
-so an edit neither re-checks the pairs it leaves alone nor sweeps a
-component. It takes its parent's degrees with the touched entries patched,
-as a joint's union (transforms._union) takes its two sides' degrees. Pricing
-an edit and applying it each plan it afresh (a few bisects), and neither
-stores anything on the value. Membership tests bisect the sorted tuple.
-Lazy fields are cached in the instance __dict__ without a lock.
+its mode's first read. A mode's degrees are a plain field, held from birth;
+a class's mode table maps each mode to that field and to the ends of a pair
+it counts: "undirected" both ends of an edge (degrees), "in" an arc's head
+(in_degrees) and "out" its tail (out_degrees). The constructor counts them
+in the loop that validates the pairs (_scan): each pair must be above the
+one before it, its ends distinct (an edge's low end below its high end; a
+multigraph's pairs may repeat and be loops), in range and integers. Pairs
+that pass, as in every file the CLI writes, are stored as they are, in one
+pass. At the first pair that does not, the pairs are normalised and sorted,
+and a second scan counts them or names the first bad one. A value read from
+text (a _Flat of the reader's numbers) is scanned without building a pair
+and builds its pair tuple on first read; every other value holds its pairs
+from birth. apply_edit does not validate: every edit removes at most one
+pair and adds at most one, and one rule checks every kind against the parent
+(_edit_plan). The child splices the parent's sorted tuple and is built by
+_unchecked, from fields known valid, so an edit neither re-checks the pairs
+it leaves alone nor sweeps a component. It takes its parent's degrees with
+the touched entries patched, as a joint's union (_union) takes its two
+sides'; only this module builds a value without its constructor. Pricing an
+edit and applying it each plan it afresh (a few bisects), and neither stores
+anything on the value. Membership tests bisect the sorted tuple. Lazy fields
+are cached in the instance __dict__ without a lock.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from enum import Enum
@@ -144,17 +145,18 @@ class _Value(_Record):
         n = self.vertex_count
         if n < 0:
             raise GraphError("vertex_count must be nonnegative")
+        if n > sys.maxsize:  # no list of n degrees can exist
+            raise GraphError(f"vertex_count must be at most {sys.maxsize}")
         fields = self.__dict__
         pairs = fields[self._PAIRS]
         if type(pairs) is not _Flat:
             # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
             pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
-        try:
-            degrees = self._scan(pairs, n)
+        try:  # each mode's degrees land in __dict__ once the whole scan is through
+            fields.update(self._scan(pairs, n))
         except ValueError:  # a fault, or pairs out of order: the scan of the sorted pairs names the first fault
             pairs = self._sorted(pairs)
-            degrees = self._scan(pairs, n)
-        fields["_degrees"] = degrees
+            fields.update(self._scan(pairs, n))
         if type(pairs) is _Flat:
             fields["_flat"] = fields.pop(self._PAIRS)  # _pairs builds them on first read
         else:
@@ -180,9 +182,9 @@ class _Value(_Record):
         return GraphError(f"{self._NOUN} ({a}, {b}) {otherwise}")
 
     @_cached
-    def _multisets(self) -> list[Optional["DegreeMultiset"]]:
-        """One slot per mode, in _MODES order; degree_multiset fills a mode's slot on its first read."""
-        return [None] * len(self._MODES)
+    def _multisets(self) -> dict[str, "DegreeMultiset"]:
+        """Multisets by mode; degree_multiset adds a mode's on its first read."""
+        return {}
 
 
 class Graph(_Value):
@@ -196,7 +198,7 @@ class Graph(_Value):
         self.__dict__.update(vertex_count=vertex_count, edges=edges, multigraph=multigraph)
         self.__post_init__()
 
-    _PAIRS, _MODES, _key = "edges", {"undirected": (0, (0, 1))}, staticmethod(_normalize)
+    _PAIRS, _MODES, _key = "edges", {"undirected": ("degrees", (0, 1))}, staticmethod(_normalize)
     edges = _cached(_Value._pairs)  # a value read from text only; every other value holds its edges from birth
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
     _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
@@ -204,8 +206,8 @@ class Graph(_Value):
     # The edges as sorted (low, high) pairs; unpacking rejects a non-pair.
     _sorted = staticmethod(lambda edges: sorted([e if a <= b else (b, a) for e in edges for a, b in [e]]))
 
-    def _scan(self, edges: Iterable, n: int) -> tuple[tuple[int, ...]]:
-        """(degrees,) of edges, a loop counting 2, if each is a (low, high) pair in range and above the one
+    def _scan(self, edges: Iterable, n: int) -> dict[str, tuple[int, ...]]:
+        """{"degrees": degrees} of edges, a loop counting 2, if each is a (low, high) pair in range and above the one
         before it (a multigraph's: low at most high, and at or above); else raises at the first that is not."""
         deg = [0] * n
         multigraph = self.multigraph
@@ -220,15 +222,11 @@ class Graph(_Value):
                 pa, pb = a, b
         except (IndexError, TypeError):  # TypeError: an end that indexes no list
             raise self._fault(a, b, (pa, pb), n, _NOT_AN_INTEGER) from None
-        return (tuple(deg),)
+        return {"degrees": tuple(deg)}
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @_cached
-    def degrees(self) -> tuple[int, ...]:
-        return self._degrees[0]
 
     def degree(self, v: int) -> int:
         _check_vertex(self, v)
@@ -260,16 +258,17 @@ class Digraph(_Value):
         self.__post_init__()
 
     multigraph = False  # a class constant, not a field
-    _PAIRS, _MODES, _key = "arcs", {"in": (0, (1,)), "out": (1, (0,))}, staticmethod(lambda tail, head: (tail, head))
+    _PAIRS, _key = "arcs", staticmethod(lambda tail, head: (tail, head))
+    _MODES = {"in": ("in_degrees", (1,)), "out": ("out_degrees", (0,))}
     arcs = _cached(_Value._pairs)  # a value read from text only; every other value holds its arcs from birth
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
     _sorted = staticmethod(sorted)  # an arc is stored as given
 
-    def _scan(self, arcs: Iterable, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(in-degrees, out-degrees) of arcs, if each is in range, no self-arc and above the one before it; else
-        raises at the first that is not."""
+    def _scan(self, arcs: Iterable, n: int) -> dict[str, tuple[int, ...]]:
+        """The in_degrees and out_degrees of arcs, if each is in range, no self-arc and above the one before it;
+        else raises at the first that is not."""
         ins = [0] * n
         outs = [0] * n
         pt, ph = 0, -1  # the arc before the first: below it exactly when its tail is >= 0
@@ -282,22 +281,11 @@ class Digraph(_Value):
                 pt, ph = t, h
         except (IndexError, TypeError):  # TypeError: an end that indexes no list
             raise self._fault(t, h, (pt, ph), n, _NOT_AN_INTEGER) from None
-        return tuple(ins), tuple(outs)
+        return {"in_degrees": tuple(ins), "out_degrees": tuple(outs)}
 
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    @property
-    def in_degrees(self) -> tuple[int, ...]:
-        return self._degrees[0]
-
-    @property
-    def out_degrees(self) -> tuple[int, ...]:
-        return self._degrees[1]
-
-    def has_arc(self, tail: int, head: int) -> bool:
-        return _multiplicity(self.arcs, (tail, head)) > 0
 
 
 AnyGraph = Union[Graph, Digraph]
@@ -366,13 +354,13 @@ def degree_multiset(g: AnyGraph, mode: DegreeMode = "undirected") -> DegreeMulti
     if not isinstance(g, _Value):
         raise GraphError(f"unsupported value {type(g).__name__}")
     try:
-        index = g._MODES[mode][0]
+        name = g._MODES[mode][0]
     except (KeyError, TypeError):  # TypeError: a mode that cannot be a key
         raise GraphError(g._BAD_MODE.format(mode)) from None
-    slots = g._multisets
-    if slots[index] is None:
-        slots[index] = DegreeMultiset.from_degrees(g._degrees[index])
-    return slots[index]
+    multisets = g._multisets
+    if mode not in multisets:
+        multisets[mode] = DegreeMultiset.from_degrees(getattr(g, name))
+    return multisets[mode]
 
 
 class EditKind(Enum):
@@ -523,7 +511,7 @@ def _carried(degrees: tuple[int, ...], removed: tuple, added: tuple, ends: tuple
 
 
 def _unchecked(cls: type, fields: dict) -> AnyGraph:
-    """A cls value whose __dict__ is fields, never re-validated: every field, and the _degrees given, is known valid."""
+    """A cls value whose __dict__ is fields, never re-validated: every field, each mode's degrees too, is valid."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -537,16 +525,25 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     must be present; a retarget has a target, in range; the added entry differs
     from the removed one, and unless g is a multigraph it is no loop and is
     not present already (a digraph is never a multigraph). The child is
-    g's spliced tuple, never re-validated. It takes g's degrees with the
-    touched entries patched (_carried), and counts its degree multisets lazily.
+    g's spliced tuple, never re-validated. It takes each degree field of g
+    with the touched entries patched (_carried), and counts its multisets lazily.
     g keeps no plan: exact_delta_for_edit checks op again (_edit_plan).
     """
     removed, added = _edit_plan(g, op)
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     fields = {name: getattr(g, name) for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
-    fields["_degrees"] = tuple([_carried(g._degrees[i], removed, added, ends) for i, ends in g._MODES.values()])
+    fields.update({name: _carried(getattr(g, name), removed, added, ends) for name, ends in g._MODES.values()})
     return _unchecked(type(g), fields)
+
+
+def _union(g1: Graph, g2: Graph) -> Graph:
+    """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. It takes
+    both sides' degrees and counts its own multiset."""
+    n1 = g1.vertex_count
+    edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
+    return _unchecked(Graph, dict(vertex_count=n1 + g2.vertex_count, edges=edges, degrees=g1.degrees + g2.degrees,
+                                  multigraph=g1.multigraph or g2.multigraph))
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:

@@ -106,9 +106,9 @@ def _mode_delta(g: AnyGraph, mode: DegreeMode, removed: tuple, added: tuple) -> 
     The mode steps the ends it counts (both ends of an edge, an arc's head in
     the in-degrees, its tail in the out-degrees), priced against g's own multiset of that mode.
     """
-    i, ends = g._MODES[mode]
+    name, ends = g._MODES[mode]
     lowered, raised = [e[j] for e in removed for j in ends], [e[j] for e in added for j in ends]
-    return _price_steps(degree_multiset(g, mode), g._degrees[i], lowered, raised)
+    return _price_steps(degree_multiset(g, mode), getattr(g, name), lowered, raised)
 
 
 def exact_delta_for_edit(g: AnyGraph, op: EditOp) -> Union[int, Tuple[int, int]]:

@@ -9,25 +9,15 @@ other operation preserves ids outright.
 
 from __future__ import annotations
 
-from .graphs import AnyGraph, EditError, EditOp, Graph, GraphError, _branch_component, _check_vertex, _unchecked
+from .graphs import AnyGraph, EditError, EditOp, Graph, GraphError, _branch_component, _check_vertex, _union
 from .graphs import apply_edit, cut_side
-
-
-def _union(g1: Graph, g2: Graph) -> Graph:
-    """g1 and g2 side by side, g2's ids offset by g1's order; unchecked, as those edges come sorted. It takes
-    both sides' degrees and counts its own multiset."""
-    n1 = g1.vertex_count
-    edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
-    fields = dict(vertex_count=n1 + g2.vertex_count, edges=edges, multigraph=g1.multigraph or g2.multigraph)
-    fields["_degrees"] = (g1.degrees + g2.degrees,)
-    return _unchecked(Graph, fields)
 
 
 def edge_joint(g1: Graph, g2: Graph, u: int, v: int) -> Graph:
     """Disjoint union of g1 and g2 plus the bridging edge u--v.
 
     u is a g1 id and v a g2 id; in the result v becomes v + g1.vertex_count.
-    It is _union(g1, g2) with one add-edge edit: the bridge is never a loop or a parallel edge.
+    It is graphs._union(g1, g2) with one add-edge edit: the bridge is never a loop or a parallel edge.
     """
     _check_vertex(g1, u)
     _check_vertex(g2, v)

@@ -342,6 +342,14 @@ def test_recounted_is_the_multiset_of_a_per_vertex_count(g, mode):
     assert audit._recounted(g, mode) == DegreeMultiset.from_degrees(degrees)
 
 
+def test_the_oracle_catches_an_engine_whose_digraph_modes_are_swapped(monkeypatch):
+    # the engine then prices out-degrees as "in" and in-degrees as "out"; the oracle counts heads for "in"
+    # and tails for "out" by its own rule, so the swap must fail the engine-versus-oracle check
+    assert run_arc_transform_suite(50, 7).engine_ok
+    monkeypatch.setattr(Digraph, "_MODES", {"in": Digraph._MODES["out"], "out": Digraph._MODES["in"]})
+    assert not run_arc_transform_suite(50, 7).engine_ok
+
+
 def test_multigraph_rows_present_in_edge_transform():
     rep = run_edge_transform_suite(30, SEED)
     multis = [r for r in rep.rows if "multi(" in r.operation]
@@ -441,6 +449,21 @@ _PCT_REPORT = AuditReport("s", -1, 1, (("k", "v"),), (AuditRow(0, 2**64 - 1, "op
 @example(_PCT_REPORT)
 def test_to_json_equals_json_dumps_of_the_report_object(report):
     assert report.to_json() == report_json(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(audit_reports())
+@example(AuditReport("", 0, 1, (), (AuditRow(0, 0, "op", 0, 1, 5, (PredictionOutcome("A", 1, True, False),)),)))
+@example(_PCT_REPORT)
+def test_the_one_pass_tally_keeps_the_definitions_of_stats_and_disagreements(report):
+    # a disagreement is a row whose engine missed or one of whose formulas did, however many agree
+    missed = tuple(row for row in report.rows if not row.engine_ok or not all(p.agrees for p in row.predictions))
+    assert report.disagreements == missed
+    predictions = [p for row in report.rows for p in row.predictions]
+    ids = [p.formula_id for p in predictions]
+    agreeing = [p.formula_id for p in predictions if p.agrees]
+    want = [(fid, agreeing.count(fid), ids.count(fid)) for fid in sorted(set(ids))]
+    assert [(s.formula_id, s.agree, s.total) for s in report.formula_stats] == want
 
 
 def test_the_pinned_report_has_each_pct_shape():

@@ -98,6 +98,16 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", [2**63, 10**20, 10**30])
+@pytest.mark.parametrize("kind", ["U", "D"])
+def test_an_order_no_list_can_hold_exits_2(tmp_path, capsys, kind, order):
+    # exit 1 means an engine invariant failed; no order between 10**5 and 2**63 is tried, as a list of that
+    # many degrees takes 8 bytes per vertex
+    code, out, err = run(capsys, "compute", "--input", write(tmp_path, "g.txt", f"{kind} {order}\n0 1\n"))
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex_count must be at most {sys.maxsize}\n"
+
+
 def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     # exit 1 means an engine invariant failed; a resource failure must not read as one
     def exhausted(path):

@@ -51,9 +51,9 @@ def fresh_arc_moves(d):
     for tail, head in d.arcs:
         for target in range(d.vertex_count):
             if target not in (tail, head):
-                if not d.has_arc(tail, target):
+                if (tail, target) not in d.arcs:
                     yield EditOp.retarget_head(tail, head, target)
-                if not d.has_arc(target, head):
+                if (target, head) not in d.arcs:
                     yield EditOp.retarget_tail(tail, head, target)
 
 

@@ -14,11 +14,12 @@ from totirr import (
     apply_edit,
     branch_transformation,
     cut_side,
+    edge_joint,
     exact_delta_for_edit,
     parse_graph_text,
 )
 from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
-from totirr.graphs import EditKind, _branch_component, _cached, degree_multiset
+from totirr.graphs import EditKind, _branch_component, _cached, _union, degree_multiset
 from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
 from strategies import adjacency, checked_arcs, checked_edges, connected_components, counted_degrees, graphs
@@ -285,10 +286,10 @@ def test_the_one_pass_path_matches_the_sorting_path(case):
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
-        Graph: {"_multisets", "degrees", "_adjacency", "edges"},
+        Graph: {"_multisets", "_adjacency", "edges"},
         Digraph: {"_multisets", "arcs"},
         DegreeMultiset: {"vertex_count", "_values", "_prefix"},
-        AuditReport: {"engine_ok", "formula_stats"},
+        AuditReport: {"engine_ok", "_tally"},
     }
     # every lazy field a value reads, its base classes' included, each patched once though two classes share it
     fields = {}
@@ -338,6 +339,40 @@ def test_digraph_degrees():
     d2 = Digraph(3, ((0, 1), (0, 2)))
     assert d2.out_degrees == (2, 0, 0)
     assert d2.in_degrees == (0, 1, 1)
+
+
+def test_every_value_holds_its_mode_degrees_as_plain_fields():
+    g, d = Graph(4, ((0, 1), (1, 2))), Digraph(3, ((0, 1), (2, 1)))
+    values = [
+        g,
+        parse_graph_text("U 4\n0 1\n1 2\n"),
+        apply_edit(g, EditOp.add_edge(2, 3)),
+        _union(g, Graph(2, ((0, 1),))),
+        edge_joint(g, g, 3, 0),
+        d,
+        parse_graph_text("D 3\n0 1\n2 1\n"),
+        apply_edit(d, EditOp.reverse_arc(0, 1)),
+    ]
+    for value in values:
+        directed = isinstance(value, Digraph)
+        names = ("in_degrees", "out_degrees") if directed else ("degrees",)
+        assert tuple(name for name, _ in value._MODES.values()) == names
+        assert not any(hasattr(type(value), name) for name in names)  # no class attribute stands between
+        held = tuple(vars(value)[name] for name in names)
+        assert all(type(degrees) is tuple for degrees in held)
+        assert held == counted_degrees(value.vertex_count, getattr(value, value._PAIRS), directed)
+        for name in names:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(value, name, ())
+
+
+def test_an_order_no_list_can_hold_is_refused_before_any_list_is_made():
+    # sys.maxsize is 2**63 - 1 on 64-bit builds; no order between 10**5 and 2**63 is tried, as a list of that
+    # many degrees takes 8 bytes per vertex
+    for n in (2**63, 2**64, 10**20, 10**30):
+        for build in (lambda: Graph(n, ((0, 1),)), lambda: Graph(n, (), True), lambda: Digraph(n, ((0, 1),))):
+            with pytest.raises(GraphError, match="vertex_count must be at most"):
+                build()
 
 
 def test_degree_multiset_modes():
