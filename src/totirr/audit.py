@@ -147,15 +147,12 @@ class AuditReport(_Record):
         self.__dict__.update(suite=suite, seed=seed, instance_count=instance_count, config=config, rows=rows)
 
     @_cached
-    def engine_ok(self) -> bool:
-        return all(row.engine_ok for row in self.rows)
-
-    @_cached
-    def _tally(self) -> tuple[tuple[FormulaStat, ...], tuple[AuditRow, ...]]:
-        """(formula_stats, disagreements), from one pass over the rows."""
-        outcomes, missed = [], []
+    def _tally(self) -> tuple[tuple[FormulaStat, ...], tuple[AuditRow, ...], bool]:
+        """(formula_stats, disagreements, engine_ok), from one pass over the rows."""
+        outcomes, missed, engine_ok = [], [], True
         for row in self.rows:
             agreed = row.engine_ok
+            engine_ok &= agreed
             for p in row.predictions:
                 outcomes.append((p.formula_id, p.agrees))
                 agreed = agreed and p.agrees
@@ -164,10 +161,11 @@ class AuditReport(_Record):
         counts = Counter(outcomes)  # (formula id, agrees) -> predictions
         stats = [FormulaStat(fid, counts[fid, True], counts[fid, True] + counts[fid, False])
                  for fid in sorted({fid for fid, _ in counts})]
-        return tuple(stats), tuple(missed)
+        return tuple(stats), tuple(missed), engine_ok
 
     formula_stats = property(lambda self: self._tally[0], doc="Agreement counts per formula, sorted by formula id.")
     disagreements = property(lambda self: self._tally[1], doc="The rows where the engine or a formula missed.")
+    engine_ok = property(lambda self: self._tally[2], doc="Whether the engine's delta matched the oracle on every row.")
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

@@ -459,6 +459,7 @@ def test_the_one_pass_tally_keeps_the_definitions_of_stats_and_disagreements(rep
     # a disagreement is a row whose engine missed or one of whose formulas did, however many agree
     missed = tuple(row for row in report.rows if not row.engine_ok or not all(p.agrees for p in row.predictions))
     assert report.disagreements == missed
+    assert report.engine_ok is all(row.engine_ok for row in report.rows)
     predictions = [p for row in report.rows for p in row.predictions]
     ids = [p.formula_id for p in predictions]
     agreeing = [p.formula_id for p in predictions if p.agrees]

@@ -1,10 +1,15 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import totirr
 from totirr import Graph, cli, generators, graph_to_text, transforms
@@ -106,6 +111,79 @@ def test_an_order_no_list_can_hold_exits_2(tmp_path, capsys, kind, order):
     code, out, err = run(capsys, "compute", "--input", write(tmp_path, "g.txt", f"{kind} {order}\n0 1\n"))
     assert (code, out) == (2, "")
     assert err == f"error: vertex_count must be at most {sys.maxsize}\n"
+
+
+# Vertex counts of the boundary grammar: until a declared order costs nothing, a header of n allocates n list slots
+# (8n bytes), so counts stay in {-1, 0..10**4} or at 2**63 and above, which is refused before any list is made.
+_COUNTS = st.integers(0, 12) | st.integers(0, 12) | st.integers(0, 10**4) | st.just(-1) | st.integers(2**63, 10**30)
+_NOT_NUMBERS = st.sampled_from(["1e3", "\u0663", "0x1", "1_0", "+3", "-", "1.5", "x", "#", ""])
+
+
+def _ids(n: int):
+    """Vertex ids for a file or an argument: in range, just out of it, or far out."""
+    return st.integers(-1, max(min(n, 8), 0)) | st.integers(0, max(n, 0)) | st.integers(-(10**20), 10**30)
+
+
+def _rarely(draw, strategy, otherwise):
+    """A draw from strategy now and then (hypothesis draws 0..7 about evenly), else otherwise."""
+    return draw(strategy) if draw(st.integers(0, 7)) == 7 else otherwise
+
+
+@st.composite
+def boundary_files(draw) -> tuple[bytes, int]:
+    """(file, its declared count) from the boundary grammar: a header (U, D or another word) and a count, then a
+    path's edge lines (every path edge is a cut edge) and lines of 0-3 tokens; a line may get a CR, a blank line
+    after it, a tab, a NUL, two spaces or a BOM. Half the files are well formed. One in ten is raw bytes."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.binary(max_size=24)), 8  # no count to read: ids as for a small file
+    n, clean = draw(_COUNTS), draw(st.booleans())
+    lines = [f"{draw(st.sampled_from('UD'))} {n}"]
+    lines += [f"{v} {v + 1}" for v in range(min(n, 8) - 1)]
+    if clean:
+        return "\n".join(lines + [""]).encode("utf-8"), n
+    kind = _rarely(draw, st.sampled_from(["Q", "u", "U D", ""]), lines[0][0])
+    lines[0] = f"{kind} {_rarely(draw, _NOT_NUMBERS, n)}"
+    for _ in range(draw(st.integers(0, 3))):
+        width = _rarely(draw, st.sampled_from([0, 1, 3]), 2)
+        lines.append(" ".join(str(_rarely(draw, _NOT_NUMBERS, draw(_ids(n)))) for _ in range(width)))
+    edits = [lambda line: "\ufeff" + line, lambda line: line + "\r", lambda line: line + "\n"]
+    edits += [lambda line, sep=sep: line.replace(" ", sep, 1) for sep in ("\t", "\x00", "  ")]
+    for edit in edits:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = _rarely(draw, st.just(edit(lines[i])), lines[i])
+    return "\n".join(lines + [""]).encode("utf-8"), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_file_and_any_ids_exit_0_or_2_with_one_error_line(data):
+    # exit 1 is reserved for an engine invariant failure; bad input exits 2 with one error line and no traceback
+    command = data.draw(st.sampled_from(["compute", "transform", "transform --report", "joint", "joint --report"]))
+    (left_text, n), (right_text, m) = data.draw(boundary_files()), data.draw(boundary_files())
+    a = data.draw(_ids(n))
+    b = data.draw(st.sampled_from([a + 1, a - 1]) | _ids(m if command.startswith("joint") else n))
+    c = data.draw(_ids(n))
+    with tempfile.TemporaryDirectory() as folder:
+        left, right, out_file = (str(Path(folder, name)) for name in ("left.txt", "right.txt", "out.txt"))
+        Path(left).write_bytes(left_text)
+        Path(right).write_bytes(right_text)
+        if command == "compute":
+            argv = ["compute", "--input", left]
+        elif command.startswith("transform"):
+            argv = ["transform", "--input", left, "--cut", str(a), str(b), "--target", str(c)]
+            argv += data.draw(st.sampled_from([[], [], ["--end", "head"], ["--end", "tail"]]))
+        else:
+            argv = ["joint", "--left", left, "--right", right, "--u", str(a), "--v", str(b)]
+        if command != "compute":
+            argv += command.split()[1:] + data.draw(st.sampled_from([[], ["--out", out_file]]))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import random
 from bisect import insort
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from totirr import (
     parse_graph_text,
 )
 from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
-from totirr.graphs import EditKind, _branch_component, _cached, _union, degree_multiset
+from totirr.graphs import _PASS_DEGREES, EditKind, _branch_component, _cached, _union, degree_multiset
 from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
 from strategies import adjacency, checked_arcs, checked_edges, connected_components, counted_degrees, graphs
@@ -289,7 +291,7 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
         Graph: {"_multisets", "_adjacency", "edges"},
         Digraph: {"_multisets", "arcs"},
         DegreeMultiset: {"vertex_count", "_values", "_prefix"},
-        AuditReport: {"engine_ok", "_tally"},
+        AuditReport: {"_tally"},  # engine_ok, formula_stats and disagreements read it
     }
     # every lazy field a value reads, its base classes' included, each patched once though two classes share it
     fields = {}
@@ -416,6 +418,70 @@ def test_multiset_regular():
     assert DegreeMultiset.from_degrees([2, 2, 2]).is_regular()
     assert DegreeMultiset.from_degrees([]).is_regular()
     assert not DegreeMultiset.from_degrees([1, 2]).is_regular()
+
+
+def _counted(degrees) -> tuple[tuple[int, int], ...]:
+    """The multiset's entries by a plain Counter, the reference for from_degrees."""
+    return tuple(sorted(Counter(degrees).items()))
+
+
+_T = len(_PASS_DEGREES)  # degrees below _T are counted by bytes.count passes, the rest by a Counter
+# each side of the pass cut-off and of a byte
+_DEGREES = st.sampled_from([_T - 1, _T, 254, 255, 256]) | st.integers(0, 300)
+_SHAPES = {"list": list, "tuple": tuple, "generator": lambda degrees: (d for d in degrees)}
+
+
+@st.composite
+def degree_sequences(draw):
+    """0 to 3,000 degrees in 0..300: runs of a degree shuffled together, or single draws."""
+    if draw(st.booleans()):
+        return draw(st.lists(_DEGREES, max_size=40))
+    runs = draw(st.lists(st.tuples(_DEGREES, st.integers(1, 600)), max_size=8))
+    degrees = [d for d, length in runs for _ in range(length)][:3000]
+    random.Random(draw(st.integers(0, 2**32))).shuffle(degrees)
+    return degrees
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_sequences(), st.sampled_from(sorted(_SHAPES)))
+@example([], "generator")
+@example([_T - 1, _T, 255, 256], "generator")  # a generator whose last degree bytes() refuses
+def test_from_degrees_counts_what_a_counter_counts(degrees, shape):
+    entries = DegreeMultiset.from_degrees(_SHAPES[shape](degrees)).entries
+    assert entries == _counted(degrees)
+    assert all(type(d) is int and type(m) is int for d, m in entries)
+
+
+_RNG = random.Random(7)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        [],
+        [255],
+        [255] * 100_000,
+        [256],
+        [1] * 100_000 + [255],  # 100,000 leaves and one hub whose degree fits a byte
+        [_RNG.randrange(256) for _ in range(100_000)],  # uniform 0..255
+        [0, 2**70, 1],  # bytes() refuses, so the Counter counts them all
+    ],
+    ids=["empty", "255", "255x100000", "256", "leaves-and-hub", "uniform-0-255", "huge"],
+)
+def test_from_degrees_counts_the_pinned_sequences(degrees):
+    assert DegreeMultiset.from_degrees(degrees).entries == _counted(degrees)
+
+
+def test_from_degrees_reads_a_generator_once_and_keeps_the_counter_errors():
+    for degrees in ([3, 1, 1, 0], [3, 1, 300, 1]):  # fits a byte; bytes() refuses
+        read = []
+        entries = DegreeMultiset.from_degrees(read.append(d) or d for d in degrees).entries
+        assert (entries, read) == (_counted(degrees), degrees)
+    with pytest.raises(GraphError, match=r"^degree -1 must be nonnegative$"):
+        DegreeMultiset.from_degrees([-1])
+    with pytest.raises(GraphError, match=r"^degree -2 must be nonnegative$"):
+        DegreeMultiset.from_degrees([1, 1, -2])
+    assert DegreeMultiset.from_degrees([1.5, 1.5]).entries == ((1.5, 2),)  # as the Counter alone gave
 
 
 # --- structure queries ------------------------------------------------------
