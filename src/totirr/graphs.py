@@ -22,7 +22,10 @@ pair and adds at most one, and one rule checks every kind against the parent
 _unchecked, from fields known valid, so an edit neither re-checks the pairs
 it leaves alone nor sweeps a component. It takes its parent's degrees with
 the touched entries patched, as a joint's union (_union) takes its two
-sides'; only this module builds a value without its constructor. Pricing an
+sides'; only this module builds a value without its constructor. A mode the
+edit does not move (an arc tail's move keeps the in-degrees, a head's the
+out-degrees) is shared with the parent: the same degree tuple, and the
+parent's multiset of it if the parent built one. Pricing an
 edit and applying it each plan it afresh (a few bisects), and neither stores
 anything on the value. Membership tests bisect the sorted tuple. Lazy fields
 are cached in the instance __dict__ without a lock.
@@ -183,7 +186,8 @@ class _Value(_Record):
 
     @_cached
     def _multisets(self) -> dict[str, "DegreeMultiset"]:
-        """Multisets by mode; degree_multiset adds a mode's on its first read."""
+        """Multisets by mode; degree_multiset adds a mode's on its first read. An edit's child gets its own from
+        apply_edit, holding the parent's multiset of each mode the edit did not move."""
         return {}
 
 
@@ -304,6 +308,8 @@ class DegreeMultiset(_Record):
     def __post_init__(self):
         prev = None
         for value, mult in self.entries:
+            if not (isinstance(value, int) and isinstance(mult, int)):  # a bool is an int, as everywhere else
+                raise GraphError(f"entry ({value!r}, {mult!r}) must be a pair of integers")
             if mult <= 0:
                 raise GraphError(f"multiplicity for degree {value} must be positive")
             if value < 0:
@@ -525,6 +531,11 @@ def _carried(degrees: tuple[int, ...], removed: tuple, added: tuple, ends: tuple
     return tuple(out)
 
 
+def _unmoved(removed: tuple, added: tuple, ends: tuple[int, ...]) -> bool:
+    """Whether a plan keeps a mode's every degree: it raises the very ends (positions as in _carried) it lowers."""
+    return [e[i] for e in removed for i in ends] == [e[i] for e in added for i in ends]
+
+
 def _unchecked(cls: type, fields: dict) -> AnyGraph:
     """A cls value whose __dict__ is fields, never re-validated: every field, each mode's degrees too, is valid."""
     value = object.__new__(cls)
@@ -540,15 +551,27 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     must be present; a retarget has a target, in range; the added entry differs
     from the removed one, and unless g is a multigraph it is no loop and is
     not present already (a digraph is never a multigraph). The child is
-    g's spliced tuple, never re-validated. It takes each degree field of g
-    with the touched entries patched (_carried), and counts its multisets lazily.
-    g keeps no plan: exact_delta_for_edit checks op again (_edit_plan).
+    g's spliced tuple, never re-validated. A mode the edit does not move
+    (_unmoved: an arc tail's move keeps every in-degree, a head's every
+    out-degree) is shared with g: the child holds g's degree tuple itself,
+    and g's multiset of it if g built one. Every other mode's degrees are
+    g's with the touched entries patched (_carried), its multiset counted
+    lazily. g is never written and keeps no plan: exact_delta_for_edit
+    checks op again (_edit_plan).
     """
     removed, added = _edit_plan(g, op)
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     fields = {name: getattr(g, name) for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
-    fields.update({name: _carried(getattr(g, name), removed, added, ends) for name, ends in g._MODES.values()})
+    built = g.__dict__.get("_multisets", {})  # read, never filled: g's own dict stays as it was
+    fields["_multisets"] = {}  # the child's own: a mode it counts later lands here, not in g's
+    for mode, (name, ends) in g._MODES.items():
+        if _unmoved(removed, added, ends):
+            fields[name] = getattr(g, name)
+            if mode in built:
+                fields["_multisets"][mode] = built[mode]
+        else:
+            fields[name] = _carried(getattr(g, name), removed, added, ends)
     return _unchecked(type(g), fields)
 
 

@@ -481,7 +481,15 @@ def test_from_degrees_reads_a_generator_once_and_keeps_the_counter_errors():
         DegreeMultiset.from_degrees([-1])
     with pytest.raises(GraphError, match=r"^degree -2 must be nonnegative$"):
         DegreeMultiset.from_degrees([1, 1, -2])
-    assert DegreeMultiset.from_degrees([1.5, 1.5]).entries == ((1.5, 2),)  # as the Counter alone gave
+    # a degree or a multiplicity that is no integer is refused, however the entries were built; a bool is an int
+    for build, given, entry in (
+        (DegreeMultiset.from_degrees, [1.5, 1.5], r"\(1\.5, 2\)"),
+        (DegreeMultiset.from_entries, [(1.5, 2)], r"\(1\.5, 2\)"),
+        (DegreeMultiset.from_entries, [(2, 1.0)], r"\(2, 1\.0\)"),
+    ):
+        with pytest.raises(GraphError, match=rf"^entry {entry} must be a pair of integers$"):
+            build(given)
+    assert DegreeMultiset.from_entries([(True, 2), (2, True)]).entries == ((True, 2), (2, True))
 
 
 # --- structure queries ------------------------------------------------------

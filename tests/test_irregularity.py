@@ -20,6 +20,7 @@ from totirr import (
     irr_naive,
 )
 from totirr import graphs as graphs_module
+from totirr.audit import _recounted
 from totirr.fileio import parse_graph_text
 from totirr.graphs import EditKind, _cached, degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
@@ -233,6 +234,55 @@ def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
     for value, op in cases:
         exact_delta_for_edit(value, op)
     assert built == []
+
+
+def test_an_edit_shares_with_its_parent_every_mode_it_does_not_move():
+    g = Graph(5, ((0, 1), (1, 2), (2, 3)))
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+    # kind -> (value, op, the modes whose degrees and multiset the child shares with the value)
+    cases = {
+        EditKind.ADD_EDGE: (g, EditOp.add_edge(0, 4), ()),
+        EditKind.REMOVE_EDGE: (g, EditOp.remove_edge(1, 2), ()),
+        EditKind.RETARGET_EDGE_END: (g, EditOp.retarget_edge(0, 1, 4), ()),
+        EditKind.REVERSE_ARC: (d, EditOp.reverse_arc(1, 2), ()),
+        EditKind.RETARGET_ARC_TAIL: (d, EditOp.retarget_tail(1, 2, 0), ("in",)),
+        EditKind.RETARGET_ARC_HEAD: (d, EditOp.retarget_head(1, 2, 0), ("out",)),
+    }
+    assert set(cases) == set(EditKind)
+    for kind, (value, op, shared) in cases.items():
+        exact_delta_for_edit(value, op)  # pricing builds every mode's multiset
+        fields, multisets = dict(vars(value)), dict(value.__dict__["_multisets"])
+        child = apply_edit(value, op)
+        assert child.__dict__.get("_multisets", {}).keys() == set(shared), kind
+        for mode, (name, _) in type(value)._MODES.items():
+            held = mode in shared
+            assert (getattr(child, name) is getattr(value, name)) == held, (kind, mode)
+            assert (child.__dict__.get("_multisets", {}).get(mode) is degree_multiset(value, mode)) == held
+            assert degree_multiset(child, mode) == _recounted(child, mode), (kind, mode)
+        assert vars(value).keys() == fields.keys() and all(vars(value)[k] is v for k, v in fields.items()), kind
+        assert value._multisets.keys() == multisets.keys()
+        assert all(value._multisets[mode] is m for mode, m in multisets.items()), kind
+        assert child._multisets is not value._multisets
+
+
+def test_pricing_the_child_of_an_arc_end_move_counts_only_the_moved_mode(monkeypatch):
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+    cases = ((EditOp.retarget_tail(1, 2, 0), "out"), (EditOp.retarget_head(1, 2, 0), "in"))
+    for op, _ in cases:
+        exact_delta_for_edit(d, op)
+    built = []
+    post_init = DegreeMultiset.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        post_init(self)
+
+    monkeypatch.setattr(DegreeMultiset, "__post_init__", counting)
+    for op, moved in cases:
+        child = apply_edit(d, op)
+        exact_delta_for_edit(child, EditOp.reverse_arc(2, 3))
+        assert built == [degree_multiset(child, moved).entries], op
+        built.clear()
 
 
 def test_no_edit_kind_sweeps_a_component(monkeypatch):
@@ -493,6 +543,15 @@ def test_long_edit_walk_catches_a_carry_off_by_one(kind, data):
     with mock.patch.object(graphs_module, "_carried", off_by_one_carry(graphs_module._carried, [])):
         with pytest.raises(AssertionError, match="carried degrees differ"):
             _walk(kind, data)
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None, database=None)
+def test_long_edit_walk_catches_a_share_of_a_moved_mode(data):
+    # a share rule that holds for every mode hands a child its parent's degrees, and multisets, that the edit moved
+    with mock.patch.object(graphs_module, "_unmoved", lambda removed, added, ends: True):
+        with pytest.raises(AssertionError, match="carried degrees differ"):
+            _walk("digraph", data)
 
 
 @pytest.mark.parametrize("kind", ["graph", "digraph"])
