@@ -38,6 +38,7 @@ built through the operation's own checks, a retarget's through _retarget.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -69,7 +70,6 @@ from .graphs import (
     EditOp,
     Graph,
     _Record,
-    _cached,
     _edit_plan,
     _hangs_a_tree,
     _union,
@@ -146,7 +146,7 @@ class AuditReport(_Record):
                  rows: tuple[AuditRow, ...]):
         self.__dict__.update(suite=suite, seed=seed, instance_count=instance_count, config=config, rows=rows)
 
-    @_cached
+    @cached_property
     def _tally(self) -> tuple[tuple[FormulaStat, ...], tuple[AuditRow, ...], bool]:
         """(formula_stats, disagreements, engine_ok), from one pass over the rows."""
         outcomes, missed, engine_ok = [], [], True

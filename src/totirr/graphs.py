@@ -25,10 +25,9 @@ the touched entries patched, as a joint's union (_union) takes its two
 sides'; only this module builds a value without its constructor. A mode the
 edit does not move (an arc tail's move keeps the in-degrees, a head's the
 out-degrees) is shared with the parent: the same degree tuple, and the
-parent's multiset of it if the parent built one. Pricing an
-edit and applying it each plan it afresh (a few bisects), and neither stores
-anything on the value. Membership tests bisect the sorted tuple. Lazy fields
-are cached in the instance __dict__ without a lock.
+parent's multiset of it if the parent built one. Pricing an edit and applying
+it each plan it afresh (a few bisects), and neither stores anything on the
+value. Membership tests bisect the sorted tuple.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Literal, Optional, Union
 
@@ -64,26 +64,18 @@ def _range(n: int, name: str = "range") -> str:
 _NOT_AN_INTEGER = "has an end that is not an integer"
 
 
-def _check_vertex(g: "AnyGraph", *vertices: int) -> None:
+def _integers(*vertices: int) -> tuple[int, ...]:
+    """vertices, if each is an int (a bool too, as the constructor takes it); else a GraphError for the first."""
     for v in vertices:
+        if not isinstance(v, int):
+            raise GraphError(f"vertex {v!r} is not an integer")
+    return vertices
+
+
+def _check_vertex(g: "AnyGraph", *vertices: int) -> None:
+    for v in _integers(*vertices):
         if not (0 <= v < g.vertex_count):
             raise GraphError(f"vertex {v} outside {_range(g.vertex_count)}")
-
-
-class _cached:
-    """functools.cached_property without the lock Python 3.11 takes on a miss: the first read fills __dict__."""
-
-    def __init__(self, compute):
-        self.compute, self.__doc__ = compute, compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> int:
@@ -95,10 +87,10 @@ class _Record:
     """An immutable value: equal to a value of its own class with equal fields, hashed as its field tuple.
 
     A subclass's fields are the parameters of its own __init__, in order (_FIELDS). That
-    __init__ stores them straight into the instance __dict__, where _cached fields land
-    too, and calls __post_init__ last if the class validates. A field may be _cached
-    (a read value's pairs), so fields are read by attribute. Setting or deleting any
-    attribute raises AttributeError.
+    __init__ stores them straight into the instance __dict__, where cached_property fields
+    land too, and calls __post_init__ last if the class validates. A field may be a
+    cached_property (a read value's pairs), so fields are read by attribute. Setting or
+    deleting any attribute raises AttributeError.
     """
 
     def __init_subclass__(cls):
@@ -157,13 +149,19 @@ class _Value(_Record):
             pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
         try:  # each mode's degrees land in __dict__ once the whole scan is through
             fields.update(self._scan(pairs, n))
-        except ValueError:  # a fault, or pairs out of order: the scan of the sorted pairs names the first fault
-            pairs = self._sorted(pairs)
-            fields.update(self._scan(pairs, n))
+        except (ValueError, TypeError):  # a fault, or pairs out of order: the scan of the sorted pairs names the first
+            try:
+                pairs = self._sorted(pairs)
+                fields.update(self._scan(pairs, n))
+            except TypeError:  # an end that no int orders against, which neither a sort nor _fault's range test takes:
+                # name the first pair with an end that is not an int, as sorted, or as given if no sort took them
+                a, b = next(pair for pair in pairs if not all(isinstance(end, int) for end in pair))
+                raise GraphError(f"{self._NOUN} ({a}, {b}) {_NOT_AN_INTEGER}") from None
         if type(pairs) is _Flat:
             fields["_flat"] = fields.pop(self._PAIRS)  # _pairs builds them on first read
         else:
             fields[self._PAIRS] = tuple(pairs)
+        fields["_multisets"] = {}  # by mode; degree_multiset adds a mode's on its first read
 
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs of a value read from text, built from the reader's numbers on first read. The numbers are
@@ -184,12 +182,6 @@ class _Value(_Record):
             return GraphError(self._PARALLEL.format(a, b))
         return GraphError(f"{self._NOUN} ({a}, {b}) {otherwise}")
 
-    @_cached
-    def _multisets(self) -> dict[str, "DegreeMultiset"]:
-        """Multisets by mode; degree_multiset adds a mode's on its first read. An edit's child gets its own from
-        apply_edit, holding the parent's multiset of each mode the edit did not move."""
-        return {}
-
 
 class Graph(_Value):
     """Undirected labeled graph; multigraph=True allows loops and parallel edges together.
@@ -203,7 +195,7 @@ class Graph(_Value):
         self.__post_init__()
 
     _PAIRS, _MODES, _key = "edges", {"undirected": ("degrees", (0, 1))}, staticmethod(_normalize)
-    edges = _cached(_Value._pairs)  # a value read from text only; every other value holds its edges from birth
+    edges = cached_property(_Value._pairs)  # a value read from text only; any other holds its edges from birth
     _NOUN, _CALLED, _BAD_MODE = "edge", "an undirected graph", "mode {!r} is invalid for an undirected graph"
     _LOOP, _PARALLEL = "loop at vertex {} requires multigraph=True", "parallel edge ({}, {}) requires multigraph=True"
 
@@ -239,7 +231,7 @@ class Graph(_Value):
     def has_edge(self, a: int, b: int) -> bool:
         return _multiplicity(self.edges, _normalize(a, b)) > 0
 
-    @_cached
+    @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         # Sorted (low, high) edges list each vertex's lower neighbours, its loop, then its higher ones.
         nb: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -264,7 +256,7 @@ class Digraph(_Value):
     multigraph = False  # a class constant, not a field
     _PAIRS, _key = "arcs", staticmethod(lambda tail, head: (tail, head))
     _MODES = {"in": ("in_degrees", (1,)), "out": ("out_degrees", (0,))}
-    arcs = _cached(_Value._pairs)  # a value read from text only; every other value holds its arcs from birth
+    arcs = cached_property(_Value._pairs)  # a value read from text only; any other holds its arcs from birth
     _NOUN, _CALLED, _BAD_MODE = "arc", "a digraph", "mode {!r} is invalid for a digraph; use 'in' or 'out'"
     _LOOP, _PARALLEL = "self-arc at vertex {} not allowed", "duplicate arc ({}, {}) not allowed"
 
@@ -306,7 +298,7 @@ class DegreeMultiset(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        prev = None
+        values, prefix = [], [0]
         for value, mult in self.entries:
             if not (isinstance(value, int) and isinstance(mult, int)):  # a bool is an int, as everywhere else
                 raise GraphError(f"entry ({value!r}, {mult!r}) must be a pair of integers")
@@ -314,9 +306,12 @@ class DegreeMultiset(_Record):
                 raise GraphError(f"multiplicity for degree {value} must be positive")
             if value < 0:
                 raise GraphError(f"degree {value} must be nonnegative")
-            if prev is not None and value <= prev:
+            if values and value <= values[-1]:
                 raise GraphError("entries must be strictly increasing by degree")
-            prev = value
+            values.append(value)
+            prefix.append(prefix[-1] + mult)
+        # _prefix[i] = number of vertices with degree among the first i values
+        self.__dict__.update(vertex_count=prefix[-1], _values=tuple(values), _prefix=tuple(prefix))
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int]) -> "DegreeMultiset":
@@ -337,22 +332,6 @@ class DegreeMultiset(_Record):
     @classmethod
     def from_entries(cls, entries: Iterable[tuple[int, int]]) -> "DegreeMultiset":
         return cls(tuple(sorted(entries)))
-
-    @_cached
-    def vertex_count(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    @_cached
-    def _values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
-
-    @_cached
-    def _prefix(self) -> tuple[int, ...]:
-        # _prefix[i] = number of vertices with degree among the first i values
-        acc = [0]
-        for _, m in self.entries:
-            acc.append(acc[-1] + m)
-        return tuple(acc)
 
     def count_le(self, x: int) -> int:
         return self._prefix[bisect_right(self._values, x)]
@@ -563,13 +542,12 @@ def apply_edit(g: AnyGraph, op: EditOp) -> AnyGraph:
     # g's fields are valid, _splice keeps the tuple sorted and the plan checked the added entry.
     fields = {name: getattr(g, name) for name in g._FIELDS}
     fields[g._PAIRS] = _splice(fields[g._PAIRS], removed, added)
-    built = g.__dict__.get("_multisets", {})  # read, never filled: g's own dict stays as it was
-    fields["_multisets"] = {}  # the child's own: a mode it counts later lands here, not in g's
+    multisets = fields["_multisets"] = {}  # the child's own: a mode it counts later lands here, not in g's
     for mode, (name, ends) in g._MODES.items():
         if _unmoved(removed, added, ends):
             fields[name] = getattr(g, name)
-            if mode in built:
-                fields["_multisets"][mode] = built[mode]
+            if mode in g._multisets:
+                multisets[mode] = g._multisets[mode]
         else:
             fields[name] = _carried(getattr(g, name), removed, added, ends)
     return _unchecked(type(g), fields)
@@ -581,7 +559,7 @@ def _union(g1: Graph, g2: Graph) -> Graph:
     n1 = g1.vertex_count
     edges = g1.edges + tuple([(a + n1, b + n1) for a, b in g2.edges])
     return _unchecked(Graph, dict(vertex_count=n1 + g2.vertex_count, edges=edges, degrees=g1.degrees + g2.degrees,
-                                  multigraph=g1.multigraph or g2.multigraph))
+                                  multigraph=g1.multigraph or g2.multigraph, _multisets={}))
 
 
 def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
@@ -592,7 +570,7 @@ def cut_side(g: Graph, a: int, b: int) -> Optional[list[int]]:
     steps over the removed copy, and stops as soon as it reaches a, so it
     costs at most the size of b's side.
     """
-    copies = _multiplicity(g.edges, _normalize(a, b))
+    copies = _multiplicity(g.edges, _normalize(*_integers(a, b)))
     if not copies:
         raise GraphError(f"edge ({a}, {b}) not present")
     if a == b or copies > 1:

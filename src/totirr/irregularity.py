@@ -57,11 +57,9 @@ def irr_fast(dm: DegreeMultiset) -> int:
     """Prefix-sum total irregularity; equals irr_naive on every input."""
     n = dm.vertex_count
     total = 0
-    seen = 0
-    for value, mult in dm.entries:
+    for (value, mult), seen in zip(dm.entries, dm._prefix):
         # vertices of this degree occupy sorted positions seen+1 .. seen+mult
         total += value * mult * (2 * seen + mult - n)
-        seen += mult
     return total
 
 

@@ -92,10 +92,10 @@ def checked_edges(n, edges, multigraph=False):
     """The sorted (low, high) edges Graph(n, edges, ...) stores, or its error, edge by edge."""
     if n < 0:
         raise GraphError("vertex_count must be nonnegative")
-    norm = sorted((a, b) if a <= b else (b, a) for a, b in edges)
+    norm = _sorted("edge", edges, lambda pairs: sorted((a, b) if a <= b else (b, a) for a, b in pairs))
     prev = None
     for a, b in norm:
-        if not (0 <= a < n and 0 <= b < n):
+        if _outside("edge", a, b, n):
             raise GraphError(f"edge ({a}, {b}) outside " + (f"vertex range 0..{n - 1}" if n else "empty vertex range"))
         if a == b and not multigraph:
             raise GraphError(f"loop at vertex {a} requires multigraph=True")
@@ -110,10 +110,10 @@ def checked_arcs(n, arcs):
     """The sorted arcs Digraph(n, arcs) stores, or its error, arc by arc."""
     if n < 0:
         raise GraphError("vertex_count must be nonnegative")
-    norm = sorted(tuple(arc) for arc in arcs)
+    norm = _sorted("arc", arcs, lambda pairs: sorted(tuple(arc) for arc in pairs))
     prev = None
     for t, h in norm:
-        if not (0 <= t < n and 0 <= h < n):
+        if _outside("arc", t, h, n):
             raise GraphError(f"arc ({t}, {h}) outside " + (f"vertex range 0..{n - 1}" if n else "empty vertex range"))
         if t == h:
             raise GraphError(f"self-arc at vertex {t} not allowed")
@@ -122,6 +122,28 @@ def checked_arcs(n, arcs):
         _integral("arc", t, h)
         prev = (t, h)
     return tuple(norm)
+
+
+def _sorted(noun, pairs, sort):
+    """sort(pairs); if no sort can take them (an end orders against no int), the not-an-integer error of the
+    first pair, in the order given, with an end that is not an int."""
+    try:
+        return sort(pairs)
+    except TypeError:
+        for pair in pairs:
+            if not all(isinstance(end, int) for end in pair):
+                a, b = pair
+                raise GraphError(f"{noun} ({a}, {b}) has an end that is not an integer") from None
+        raise
+
+
+def _outside(noun, a, b, n):
+    """Whether an end of (a, b) is outside 0..n - 1, tested from a on; the not-an-integer error if the test meets
+    an end that no int orders against."""
+    try:
+        return not (0 <= a < n and 0 <= b < n)
+    except TypeError:
+        raise GraphError(f"{noun} ({a}, {b}) has an end that is not an integer") from None
 
 
 def _integral(noun, a, b):

@@ -10,15 +10,19 @@ irregularity, are found by brute force. The counts pin the enumeration, so a
 move or a graph that is silently skipped fails too. Since irr_t is a function
 of the degree sequence, its maximum is also found over every graphic sequence,
 up to order 10, and its tree maximum over every tree degree sequence, up to
-order 16.
+order 16. irr_in is a function of the in-degrees alone, so its maximum over
+every tournament (Landau's score test, up to order 12) and over every
+orientation of K_{m,n} (the Gale-Ryser test, up to 6 by 6) is found the same way.
 """
 
-from itertools import accumulate, combinations_with_replacement, compress, product
+from collections import Counter
+from itertools import accumulate, combinations, combinations_with_replacement, compress, product
 
 from totirr import DegreeMultiset, Digraph, EditOp, Graph, apply_edit, branch_transformation, cut_side, irr_graph
 from totirr.audit import _branch_candidates, transform_row
-from totirr.generators import star
-from totirr.irregularity import irr_fast
+from totirr.generators import complete, orient_by_labeling, orient_left_right, star
+from totirr.irregularity import irr_digraph, irr_fast
+from totirr.predictors import bipartite_closed_form, complete_closed_form
 from totirr.transforms import _retarget
 
 from strategies import branch_candidates, connected_components
@@ -230,3 +234,75 @@ def test_the_star_has_the_largest_irr_t_of_every_tree_degree_sequence_up_to_orde
     # partitions of n - 2, OEIS A000041: no sequence is missed or repeated
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
     assert tops == [(n - 1) * (n - 2) for n in range(2, 17)]
+
+
+def score_sequences(n):
+    """Every non-decreasing score (out-degree) sequence of a tournament of order n, by Landau's test: the k
+    smallest scores sum to at least C(k, 2), and all n to C(n, 2)."""
+    total = n * (n - 1) // 2
+
+    def extend(seq, s):
+        k = len(seq)
+        if k == n:  # the test at k = n and the cut below leave s == total
+            yield tuple(seq)
+            return
+        for d in range(seq[-1] if seq else 0, n):
+            if s + d * (n - k) > total:  # the rest, each at least d, would pass C(n, 2)
+                break
+            if s + d >= (k + 1) * k // 2:
+                yield from extend([*seq, d], s + d)
+
+    yield from extend([], 0)
+
+
+def test_the_transitive_tournament_has_the_largest_irr_in_of_every_score_sequence_up_to_order_12():
+    for n in range(1, 6):  # Landau's test against the scores of every tournament
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for bits in product((0, 1), repeat=len(pairs)):  # a pair's bit picks the end its arc leaves
+            wins = Counter(pair[b] for pair, b in zip(pairs, bits))
+            seen.add(tuple(sorted(wins[v] for v in range(n))))
+        assert seen == set(score_sequences(n))
+    counts = []
+    tops = []
+    for n in range(1, 13):
+        # a vertex's in-degree is n - 1 less its score
+        scores = [irr_fast(DegreeMultiset.from_degrees([n - 1 - s for s in seq])) for seq in score_sequences(n)]
+        counts.append(len(scores))
+        tops.append(max(scores))
+    # score sequences of order n, OEIS A000571: no sequence is missed or repeated
+    assert counts == [1, 1, 2, 4, 9, 22, 59, 167, 490, 1486, 4639, 14805]
+    # Lemma 4.8's transitive orientation reaches the maximum
+    assert tops == [complete_closed_form(n) for n in range(1, 13)]
+    assert tops == [irr_digraph(orient_by_labeling(complete(n), range(n))).irr_in for n in range(1, 13)]
+
+
+def bipartite_degrees(m, n):
+    """(row sums, column sums) of every m x n 0-1 matrix, each non-increasing, by the Gale-Ryser test: the k
+    largest row sums total at most the column sums capped at k. Row i is K_{m,n}'s left vertex i, and a 1 at
+    (i, j) its arc to right vertex j: a row sum is an out-degree, a column sum an in-degree."""
+    by_total = {}  # column sums by their total, each with its capped totals for k = 1..m
+    for cols in combinations_with_replacement(range(m, -1, -1), n):
+        capped = [sum(min(c, k) for c in cols) for k in range(1, m + 1)]
+        by_total.setdefault(sum(cols), []).append((cols, capped))
+    for rows in combinations_with_replacement(range(n, -1, -1), m):
+        head = list(accumulate(rows))
+        for cols, capped in by_total.get(head[-1], ()):
+            if all(map(int.__le__, head, capped)):
+                yield rows, cols
+
+
+def test_the_largest_irr_in_of_every_orientation_of_k_m_n_up_to_6_by_6():
+    for m, n in product(range(1, 4), repeat=2):  # Gale-Ryser against the sums of every matrix
+        seen = set()
+        for bits in product((0, 1), repeat=m * n):
+            rows = [bits[i * n : (i + 1) * n] for i in range(m)]
+            seen.add((tuple(sorted(map(sum, rows), reverse=True)), tuple(sorted(map(sum, zip(*rows)), reverse=True))))
+        assert seen == set(bipartite_degrees(m, n))
+    for m, n in product(range(1, 7), repeat=2):
+        top = max(irr_fast(DegreeMultiset.from_degrees([n - r for r in rows] + list(cols)))
+                  for rows, cols in bipartite_degrees(m, n))
+        assert top == m * n * max(m, n)
+        # Prop 4.9's left-to-right orientation gives m^2 n: the maximum only when the left side is not the smaller
+        assert bipartite_closed_form(m, n).irr_in == irr_digraph(orient_left_right(m, n)).irr_in == m * m * n
+        assert (m * m * n == top) == (m >= n)

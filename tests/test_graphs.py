@@ -1,11 +1,17 @@
+import importlib
+import pkgutil
 import random
+import re
 from bisect import insort
 from collections import Counter
+from functools import cached_property
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import totirr
 from totirr import (
     DegreeMultiset,
     Digraph,
@@ -21,7 +27,8 @@ from totirr import (
     parse_graph_text,
 )
 from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
-from totirr.graphs import _PASS_DEGREES, EditKind, _branch_component, _cached, _union, degree_multiset
+from totirr.graphs import _PASS_DEGREES, EditKind, _branch_component, _union, degree_multiset
+from totirr.irregularity import irr_fast, irr_naive
 from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
 
 from strategies import adjacency, checked_arcs, checked_edges, connected_components, counted_degrees, graphs
@@ -272,6 +279,12 @@ def _built(build):
 @example((3, [(0, 1), (2, 3)]))  # an id equal to n
 @example((3, [(0, 1), (1.5, 2)]))  # a non-integer id
 @example((3, [(0, 1), (1, 2), (2,)]))  # a wrong-length pair after a canonical run
+@example((3, [(0, None)]))  # ends that order against no int: no sort, and no range test, can take them
+@example((3, [("a", 1)]))
+@example((3, [(0, 1), (1, "2")]))
+@example((3, [(0, [1])]))
+@example((3, [(1, 2), (0, 5), (None, 1)]))  # an id past n before an end no sort can order
+@example((3, [(5, None)]))  # the range test stops at an id past n before it compares the other end
 def test_the_one_pass_path_matches_the_sorting_path(case):
     n, pairs = case
     for build, reference in _kinds(n, pairs):
@@ -288,26 +301,24 @@ def test_the_one_pass_path_matches_the_sorting_path(case):
 
 def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
-        Graph: {"_multisets", "_adjacency", "edges"},
-        Digraph: {"_multisets", "arcs"},
-        DegreeMultiset: {"vertex_count", "_values", "_prefix"},
+        Graph: {"_adjacency", "edges"},
+        Digraph: {"arcs"},
         AuditReport: {"_tally"},  # engine_ok, formula_stats and disagreements read it
     }
-    # every lazy field a value reads, its base classes' included, each patched once though two classes share it
-    fields = {}
-    for cls, names in lazy.items():
-        mro = reversed(cls.__mro__)  # so a subclass's field wins over a base's of the same name
-        found = {name: attr for klass in mro for name, attr in vars(klass).items() if isinstance(attr, _cached)}
-        assert found.keys() == names, cls.__name__
-        fields.update({id(field): (name, field) for name, field in found.items()})
+    # functools.cached_property backs exactly these fields, and no class of the package is a descriptor of its own
+    modules = [importlib.import_module(f"totirr.{info.name}") for info in pkgutil.iter_modules(totirr.__path__)]
+    classes = [c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__]
+    fields = {(cls, name): attr for cls in classes for name, attr in vars(cls).items()
+              if isinstance(attr, cached_property)}
+    assert fields.keys() == {(cls, name) for cls, names in lazy.items() for name in names}
+    assert [cls for cls in classes if "__get__" in vars(cls)] == []
     computed = []
-    for name, field in fields.values():
-        monkeypatch.setattr(field, "compute", lambda obj, _f=field.compute, _n=name: computed.append(_n) or _f(obj))
+    for (_, name), field in fields.items():
+        monkeypatch.setattr(field, "func", lambda obj, _f=field.func, _n=name: computed.append(_n) or _f(obj))
     values = [  # read from text, as only those values build their pairs on first read
         parse_graph_text("U 3\n0 1\n1 2\n"),
         parse_graph_text("U 3\n0 1\n1 2\n"),
         parse_graph_text("D 3\n0 1\n2 1\n"),
-        DegreeMultiset.from_degrees((1, 2, 1)),
         run_edge_joint_suite(2, 7),
     ]
     computed.clear()  # the suite read lazy fields of the values it built
@@ -325,6 +336,56 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
         values[0].edges = ()
     assert Graph(3, ((0, 1),)).edges == ((0, 1),) and Digraph(3, ((1, 0),)).arcs == ((1, 0),)
     assert computed == []  # a value built from pairs holds them from birth
+
+
+def test_multisets_and_values_hold_their_fields_from_birth():
+    multisets = [
+        DegreeMultiset(()),
+        DegreeMultiset(((1, 2), (3, 1))),
+        DegreeMultiset.from_entries([(3, 1), (1, 2)]),
+        DegreeMultiset.from_degrees((1, 2, 1, 20)),  # the bytes.count kernel, with a degree past its passes
+        DegreeMultiset.from_degrees((300, 1, 1)),  # a degree past 255: the Counter path
+    ]
+    d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
+    multisets += [degree_multiset(d, "in"), degree_multiset(d, "out")]
+    held = [dict(vars(dm)) for dm in multisets]
+    for dm, fields in zip(multisets, held):
+        assert fields["vertex_count"] == sum(m for _, m in dm.entries)
+        assert fields["_values"] == tuple(v for v, _ in dm.entries)
+        assert fields["_prefix"] == tuple(accumulate((m for _, m in dm.entries), initial=0))
+        for x in range(-1, 302):
+            dm.count_le(x), dm.count_lt(x), dm.count_eq(x), dm.count_gt(x)
+        irr_fast(dm), irr_naive(dm)
+    tail = EditOp.retarget_tail(1, 2, 0)
+    exact_delta_for_edit(d, tail)  # pricing reads both of d's multisets
+    child = apply_edit(d, tail)  # which shares its in-degree multiset with d
+    assert degree_multiset(child, "in") is multisets[-2]
+    exact_delta_for_edit(child, EditOp.reverse_arc(0, 2))
+    for dm, fields in zip(multisets, held):
+        assert vars(dm).keys() == fields.keys() and all(vars(dm)[k] is v for k, v in fields.items())
+    # every value holds a multiset dict of its own from birth: validated, read, a union or an edit's child
+    g = Graph(3, ((0, 1), (1, 2)))
+    values = [g, d, parse_graph_text("U 3\n0 1\n"), parse_graph_text("D 3\n1 0\n"), _union(g, g)]
+    values += [apply_edit(g, EditOp.add_edge(0, 2)), apply_edit(d, EditOp.reverse_arc(2, 3)), child]
+    assert all(vars(value)["_multisets"] == {} for value in values[2:-1])
+    assert len({id(vars(value)["_multisets"]) for value in values}) == len(values)
+
+
+@pytest.mark.parametrize("bad", [2.0, "1", None])
+def test_a_vertex_id_that_is_not_an_int_is_refused(bad):
+    g = Graph(3, ((0, 1), (1, 2)))
+    calls = [
+        lambda: apply_edit(g, EditOp.add_edge(0, bad)),
+        lambda: exact_delta_for_edit(g, EditOp.add_edge(0, bad)),
+        lambda: g.degree(bad),
+        lambda: edge_joint(g, g, 0, bad),
+        lambda: cut_side(g, 1, bad),
+    ]
+    for call in calls:
+        with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(bad))} is not an integer$"):
+            call()
+    # a bool is an int, as the constructor takes it
+    assert g.degree(True) == 2 and cut_side(g, True, 2) == [2]
 
 
 def test_degrees_small_cases():

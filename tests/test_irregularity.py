@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from functools import cached_property
 from unittest import mock
 
 import pytest
@@ -22,7 +23,7 @@ from totirr import (
 from totirr import graphs as graphs_module
 from totirr.audit import _recounted
 from totirr.fileio import parse_graph_text
-from totirr.graphs import EditKind, _cached, degree_multiset
+from totirr.graphs import EditKind, degree_multiset
 from totirr.irregularity import IrrPair, irr_digraph
 
 from strategies import degree_lists, digraphs, graphs, multisets, off_by_one_carry, pairwise_irr
@@ -201,11 +202,13 @@ def test_pricing_and_applying_an_edit_store_nothing_on_the_value():
     )
     for g, op in cases:
         cls = type(g)
-        lazy = {name for klass in cls.__mro__ for name, attr in vars(klass).items() if isinstance(attr, _cached)}
+        lazy = {name for k in cls.__mro__ for name, attr in vars(k).items() if isinstance(attr, cached_property)}
+        multisets = vars(g)["_multisets"]  # a field from birth, filled by the first read of each mode
         exact_delta_for_edit(g, op)
         apply_edit(g, op)
         degrees = {name for name, _ in cls._MODES.values()}
-        assert set(vars(g)) <= {*cls._FIELDS, *degrees, "_flat", *lazy}, (g, op)
+        assert set(vars(g)) <= {*cls._FIELDS, *degrees, "_flat", "_multisets", *lazy}, (g, op)
+        assert vars(g)["_multisets"] is multisets
 
 
 def test_exact_delta_builds_no_multiset_beyond_the_parents(monkeypatch):
@@ -253,11 +256,11 @@ def test_an_edit_shares_with_its_parent_every_mode_it_does_not_move():
         exact_delta_for_edit(value, op)  # pricing builds every mode's multiset
         fields, multisets = dict(vars(value)), dict(value.__dict__["_multisets"])
         child = apply_edit(value, op)
-        assert child.__dict__.get("_multisets", {}).keys() == set(shared), kind
+        assert vars(child)["_multisets"].keys() == set(shared), kind
         for mode, (name, _) in type(value)._MODES.items():
             held = mode in shared
             assert (getattr(child, name) is getattr(value, name)) == held, (kind, mode)
-            assert (child.__dict__.get("_multisets", {}).get(mode) is degree_multiset(value, mode)) == held
+            assert (vars(child)["_multisets"].get(mode) is degree_multiset(value, mode)) == held
             assert degree_multiset(child, mode) == _recounted(child, mode), (kind, mode)
         assert vars(value).keys() == fields.keys() and all(vars(value)[k] is v for k, v in fields.items()), kind
         assert value._multisets.keys() == multisets.keys()

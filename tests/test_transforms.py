@@ -94,12 +94,13 @@ def test_edge_joint_equals_the_validated_union_plus_one_edge(g1, g2, data):
     assert joined == want and type(joined.edges) is tuple
     assert joined.degrees == want.degrees and degree_multiset(joined) == degree_multiset(want)
     # a union takes its sides' degrees side by side, counted when they were built, whether or not a
-    # side's multiset was read, and counts its own multiset on first read
+    # side's multiset was read, and starts with an empty multiset dict of its own, counted into on first read
     plain = _union(g1, g2)
     assert "degrees" in vars(plain) and plain == union_ref and plain.degrees == union_ref.degrees
     degree_multiset(g1), degree_multiset(g2)
     counted = _union(g1, g2)
-    assert "degrees" in vars(counted) and "_multisets" not in vars(counted) and counted == union_ref
+    assert "degrees" in vars(counted) and vars(counted)["_multisets"] == {} and counted == union_ref
+    assert all(vars(counted)["_multisets"] is not vars(side)["_multisets"] for side in (g1, g2, plain))
     assert counted.degrees == union_ref.degrees and degree_multiset(counted) == degree_multiset(union_ref)
 
 
