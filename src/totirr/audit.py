@@ -38,7 +38,6 @@ built through the operation's own checks, a retarget's through _retarget.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -125,32 +124,23 @@ class AuditRow(_Record):
     def __init__(self, instance_id: int, seed: int, operation: str, irr_before: int, irr_after_oracle: int,
                  engine_delta: int, predictions: tuple[PredictionOutcome, ...]):
         self.__dict__.update(instance_id=instance_id, seed=seed, operation=operation, irr_before=irr_before,
-                             irr_after_oracle=irr_after_oracle, engine_delta=engine_delta, predictions=predictions)
-
-    @property
-    def engine_ok(self) -> bool:
-        return self.engine_delta == self.irr_after_oracle - self.irr_before
+                             irr_after_oracle=irr_after_oracle, engine_delta=engine_delta, predictions=predictions,
+                             engine_ok=engine_delta == irr_after_oracle - irr_before)
 
 
 class FormulaStat(_Record):
     def __init__(self, formula_id: str, agree: int, total: int):
-        self.__dict__.update(formula_id=formula_id, agree=agree, total=total)
-
-    @property
-    def pct(self) -> float:
-        return round(100.0 * self.agree / self.total, 4)
+        self.__dict__.update(formula_id=formula_id, agree=agree, total=total, pct=round(100.0 * agree / total, 4))
 
 
 class AuditReport(_Record):
+    """A suite's rows and what one pass over them finds when it is built: formula_stats (agreement counts per
+    formula, by id), disagreements (rows where the engine or a formula missed), engine_ok (the engine never did)."""
+
     def __init__(self, suite: str, seed: int, instance_count: int, config: tuple[tuple[str, str], ...],
                  rows: tuple[AuditRow, ...]):
-        self.__dict__.update(suite=suite, seed=seed, instance_count=instance_count, config=config, rows=rows)
-
-    @cached_property
-    def _tally(self) -> tuple[tuple[FormulaStat, ...], tuple[AuditRow, ...], bool]:
-        """(formula_stats, disagreements, engine_ok), from one pass over the rows."""
         outcomes, missed, engine_ok = [], [], True
-        for row in self.rows:
+        for row in rows:
             agreed = row.engine_ok
             engine_ok &= agreed
             for p in row.predictions:
@@ -159,13 +149,10 @@ class AuditReport(_Record):
             if not agreed:
                 missed.append(row)
         counts = Counter(outcomes)  # (formula id, agrees) -> predictions
-        stats = [FormulaStat(fid, counts[fid, True], counts[fid, True] + counts[fid, False])
-                 for fid in sorted({fid for fid, _ in counts})]
-        return tuple(stats), tuple(missed), engine_ok
-
-    formula_stats = property(lambda self: self._tally[0], doc="Agreement counts per formula, sorted by formula id.")
-    disagreements = property(lambda self: self._tally[1], doc="The rows where the engine or a formula missed.")
-    engine_ok = property(lambda self: self._tally[2], doc="Whether the engine's delta matched the oracle on every row.")
+        stats = tuple(FormulaStat(fid, counts[fid, True], counts[fid, True] + counts[fid, False])
+                      for fid in sorted({fid for fid, _ in counts}))
+        self.__dict__.update(suite=suite, seed=seed, instance_count=instance_count, config=config, rows=rows,
+                             formula_stats=stats, disagreements=tuple(missed), engine_ok=engine_ok)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

@@ -86,11 +86,11 @@ def _multiplicity(items: tuple[tuple[int, int], ...], item: tuple[int, int]) -> 
 class _Record:
     """An immutable value: equal to a value of its own class with equal fields, hashed as its field tuple.
 
-    A subclass's fields are the parameters of its own __init__, in order (_FIELDS). That
-    __init__ stores them straight into the instance __dict__, where cached_property fields
-    land too, and calls __post_init__ last if the class validates. A field may be a
-    cached_property (a read value's pairs), so fields are read by attribute. Setting or
-    deleting any attribute raises AttributeError.
+    A subclass's fields are the parameters of its own __init__, in order (_FIELDS). That __init__
+    stores them, with any fact it derives from them (which ==, hash and repr skip), straight into
+    the instance __dict__, where cached_property fields land too, and calls __post_init__ last if
+    the class validates. A field may be a cached_property (a read value's pairs), so fields are
+    read by attribute. Setting or deleting any attribute raises AttributeError.
     """
 
     def __init_subclass__(cls):
@@ -146,7 +146,11 @@ class _Value(_Record):
         pairs = fields[self._PAIRS]
         if type(pairs) is not _Flat:
             # A list, as a growing tuple rejoins the youngest GC generation at each resize; zip yields tuples.
-            pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
+            try:
+                pairs = [*pairs] if type(pairs) is zip else [*map(tuple, pairs)]
+            except TypeError as error:  # an item that is not iterable: named, if the pairs can be walked again
+                bad = [item for item in fields[self._PAIRS] if not hasattr(item, "__iter__")]
+                raise (GraphError(f"{self._NOUN} {bad[0]!r} is not a pair") if bad else error) from None
         try:  # each mode's degrees land in __dict__ once the whole scan is through
             fields.update(self._scan(pairs, n))
         except (ValueError, TypeError):  # a fault, or pairs out of order: the scan of the sorted pairs names the first
@@ -229,7 +233,7 @@ class Graph(_Value):
         return self.degrees[v]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _multiplicity(self.edges, _normalize(a, b)) > 0
+        return _multiplicity(self.edges, _normalize(*_integers(a, b))) > 0
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -22,6 +22,7 @@ from totirr.audit import (
     CSV_HEADER,
     AuditReport,
     AuditRow,
+    FormulaStat,
     PredictionOutcome,
     _branch_candidates,
     lemma34_suite,
@@ -469,6 +470,23 @@ def test_the_one_pass_tally_keeps_the_definitions_of_stats_and_disagreements(rep
 
 def test_the_pinned_report_has_each_pct_shape():
     assert [s.pct for s in _PCT_REPORT.formula_stats] == [33.3333, 0.0, 100.0]
+
+
+def test_audit_records_hold_their_summaries_from_birth():
+    # no audit class computes a field on read: each constructor stores what its readers need
+    assert [name for cls in vars(audit).values() if isinstance(cls, type) and cls.__module__ == audit.__name__
+            for name, attr in vars(cls).items() if isinstance(attr, property)] == []
+    reports = [run_edge_joint_suite(40, SEED), _PCT_REPORT, AuditReport("", 0, 0, (), ())]
+    records = [*reports, *(row for r in reports for row in r.rows), *(s for r in reports for s in r.formula_stats)]
+    born = {AuditReport: {"formula_stats", "disagreements", "engine_ok"}, AuditRow: {"engine_ok"}, FormulaStat: {"pct"}}
+    held = [dict(vars(record)) for record in records]
+    for record, fields in zip(records, held):
+        assert fields.keys() == {*type(record)._FIELDS, *born[type(record)]}, record
+    assert reports[0].disagreements and reports[0].engine_ok  # the suite's formulas miss, its engine never does
+    for report in reports:
+        report.to_csv(), report.to_json(), hash(report), repr(report)
+    for record, fields in zip(records, held):
+        assert vars(record).keys() == fields.keys() and all(vars(record)[k] is v for k, v in fields.items())
 
 
 def test_reports_are_reproducible():

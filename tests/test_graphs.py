@@ -26,7 +26,7 @@ from totirr import (
     exact_delta_for_edit,
     parse_graph_text,
 )
-from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome, run_edge_joint_suite
+from totirr.audit import AuditReport, AuditRow, FormulaStat, PredictionOutcome
 from totirr.graphs import _PASS_DEGREES, EditKind, _branch_component, _union, degree_multiset
 from totirr.irregularity import irr_fast, irr_naive
 from totirr.partitions import JointPartitionCounts, Relation, TransformPartitionCounts
@@ -303,7 +303,6 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
     lazy = {
         Graph: {"_adjacency", "edges"},
         Digraph: {"arcs"},
-        AuditReport: {"_tally"},  # engine_ok, formula_stats and disagreements read it
     }
     # functools.cached_property backs exactly these fields, and no class of the package is a descriptor of its own
     modules = [importlib.import_module(f"totirr.{info.name}") for info in pkgutil.iter_modules(totirr.__path__)]
@@ -319,9 +318,7 @@ def test_lazy_fields_are_computed_once_per_value_and_stay_frozen(monkeypatch):
         parse_graph_text("U 3\n0 1\n1 2\n"),
         parse_graph_text("U 3\n0 1\n1 2\n"),
         parse_graph_text("D 3\n0 1\n2 1\n"),
-        run_edge_joint_suite(2, 7),
     ]
-    computed.clear()  # the suite read lazy fields of the values it built
     for value in values:
         names = lazy[type(value)]
         for _ in range(3):
@@ -380,12 +377,24 @@ def test_a_vertex_id_that_is_not_an_int_is_refused(bad):
         lambda: g.degree(bad),
         lambda: edge_joint(g, g, 0, bad),
         lambda: cut_side(g, 1, bad),
+        lambda: g.has_edge(1, bad),  # 2.0 == 2 would find the edge (1, 2)
     ]
     for call in calls:
         with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(bad))} is not an integer$"):
             call()
-    # a bool is an int, as the constructor takes it
-    assert g.degree(True) == 2 and cut_side(g, True, 2) == [2]
+    # a bool is an int, as the constructor takes it; an int out of range is no edge's end
+    assert g.degree(True) == 2 and cut_side(g, True, 2) == [2] and g.has_edge(True, 2) and not g.has_edge(0, 7)
+
+
+@pytest.mark.parametrize(("build", "items", "named"), [
+    (Graph, [5], "edge 5"),
+    (Graph, [(0, 1), None], "edge None"),
+    (lambda n, items: Graph(n, items, multigraph=True), [(1, 1), 5], "edge 5"),
+    (Digraph, [(0, 1), 5], "arc 5"),
+], ids=["graph", "graph-after-a-pair", "multigraph", "digraph"])
+def test_an_item_that_is_not_a_pair_is_refused_by_name(build, items, named):
+    with pytest.raises(GraphError, match=f"^{named} is not a pair$"):
+        build(3, items)
 
 
 def test_degrees_small_cases():

@@ -1,10 +1,11 @@
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from totirr import DegreeMultiset, Digraph, joint_partition
-from totirr.irregularity import IrrPair, irr_digraph
+from totirr.irregularity import IrrPair, irr_digraph, irr_naive
 from totirr.partitions import Relation, TransformPartitionCounts
 from totirr.predictors import (
     FormulaId,
@@ -57,6 +58,53 @@ def test_regular_joint_formula_ids():
     assert prop27_formula_id(2, 2) is FormulaId.PROP27_EQUAL
     assert prop27_formula_id(3, 2) is FormulaId.PROP27_GREATER
     assert prop27_formula_id(2, 3) is FormulaId.PROP27_GREATER
+
+
+# formula -> its residual (predicted - oracle) on a joint at degrees du and dv, where (du, n) and (dv, m) are
+# (degree, order) of the two sides, the side with the larger degree first, as joint_row hands them to Prop 2.7
+JOINT_RESIDUALS = {
+    FormulaId.THM21_INTERIM: lambda du, dv, n, m: 0 if du == dv else -2,
+    FormulaId.THM21_FINAL_A: lambda du, dv, n, m: 2 if du == dv else 0,
+    FormulaId.THM21_FINAL_B: lambda du, dv, n, m: 2 if du == dv else 0,
+    FormulaId.PROP27_EQUAL: lambda du, dv, n, m: 2,  # both sides regular
+    FormulaId.PROP27_GREATER: lambda du, dv, n, m: 2 * (n - m),  # both sides regular
+}
+
+
+def joint_degree_data(most):
+    """Every (degrees 1, degrees 2, deg u, deg v) with orders r, s >= 1 and r + s <= most: each side's degrees a
+    multiset of its order's many values in 0..order - 1, and u, v of every degree that their side holds."""
+    for r, s in product(range(1, most), repeat=2):
+        if r + s <= most:
+            for left, right in product(combinations_with_replacement(range(r), r),
+                                       combinations_with_replacement(range(s), s)):
+                yield from ((left, right, du, dv) for du, dv in product(sorted(set(left)), sorted(set(right))))
+
+
+def test_every_joint_formula_misses_by_its_named_rule_on_all_degree_data_up_to_order_7():
+    cases, checked = 0, set()
+    for left, right, du, dv in joint_degree_data(7):
+        dm1, dm2 = dm(*left), dm(*right)
+        raised = [*left, *right]  # the union's degrees, then u's and v's raised by the new edge
+        raised[left.index(du)] += 1
+        raised[len(left) + right.index(dv)] += 1
+        before, after = irr_naive(dm(*left, *right)), irr_naive(dm(*raised))
+        counts = joint_partition(dm1, dm2, du, dv)
+        form_a, form_b = thm21_final(counts)
+        residuals = {
+            FormulaId.THM21_INTERIM: thm21_interim(counts) - (after - before),
+            FormulaId.THM21_FINAL_A: form_a - (after - before),
+            FormulaId.THM21_FINAL_B: form_b - (after - before),
+        }
+        (high, n), (low, m) = sorted(((du, len(left)), (dv, len(right))), reverse=True)
+        if dm1.is_regular() and dm2.is_regular():
+            residuals[prop27_formula_id(du, dv)] = prop27(n, m, high, low) - after
+        for fid, residual in residuals.items():
+            assert residual == JOINT_RESIDUALS[fid](high, low, n, m), (fid, left, right, du, dv)
+        checked |= residuals.keys()
+        cases += 1
+    assert cases == 10_733
+    assert checked == JOINT_RESIDUALS.keys()  # every rule of the table met a case
 
 
 # --- transform formulas -----------------------------------------------------
